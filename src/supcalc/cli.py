@@ -24,7 +24,7 @@ from .errors import (
 from .generator import DOMAIN_KINDS, GeneratorParams, generate
 from .identities import CATALOG, check_identity, identity_ids
 from .polyhedron import Polyhedron, interior_point
-from .rationals import Vec, parse_rational
+from .rationals import Vec, format_extended, parse_rational
 from .reports import CheckReport, CheckStatus
 from .serialize import Instance, loads_instance, report_to_json
 from .plotting import plot_function, plot_subdiff
@@ -129,15 +129,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     eps = parse_rational(args.eps) if args.eps else Fraction(0)
     f = family.sup
     fx = f.eval(x)
-    print(f"f({args.point}) = {_fmt_value(fx)}")
-    if fx.is_finite:
-        active = [
-            t for t, f_t in family.members
-            if f_t.eval(x).is_finite
-            and f_t.eval(x).finite_value() >= fx.finite_value() - eps
-        ]
-    else:
-        active = []
+    print(f"f({args.point}) = {format_extended(fx)}")
+    near = family.active_indices(x, eps) if fx.is_finite else set()
+    active = [t for t in family.labels if t in near]
     print(f"active[eps={eps}] = {','.join(active) if active else '(none)'}")
     fstar = f.conjugate()
     samples = list(fstar.domain.vertices[:4])
@@ -146,14 +140,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         samples.append(c)
     for p in samples:
         label = ",".join(str(v) for v in p)
-        print(f"f*({label}) = {_fmt_value(f.conjugate_eval(p))}")
+        print(f"f*({label}) = {format_extended(f.conjugate_eval(p))}")
     return 0
-
-
-def _fmt_value(v) -> str:
-    if v.is_finite:
-        return str(v.finite_value())
-    return "+inf" if v > type(v).finite(0) else "-inf"
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

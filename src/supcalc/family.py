@@ -132,8 +132,3 @@ class FunctionFamily:
     def member_values(self, x: Sequence) -> Mapping[str, object]:
         x = vec(x)
         return {t: f.eval(x) for t, f in self.members}
-
-
-def sup_function(family: FunctionFamily) -> PolyhedralFunction:
-    """Pointwise supremum of the family as a single max-affine function."""
-    return family.sup

@@ -32,6 +32,7 @@ from .errors import (
 from .lp import LPStatus, Row, solve_max, solve_min
 from .polyhedron import Polyhedron, included, polyhedron_equal
 from .rationals import (
+    NEG_INF,
     POS_INF,
     ExtendedRational,
     Vec,
@@ -370,7 +371,7 @@ def _infimum(h: PolyhedralFunction) -> ExtendedRational:
     if res.status is LPStatus.OPTIMAL:
         return res.optimum
     if res.status is LPStatus.UNBOUNDED:
-        return ExtendedRational.neg_inf()
+        return NEG_INF
     raise LPInternalError("epigraph LP infeasible for a proper function")
 
 

@@ -52,6 +52,7 @@ from .polyhedron import (
     interior_point,
     intersect,
     minkowski_sum,
+    missing_generator,
     polyhedron_equal,
     recession_cone,
 )
@@ -60,6 +61,7 @@ from .rationals import (
     POS_INF,
     ExtendedRational,
     Vec,
+    format_extended,
     vec,
     zeros,
 )
@@ -222,50 +224,17 @@ def _greatest_label(family: FunctionFamily) -> str | None:
     return None
 
 
-def _fmt_ext(v: ExtendedRational) -> str:
-    if v == POS_INF:
-        return "+inf"
-    if v == NEG_INF:
-        return "-inf"
-    return str(v.finite_value())
-
-
 # ---------------------------------------------------------------------
 # set-equality certificates
 # ---------------------------------------------------------------------
 
-def _missing_generator(p: Polyhedron, q: Polyhedron) -> dict[str, Any] | None:
-    """A generator of P outside Q, or None when P is a subset of Q."""
-    if p.is_empty:
-        return None
-    if q.is_empty:
-        return {"point": p.vertices[0]}
-    for v in p.vertices:
-        if not q.contains(v):
-            return {"point": v}
-    for r in p.rays:
-        if not q.contains_ray(r):
-            return {"ray": r}
-    return None
-
-
 def _require_equal(lhs: Polyhedron, rhs: Polyhedron, lhs_name: str, rhs_name: str) -> None:
-    gap = _missing_generator(lhs, rhs)
-    if gap is not None:
-        raise IdentityFalsified(
-            f"{lhs_name} is not contained in {rhs_name}",
-            certificate={"missing_from": rhs_name, **gap},
-        )
-    gap = _missing_generator(rhs, lhs)
-    if gap is not None:
-        raise IdentityFalsified(
-            f"{rhs_name} is not contained in {lhs_name}",
-            certificate={"missing_from": lhs_name, **gap},
-        )
+    _require_included(lhs, rhs, lhs_name, rhs_name)
+    _require_included(rhs, lhs, rhs_name, lhs_name)
 
 
 def _require_included(p: Polyhedron, q: Polyhedron, p_name: str, q_name: str) -> None:
-    gap = _missing_generator(p, q)
+    gap = missing_generator(p, q)
     if gap is not None:
         raise IdentityFalsified(
             f"{p_name} is not contained in {q_name}",
@@ -339,10 +308,10 @@ def _conjugate_hull_envelope(family: FunctionFamily, params: Mapping[str, Any]) 
         envelope = co_hull_conjugates(family, xs).value
         if direct != envelope:
             raise IdentityFalsified(
-                f"envelope value {_fmt_ext(envelope)} differs from conjugate "
-                f"value {_fmt_ext(direct)}",
-                certificate={"point": xs, "conjugate": _fmt_ext(direct),
-                             "envelope": _fmt_ext(envelope)},
+                f"envelope value {format_extended(envelope)} differs from conjugate "
+                f"value {format_extended(direct)}",
+                certificate={"point": xs, "conjugate": format_extended(direct),
+                             "envelope": format_extended(envelope)},
             )
         audited += 1
     return (CheckStatus.PASS, None, {"value_samples": audited})
@@ -528,7 +497,7 @@ def _increasing_conjugate_min(family: FunctionFamily, params: Mapping[str, Any])
     values = []
     for xs in samples:
         # self-verifying: raises on any mismatch with the direct conjugate
-        values.append(_fmt_ext(conjugate_on_interior(family, xs)))
+        values.append(format_extended(conjugate_on_interior(family, xs)))
     return (CheckStatus.PASS, None, {"samples": len(samples), "values": values})
 
 
@@ -556,10 +525,10 @@ def _sum_conjugate_convolution(family: FunctionFamily, params: Mapping[str, Any]
         folded = inf_convolution_value(conjugates, xs)
         if direct != folded:
             raise IdentityFalsified(
-                f"convolution value {_fmt_ext(folded)} differs from the sum "
-                f"conjugate {_fmt_ext(direct)}",
-                certificate={"point": xs, "conjugate": _fmt_ext(direct),
-                             "convolution": _fmt_ext(folded)},
+                f"convolution value {format_extended(folded)} differs from the sum "
+                f"conjugate {format_extended(direct)}",
+                certificate={"point": xs, "conjugate": format_extended(direct),
+                             "convolution": format_extended(folded)},
             )
     return (CheckStatus.PASS, None, {"samples": len(samples), "members": len(members)})
 
@@ -882,13 +851,13 @@ def _domain_normal_descriptions(
     offset = zeros(n) + (eps,)
     for name, s in lifted:
         pulled = affine_preimage(s, matrix, offset)
-        gap = _missing_generator(reference, pulled)
+        gap = missing_generator(reference, pulled)
         if gap is not None:
             raise IdentityFalsified(
                 f"the {name} description misses a normal vector",
                 certificate={"description": name, **gap},
             )
-        gap = _missing_generator(pulled, reference)
+        gap = missing_generator(pulled, reference)
         if gap is not None:
             raise IdentityFalsified(
                 f"the {name} description adds a spurious normal vector",
@@ -949,7 +918,8 @@ def _robust_infimum(
     if not (sup_inf <= inf_sup):
         raise IdentityFalsified(
             "a member infimum exceeds the supremum infimum",
-            certificate={"sup_inf": _fmt_ext(sup_inf), "inf_sup": _fmt_ext(inf_sup)},
+            certificate={"sup_inf": format_extended(sup_inf),
+                         "inf_sup": format_extended(inf_sup)},
         )
 
     robust = ExtendedRational.finite(fx) <= sup_inf + ExtendedRational.finite(eps)
@@ -965,7 +935,7 @@ def _robust_infimum(
         raise IdentityFalsified(
             "a robust infimum admits no member subgradient certificate",
             certificate={"x": x, "eps": eps,
-                         "iotas": {t: _fmt_ext(v) for t, v in iotas.items()}},
+                         "iotas": {t: format_extended(v) for t, v in iotas.items()}},
         )
     values = {t: family.member(t).eval(x) for t in family.labels}
     equal_values = all(
@@ -974,7 +944,7 @@ def _robust_infimum(
     if equal_values and membership and not robust:
         raise IdentityFalsified(
             "membership fails to force robustness on an equal-values instance",
-            certificate={"x": x, "eps": eps, "sup_inf": _fmt_ext(sup_inf)},
+            certificate={"x": x, "eps": eps, "sup_inf": format_extended(sup_inf)},
         )
 
     maxmin_checked = False
@@ -986,8 +956,8 @@ def _robust_infimum(
                     "max-min and min-max values differ on a compact instance",
                     certificate={
                         "member": witness_t,
-                        "sup_inf": _fmt_ext(sup_inf),
-                        "inf_sup": _fmt_ext(inf_sup),
+                        "sup_inf": format_extended(sup_inf),
+                        "inf_sup": format_extended(inf_sup),
                     },
                 )
             maxmin_checked = True
@@ -999,8 +969,8 @@ def _robust_infimum(
         "member_hits": member_hits,
         "equal_values": equal_values,
         "maxmin_checked": maxmin_checked,
-        "sup_inf": _fmt_ext(sup_inf),
-        "inf_sup": _fmt_ext(inf_sup),
+        "sup_inf": format_extended(sup_inf),
+        "inf_sup": format_extended(inf_sup),
     }
     status = CheckStatus.PASS if exercised else CheckStatus.TRIVIAL_PASS
     return (status, None, details)

@@ -399,25 +399,6 @@ def _check_cap(dim: int) -> None:
 # Operations
 # ============================================================
 
-def dd_convert(p: Polyhedron, direction: str = "H->V") -> Polyhedron:
-    """Materialize the other representation; both are then consistent.
-
-    ``H->V`` ensures generators are available; ``V->H`` rebuilds a
-    canonical irredundant constraint form from the generators.  The
-    round trip is audited by mutual inclusion.
-    """
-    if direction == "H->V":
-        p.generators  # computed and cached
-        return p
-    if direction == "V->H":
-        verts, rays = p.generators
-        q = Polyhedron.from_generators(p.dim, verts, rays)
-        if not polyhedron_equal(p, q):
-            raise InvalidParameterError("representation round trip failed audit")
-        return q
-    raise InvalidParameterError(f"unknown direction {direction!r}")
-
-
 def recession_cone(p: Polyhedron) -> Polyhedron:
     """{d : x + t d in P for all x in P, t >= 0}; undefined on empty sets."""
     if p.is_empty:
@@ -507,12 +488,7 @@ def polyhedron_equal(p: Polyhedron, q: Polyhedron) -> bool:
         raise DimensionMismatchError("polyhedron_equal arity mismatch")
     if p.is_empty or q.is_empty:
         return p.is_empty and q.is_empty
-    return _included(p, q) and _included(q, p)
-
-
-def _included(p: Polyhedron, q: Polyhedron) -> bool:
-    verts, rays = p.generators
-    return all(q.contains(v) for v in verts) and all(q.contains_ray(r) for r in rays)
+    return missing_generator(p, q) is None and missing_generator(q, p) is None
 
 
 def included(p: Polyhedron, q: Polyhedron) -> bool:
@@ -521,9 +497,28 @@ def included(p: Polyhedron, q: Polyhedron) -> bool:
         raise DimensionMismatchError("included arity mismatch")
     if p.is_empty:
         return True
+    # an empty Q needs no witness, so P's generators are never converted
+    return not q.is_empty and missing_generator(p, q) is None
+
+
+def missing_generator(p: Polyhedron, q: Polyhedron) -> dict[str, Vec] | None:
+    """A generator of P outside Q, or None when P is a subset of Q.
+
+    The witness is ``{"point": v}`` for a point of P outside Q, else
+    ``{"ray": r}`` for a ray of P outside the recession cone of Q.  When
+    Q is empty it is P's first point.
+    """
+    if p.is_empty:
+        return None
     if q.is_empty:
-        return False
-    return _included(p, q)
+        return {"point": p.vertices[0]}
+    for v in p.vertices:
+        if not q.contains(v):
+            return {"point": v}
+    for r in p.rays:
+        if not q.contains_ray(r):
+            return {"ray": r}
+    return None
 
 
 def interior_point(p: Polyhedron) -> Vec | None:

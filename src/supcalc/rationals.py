@@ -34,6 +34,15 @@ def format_rational(value: Fraction) -> str:
     return str(value)
 
 
+def format_extended(v: "ExtendedRational") -> str:
+    """Wire format of an extended value: ``"+inf"``, ``"-inf"`` or ``p/q``."""
+    if v.sign > 0:
+        return "+inf"
+    if v.sign < 0:
+        return "-inf"
+    return format_rational(v.value)
+
+
 def qv(*entries) -> Vec:
     """Build a vector of Fractions from ints/strings/Fractions."""
     return tuple(Fraction(e) for e in entries)
@@ -69,10 +78,6 @@ def vscale(c: Fraction, a: Vec) -> Vec:
     return tuple(c * x for x in a)
 
 
-def vneg(a: Vec) -> Vec:
-    return tuple(-x for x in a)
-
-
 def l1norm(a: Vec) -> Fraction:
     return sum((abs(x) for x in a), Fraction(0))
 
@@ -105,14 +110,6 @@ class ExtendedRational:
     @staticmethod
     def finite(value) -> "ExtendedRational":
         return ExtendedRational(0, Fraction(value))
-
-    @staticmethod
-    def pos_inf() -> "ExtendedRational":
-        return POS_INF
-
-    @staticmethod
-    def neg_inf() -> "ExtendedRational":
-        return NEG_INF
 
     # -- predicates --------------------------------------------------
 
@@ -159,9 +156,6 @@ class ExtendedRational:
 
     # -- order -------------------------------------------------------
 
-    def _key(self, other: "ExtendedRational"):
-        return (self.sign, other.sign)
-
     def __eq__(self, other) -> bool:
         other = _coerce(other)
         if self.sign != other.sign:
@@ -202,10 +196,6 @@ def _coerce(x) -> ExtendedRational:
     if isinstance(x, ExtendedRational):
         return x
     return ExtendedRational(0, Fraction(x))
-
-
-def ext(x) -> ExtendedRational:
-    return _coerce(x)
 
 
 def ratio_convention(num: Fraction, den: Fraction) -> ExtendedRational:

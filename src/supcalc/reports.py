@@ -35,10 +35,6 @@ class CheckReport:
     details: Mapping[str, Any] | None = None
     elapsed: float = 0.0
 
-    @property
-    def ok(self) -> bool:
-        return self.status is not CheckStatus.FAIL
-
 
 def content_digest(*parts: object) -> str:
     """Stable digest of repr-serialized parts, for instance identity."""

@@ -19,7 +19,13 @@ from .family import FunctionFamily
 from .functions import PolyhedralFunction
 from .generator import GeneratorParams
 from .polyhedron import Polyhedron
-from .rationals import ExtendedRational, Vec, format_rational, parse_rational
+from .rationals import (
+    ExtendedRational,
+    Vec,
+    format_extended,
+    format_rational,
+    parse_rational,
+)
 from .reports import CheckReport
 
 FILE_VERSION = 1
@@ -45,9 +51,7 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, Fraction):
         return format_rational(obj)
     if isinstance(obj, ExtendedRational):
-        if obj.is_finite:
-            return format_rational(obj.finite_value())
-        return "+inf" if obj > ExtendedRational.finite(0) else "-inf"
+        return format_extended(obj)
     if isinstance(obj, Enum):
         return to_jsonable(obj.value)
     if isinstance(obj, Mapping):

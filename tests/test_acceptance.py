@@ -4,6 +4,7 @@ Each criterion below is one test so the terminal summary can report a
 single pass/fail line per criterion.  Corpora are seeded and the mixes
 are fixed, so reruns exercise identical instances.
 """
+import hashlib
 import time
 from fractions import Fraction as Q
 from itertools import product
@@ -406,4 +407,8 @@ def test_criterion_7(tmp_path, capsys):
     capsys.readouterr()
     blob = first.read_bytes()
     assert blob and blob == second.read_bytes()
+    # the corpus bytes are pinned, so any change to the JSONL output shows here
+    assert hashlib.sha256(blob).hexdigest() == (
+        "089a72db1782aa489d0c10d54f139ff40c758c42f4d3bf54026fb6c0c0e1f156"
+    )
     acceptance_notes["test_criterion_7"] = f"{len(blob)} bytes"

@@ -53,6 +53,13 @@ class TestEval:
         out = capsys.readouterr().out.splitlines()
         assert set(out[1].split(" = ")[1].split(",")) == {"p", "m"}
 
+    def test_negative_eps_is_a_usage_error(self, abs_file, capsys):
+        code = main(["eval", "--instance", abs_file, "--point", "0", "--eps=-1/2"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "usage"
+        assert "eps" in err["error"]
+
     def test_point_arity_mismatch(self, abs_file, capsys):
         assert main(["eval", "--instance", abs_file, "--point", "1,2"]) == 2
         err = json.loads(capsys.readouterr().err)
@@ -213,6 +220,12 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_package_exports_resolve(self):
+        import supcalc
+
+        missing = [name for name in supcalc.__all__ if not hasattr(supcalc, name)]
+        assert missing == []
 
     def test_console_entry_point_is_wired(self):
         # The declaration in pyproject.toml is checked in every checkout, so

@@ -4,7 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 from supcalc.errors import DimensionMismatchError, InvalidParameterError
-from supcalc.family import FunctionFamily, sup_function
+from supcalc.family import FunctionFamily
 from supcalc.functions import PolyhedralFunction
 from supcalc.polyhedron import Polyhedron
 from supcalc.rationals import POS_INF, ExtendedRational, qv
@@ -17,7 +17,6 @@ def test_sup_of_two_lines_is_abs(fam_abs):
     s = fam_abs.sup
     assert s.eval(qv(-3)) == FIN(Q(3))
     assert s.eval(qv(2)) == FIN(Q(2))
-    assert sup_function(fam_abs) == s
 
 
 def test_sup_domain_is_intersection():

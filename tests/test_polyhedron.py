@@ -22,6 +22,7 @@ from supcalc.polyhedron import (
     is_pointed,
     lineality_space,
     minkowski_sum,
+    missing_generator,
     polyhedron_equal,
     recession_cone,
     support_value,
@@ -127,6 +128,39 @@ class TestSetAlgebra:
         half = Polyhedron.from_hrep(2, [(qv(-1, -1), Q(0))])
         assert included(quad, half)
         assert not included(half, quad)
+
+    def test_witness_point_outside(self):
+        big = Polyhedron.box(qv(0, 0), qv(4, 4))
+        small = Polyhedron.box(qv(1, 1), qv(2, 2))
+        gap = missing_generator(big, small)
+        assert gap == {"point": qv(0, 0)}
+        assert gap["point"] in big.vertices and not small.contains(gap["point"])
+
+    def test_witness_ray_only(self):
+        # every vertex of the quadrant lies in the strip; only the ray (0, 1) leaves
+        quad = Polyhedron.from_hrep(2, [(qv(-1, 0), Q(0)), (qv(0, -1), Q(0))])
+        strip = Polyhedron.from_hrep(
+            2, [(qv(-1, 0), Q(0)), (qv(0, -1), Q(0)), (qv(0, 1), Q(1))]
+        )
+        assert all(strip.contains(v) for v in quad.vertices)
+        assert missing_generator(quad, strip) == {"ray": qv(0, 1)}
+
+    def test_witness_empty_sides(self):
+        square = Polyhedron.box(qv(0, 0), qv(1, 1))
+        empty = Polyhedron.empty(2)
+        assert missing_generator(square, empty) == {"point": square.vertices[0]}
+        assert square.vertices[0] == qv(0, 0)
+        assert missing_generator(empty, square) is None
+        assert missing_generator(empty, empty) is None
+
+    def test_no_witness_on_inclusion(self):
+        big = Polyhedron.box(qv(0, 0), qv(4, 4))
+        small = Polyhedron.box(qv(1, 1), qv(2, 2))
+        assert missing_generator(small, big) is None
+        assert missing_generator(big, big) is None
+        quad = Polyhedron.from_hrep(2, [(qv(-1, 0), Q(0)), (qv(0, -1), Q(0))])
+        half = Polyhedron.from_hrep(2, [(qv(-1, -1), Q(0))])
+        assert missing_generator(quad, half) is None
 
 
 class TestRecession:

@@ -15,7 +15,7 @@ from supcalc.rationals import (
     POS_INF,
     ExtendedRational,
     dot,
-    ext,
+    format_extended,
     format_rational,
     is_zero_vec,
     l1norm,
@@ -96,8 +96,14 @@ class TestExtendedRational:
         with pytest.raises(ExtendedArithmeticError):
             POS_INF.finite_value()
 
+    def test_format_extended(self):
+        assert format_extended(POS_INF) == "+inf"
+        assert format_extended(NEG_INF) == "-inf"
+        assert format_extended(FIN(Q(-6, 8))) == "-3/4"
+        assert format_extended(FIN(Q(0))) == "0"
+
     def test_coercion_and_hash(self):
-        assert ext(3) == FIN(Q(3))
+        assert FIN(Q(3)) == 3
         assert FIN(Q(2)) == 2
         assert hash(POS_INF) != hash(NEG_INF)
         assert len({FIN(Q(1)), FIN(Q(1)), POS_INF}) == 2
