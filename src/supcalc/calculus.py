@@ -49,7 +49,6 @@ from .polyhedron import (
 from .projection import project
 from .rationals import (
     NEG_INF,
-    POS_INF,
     ExtendedRational,
     Vec,
     dot,
@@ -287,10 +286,8 @@ def _co_hull_lp(
     for j in range(n):
         sys.add_eq({y_of[t][j]: Fraction(1) for t in allowed}, xstar[j])
     res = sys.solve_min({u_of[t]: Fraction(1) for t in allowed})
-    if res.status is LPStatus.INFEASIBLE:
-        return CoHullValue(POS_INF)
-    if res.status is LPStatus.UNBOUNDED:
-        return CoHullValue(NEG_INF)
+    if res.status is not LPStatus.OPTIMAL:
+        return CoHullValue(res.optimum)
     sol = res.primal_point
     lam = {t: sol[lam_of[t]] for t in allowed}
     points, directions = [], []
@@ -537,12 +534,7 @@ def rhs_basic_within(family: FunctionFamily, x: Sequence, budget, target: Polyhe
             if a[j]:
                 for k, c in enumerate(matrix[j]):
                     obj[k] += a[j] * c
-        res = solve_min(tuple(-t for t in obj), ineqs, eqs)
-        if res.status is LPStatus.UNBOUNDED:
-            return POS_INF
-        if res.status is LPStatus.INFEASIBLE:
-            return NEG_INF
-        return -res.optimum
+        return -solve_min(tuple(-t for t in obj), ineqs, eqs).optimum
 
     for a, b in target.ineqs:
         if not (support(a) <= ExtendedRational.finite(b)):
@@ -953,9 +945,4 @@ def inf_convolution_value(
             sys.add_eq(row, h)
     for j in range(n):
         sys.add_eq({y[j]: Fraction(1) for y in y_blocks}, xstar[j])
-    res = sys.solve_min({s: Fraction(1) for s in s_vars})
-    if res.status is LPStatus.UNBOUNDED:
-        return NEG_INF
-    if res.status is LPStatus.INFEASIBLE:
-        return POS_INF
-    return res.optimum
+    return sys.solve_min({s: Fraction(1) for s in s_vars}).optimum

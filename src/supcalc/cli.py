@@ -26,7 +26,7 @@ from .identities import CATALOG, check_identity, identity_ids
 from .polyhedron import Polyhedron, interior_point
 from .rationals import Vec, format_extended, parse_rational
 from .reports import CheckReport, CheckStatus
-from .serialize import Instance, loads_instance, report_to_json
+from .serialize import Instance, canonical_json, loads_instance, report_to_json
 from .plotting import plot_function, plot_subdiff
 
 MAX_FUZZ_COUNT = 1000
@@ -111,7 +111,7 @@ def _report_line(report: CheckReport, extra: dict[str, Any] | None = None) -> st
     record = report_to_json(report)
     if extra:
         record = {**extra, **record}
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return canonical_json(record)
 
 
 # ---------------------------------------------------------------------
@@ -127,6 +127,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"point has {len(x)} coordinates, instance dimension is {family.dim}"
         )
     eps = parse_rational(args.eps) if args.eps else Fraction(0)
+    if eps < 0:
+        raise InvalidParameterError("eps must be nonnegative")
     f = family.sup
     fx = f.eval(x)
     print(f"f({args.point}) = {format_extended(fx)}")

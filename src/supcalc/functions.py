@@ -29,10 +29,9 @@ from .errors import (
     InvalidParameterError,
     LPInternalError,
 )
-from .lp import LPStatus, Row, solve_max, solve_min
-from .polyhedron import Polyhedron, included, polyhedron_equal
+from .lp import LPStatus, Row, solve_max
+from .polyhedron import Polyhedron, polyhedron_equal
 from .rationals import (
-    NEG_INF,
     POS_INF,
     ExtendedRational,
     Vec,
@@ -42,9 +41,6 @@ from .rationals import (
     vsub,
     zeros,
 )
-from .reports import CheckReport, CheckStatus, content_digest
-
-GAMMA_GRID = (Fraction(1), Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
 
 
 @dataclass(frozen=True)
@@ -277,163 +273,3 @@ def eps_normal_set(c_set: Polyhedron, x: Sequence, eps) -> Polyhedron:
 
 def normal_cone(c_set: Polyhedron, x: Sequence) -> Polyhedron:
     return eps_normal_set(c_set, x, 0)
-
-
-# ============================================================
-# Density of interior-supported approximate subgradients
-# ============================================================
-
-def _meets_interior(p: Polyhedron, q: Polyhedron) -> bool:
-    """Is P intersect int(Q) nonempty?  Max-slack LP, Q full-dimensional."""
-    n = p.dim
-    rows: list[Row] = [(tuple(a) + (Fraction(0),), b) for a, b in p.ineqs]
-    rows += [(tuple(a) + (Fraction(1),), b) for a, b in q.ineqs]
-    rows.append((zeros(n) + (Fraction(1),), Fraction(1)))
-    eqs = [(tuple(a) + (Fraction(0),), b) for a, b in p.eqs]
-    res = solve_max(zeros(n) + (Fraction(1),), rows, eqs)
-    if res.status is LPStatus.INFEASIBLE:
-        return False
-    if res.status is not LPStatus.OPTIMAL:
-        raise LPInternalError("slack LP must be bounded by the cap row")
-    return res.optimum.finite_value() > 0
-
-
-def verify_subdiff_density(g: PolyhedralFunction, x: Sequence, eta) -> CheckReport:
-    """Check that eps-subgradients supported on int dom g* are dense.
-
-    The statement: del_eta g(x) = cl( del_eta g(x) intersect int dom g* )
-    for epi-pointed g, in the exact form when eta > 0 and in the
-    gamma-relaxed form (budget eta+gamma over a decreasing grid) when
-    eta = 0.  Both sides are polyhedra here, so the closure identity
-    reduces to nonemptiness of the interior-supported part.
-    """
-    eta = Fraction(eta)
-    if eta < 0:
-        raise InvalidParameterError("eta must be nonnegative")
-    digest = content_digest(g, vec(x), eta)
-
-    def report(status: CheckStatus, **details) -> CheckReport:
-        return CheckReport("subdiff-density", digest, status, details=details or None)
-
-    if g.is_epi_pointed() is None:
-        return report(CheckStatus.HYPOTHESES_NOT_MET, reason="not epi-pointed")
-    if not g.domain.contains(vec(x)):
-        return report(
-            CheckStatus.TRIVIAL_PASS, reason="point outside the domain, both sides empty"
-        )
-    q = g.conjugate().domain  # full-dimensional: epi-pointed
-    if eta > 0:
-        p = g.eps_subdifferential(x, eta)
-        if _meets_interior(p, q):
-            return report(CheckStatus.PASS, form="exact")
-        return CheckReport(
-            "subdiff-density",
-            digest,
-            CheckStatus.FAIL,
-            witness={"set": p, "interior_of": q},
-            details={"form": "exact"},
-        )
-    previous: Polyhedron | None = None
-    base = g.eps_subdifferential(x, 0)
-    for gamma in GAMMA_GRID:
-        relaxed = g.eps_subdifferential(x, eta + gamma)
-        if not _meets_interior(relaxed, q):
-            return CheckReport(
-                "subdiff-density",
-                digest,
-                CheckStatus.FAIL,
-                witness={"gamma": gamma, "set": relaxed, "interior_of": q},
-                details={"form": "gamma"},
-            )
-        if not included(base, relaxed):
-            raise LPInternalError("budget monotonicity violated")
-        if previous is not None and not included(relaxed, previous):
-            raise LPInternalError("gamma monotonicity violated")
-        previous = relaxed
-    # the relaxed sets share the base set's normals with budgets
-    # eta+gamma, so their intersection over gamma -> 0 is the base set
-    return report(CheckStatus.PASS, form="gamma", grid=[str(t) for t in GAMMA_GRID])
-
-
-# ============================================================
-# Sublevel-set closure identities
-# ============================================================
-
-def _sublevel(h: PolyhedralFunction, c: Fraction) -> Polyhedron:
-    rows = list(h.domain.ineqs) + [(a, c - b) for a, b in h.pieces]
-    return Polyhedron.from_hrep(h.dim, rows, h.domain.eqs)
-
-
-def _infimum(h: PolyhedralFunction) -> ExtendedRational:
-    epi = h.epigraph
-    obj = zeros(h.dim) + (Fraction(1),)
-    res = solve_min(obj, list(epi.ineqs), list(epi.eqs))
-    if res.status is LPStatus.OPTIMAL:
-        return res.optimum
-    if res.status is LPStatus.UNBOUNDED:
-        return NEG_INF
-    raise LPInternalError("epigraph LP infeasible for a proper function")
-
-
-def _point_below(h: PolyhedralFunction, r: Fraction) -> Vec | None:
-    """Some x with h(x) < r, or None when inf h >= r."""
-    epi = h.epigraph
-    obj = zeros(h.dim) + (Fraction(1),)
-    res = solve_min(obj, list(epi.ineqs), list(epi.eqs))
-    if res.status is LPStatus.OPTIMAL:
-        if res.optimum.finite_value() >= r:
-            return None
-        return res.primal_point[: h.dim]
-    point, ray = res.primal_point, res.ray
-    drop = -ray[h.dim]  # positive: objective decreases along the ray
-    height = point[h.dim]
-    steps = max(Fraction(0), (height - r) / drop + 1)
-    return tuple(p + steps * d for p, d in zip(point[: h.dim], ray[: h.dim]))
-
-
-def verify_sublevel_closure(h: PolyhedralFunction, r) -> CheckReport:
-    """Check {h <= r} against closures of strict sublevel sets.
-
-    First identity: {h <= r} equals the intersection over gamma > 0 of
-    cl{h < r+gamma}, tested on a decreasing grid with monotonicity and
-    with the gamma -> 0 limit certified structurally (the level enters
-    the constraint rows affinely).  Second identity, for r > inf h:
-    {h <= r} = cl{h < r}, certified by a strict witness and convexity.
-    """
-    if not h.is_proper:
-        raise ImproperFunctionError("sublevel analysis needs a proper function")
-    r = Fraction(r)
-    digest = content_digest(h, r)
-
-    def report(status: CheckStatus, **details) -> CheckReport:
-        return CheckReport("sublevel-closure", digest, status, details=details or None)
-
-    inf_h = _infimum(h)
-    level = _sublevel(h, r)
-
-    previous: Polyhedron | None = None
-    for gamma in GAMMA_GRID:
-        witness = _point_below(h, r + gamma)
-        closure = _sublevel(h, r + gamma) if witness is not None else Polyhedron.empty(h.dim)
-        if not included(level, closure):
-            raise LPInternalError("level-set monotonicity violated")
-        if previous is not None and not included(closure, previous):
-            raise LPInternalError("gamma monotonicity violated")
-        previous = closure
-
-    if inf_h > ExtendedRational.finite(r):
-        return report(CheckStatus.TRIVIAL_PASS, reason="level below the infimum")
-
-    if inf_h == ExtendedRational.finite(r):
-        return report(CheckStatus.PASS, strict_form="skipped: level equals the infimum")
-
-    strict_witness = _point_below(h, r)
-    if strict_witness is None:
-        raise LPInternalError("infimum bound contradicts the witness search")
-    # convexity: segments from the witness stay strictly below r, so the
-    # strict set is dense in the level set and closures agree
-    if h.eval(strict_witness) >= ExtendedRational.finite(r):
-        raise LPInternalError("strict witness fails to be strict")
-    if not polyhedron_equal(level, _sublevel(h, r)):
-        raise LPInternalError("sublevel recomputation disagrees")
-    return report(CheckStatus.PASS, strict_form="witnessed", witness_point=[str(t) for t in strict_witness])

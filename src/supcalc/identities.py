@@ -42,7 +42,7 @@ from .errors import (
 )
 from .family import FunctionFamily
 from .functions import PolyhedralFunction, eps_normal_set
-from .lp import LPStatus, solve_min
+from .lp import solve_min
 from .polyhedron import (
     Polyhedron,
     affine_preimage,
@@ -57,15 +57,14 @@ from .polyhedron import (
     recession_cone,
 )
 from .rationals import (
-    NEG_INF,
-    POS_INF,
     ExtendedRational,
     Vec,
     format_extended,
     vec,
     zeros,
 )
-from .reports import CheckReport, CheckStatus, content_digest
+from .reports import CheckReport, CheckStatus
+from .serialize import json_digest
 
 GAMMA_GRID_DEFAULT = (
     Fraction(1),
@@ -874,12 +873,7 @@ def _inf_over(g: PolyhedralFunction, b_set: Polyhedron) -> ExtendedRational:
     ineqs += [(tuple(a) + (Fraction(0),), c) for a, c in b_set.ineqs]
     eqs += [(tuple(a) + (Fraction(0),), c) for a, c in b_set.eqs]
     obj = zeros(n) + (Fraction(1),)
-    res = solve_min(obj, ineqs, eqs)
-    if res.status is LPStatus.INFEASIBLE:
-        return POS_INF
-    if res.status is LPStatus.UNBOUNDED:
-        return NEG_INF
-    return res.optimum
+    return solve_min(obj, ineqs, eqs).optimum
 
 
 def _robust_infimum(
@@ -1139,7 +1133,7 @@ def check_identity(
         payload = _as_sets(instance)
     else:
         payload = _as_family_and_set(instance)
-    digest = content_digest(ident, payload, tuple(sorted(canon.items())))
+    digest = json_digest([ident, payload, canon])
     start = time.perf_counter()
     try:
         status, witness, details = _CHECKERS[ident](payload, canon)

@@ -18,7 +18,8 @@ from .errors import CapacityError, EmptySetError, InvalidParameterError
 from .functions import PolyhedralFunction
 from .polyhedron import Polyhedron
 from .rationals import Vec, dot, vec, vsub
-from .reports import CheckReport, CheckStatus, content_digest
+from .reports import CheckReport, CheckStatus
+from .serialize import json_digest
 
 GRID_POINT_CAP = 10**6
 # subset-enumeration budget for one generator hunt
@@ -302,7 +303,7 @@ def membership_audit(
                 dot(ystar, r) <= s for r, s in rays
             )
 
-        digest = content_digest("membership", kind, f, p, x, eps, samples, seed)
+        digest = json_digest(["membership", kind, f, p, x, eps, samples, seed])
     elif kind == "normal":
         if c_set is None:
             raise InvalidParameterError("normal audits need the set")
@@ -318,7 +319,7 @@ def membership_audit(
                 dot(ystar, r) <= 0 for r in dirs
             )
 
-        digest = content_digest("membership", kind, c_set, p, x, eps, samples, seed)
+        digest = json_digest(["membership", kind, c_set, p, x, eps, samples, seed])
     else:
         raise InvalidParameterError(f"unknown audit kind {kind!r}")
 

@@ -1,11 +1,12 @@
 """Check reports shared by the verification entry points.
 
 A report records one executed check: which statement was tested, on
-which instance (content digest), the outcome, and an optional witness.
-``fail`` is reserved for genuine falsifications and must carry an exact
-certificate; preconditions that do not hold produce
-``hypotheses-not-met`` instead, and degenerate instances where the
-statement holds vacuously produce ``trivial-pass``.
+which instance (``serialize.json_digest`` of the check's inputs), the
+outcome, and an optional witness.  ``fail`` is reserved for genuine
+falsifications and must carry an exact certificate; preconditions
+that do not hold produce ``hypotheses-not-met`` instead, and
+degenerate instances where the statement holds vacuously produce
+``trivial-pass``.
 
 Wall-clock duration is carried for profiling but is deliberately not
 part of the serialized payload, which must be reproducible byte for
@@ -13,8 +14,7 @@ byte across runs.
 """
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Mapping
 
@@ -34,12 +34,3 @@ class CheckReport:
     witness: Any = None
     details: Mapping[str, Any] | None = None
     elapsed: float = 0.0
-
-
-def content_digest(*parts: object) -> str:
-    """Stable digest of repr-serialized parts, for instance identity."""
-    h = hashlib.sha256()
-    for p in parts:
-        h.update(repr(p).encode())
-        h.update(b"\x1f")
-    return h.hexdigest()[:16]

@@ -409,6 +409,6 @@ def test_criterion_7(tmp_path, capsys):
     assert blob and blob == second.read_bytes()
     # the corpus bytes are pinned, so any change to the JSONL output shows here
     assert hashlib.sha256(blob).hexdigest() == (
-        "089a72db1782aa489d0c10d54f139ff40c758c42f4d3bf54026fb6c0c0e1f156"
+        "378b302ff88121310706749ea3e227d2010029adc8720b2d7ca2f7f1562e75ae"
     )
     acceptance_notes["test_criterion_7"] = f"{len(blob)} bytes"

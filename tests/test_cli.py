@@ -60,6 +60,19 @@ class TestEval:
         assert err["kind"] == "usage"
         assert "eps" in err["error"]
 
+    def test_negative_eps_outside_the_domain_is_a_usage_error(self, tmp_path, capsys):
+        bounded = {**BASIC, "functions": [
+            {**BASIC["functions"][0], "domain": {"ineqs": [{"a": ["1"], "b": "1"}]}},
+            BASIC["functions"][1],
+        ]}
+        path = tmp_path / "bounded.json"
+        path.write_text(json.dumps(bounded), encoding="utf-8")
+        code = main(["eval", "--instance", str(path), "--point", "5", "--eps=-1/2"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["kind"] == "usage"
+        assert "eps" in err["error"]
+
     def test_point_arity_mismatch(self, abs_file, capsys):
         assert main(["eval", "--instance", abs_file, "--point", "1,2"]) == 2
         err = json.loads(capsys.readouterr().err)
@@ -220,6 +233,19 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+    def test_readme_verify_example(self, abs_file, capsys):
+        # README's verify example runs on the BASIC instance; its lines must
+        # be what the command prints today.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+            encoding="utf-8"
+        )
+        code = main(["verify", "--instance", abs_file, "--identity", "L2A,P34",
+                     "--point", "0", "--eps", "1/2"])
+        assert code == 0
+        l2a, p34 = capsys.readouterr().out.splitlines()
+        assert l2a in readme.splitlines()
+        assert f'"instance":"{json.loads(p34)["instance"]}"' in readme
 
     def test_package_exports_resolve(self):
         import supcalc

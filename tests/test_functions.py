@@ -17,8 +17,6 @@ from supcalc.functions import (
     PolyhedralFunction,
     eps_normal_set,
     normal_cone,
-    verify_subdiff_density,
-    verify_sublevel_closure,
 )
 from supcalc.polyhedron import (
     Polyhedron,
@@ -197,47 +195,3 @@ class TestEpiPointed:
         f = PF(2, [(qv(1, 0), Q(0)), (qv(-1, 0), Q(0))])
         assert f.is_epi_pointed() is None
 
-
-class TestSubdiffDensity:
-    def test_exact_form(self):
-        rep = verify_subdiff_density(make_abs(), qv(0), Q(1))
-        assert rep.status == "pass" and rep.details["form"] == "exact"
-
-    def test_gamma_form(self):
-        rep = verify_subdiff_density(make_abs(), qv(0), Q(0))
-        assert rep.status == "pass" and rep.details["form"] == "gamma"
-
-    def test_not_epi_pointed(self):
-        f = PF(2, [(qv(1, 0), Q(0)), (qv(-1, 0), Q(0))])
-        rep = verify_subdiff_density(f, qv(0, 0), Q(1))
-        assert rep.status == "hypotheses-not-met"
-
-    def test_outside_domain_trivial(self, f_kink):
-        rep = verify_subdiff_density(f_kink, qv(-1), Q(1))
-        assert rep.status == "trivial-pass"
-
-
-class TestSublevelClosure:
-    def test_abs_at_one(self):
-        rep = verify_sublevel_closure(make_abs(), Q(1))
-        assert rep.status == "pass" and rep.details["strict_form"] == "witnessed"
-
-    def test_abs_at_infimum(self):
-        rep = verify_sublevel_closure(make_abs(), Q(0))
-        assert rep.status == "pass"
-        assert rep.details["strict_form"].startswith("skipped")
-
-    def test_below_infimum_trivial(self):
-        rep = verify_sublevel_closure(make_abs(), Q(-1))
-        assert rep.status == "trivial-pass"
-
-    def test_two_slope_level(self):
-        # h = max(x, 2x - 1): the level set at 2 is (-oo, 3/2]
-        h = PF(1, [(qv(1), Q(0)), (qv(2), Q(-1))])
-        rep = verify_sublevel_closure(h, Q(2))
-        assert rep.status == "pass" and rep.details["strict_form"] == "witnessed"
-
-    def test_improper_rejected(self):
-        empty_dom = Polyhedron.from_hrep(1, [(qv(1), Q(0)), (qv(-1), Q(-1))])
-        with pytest.raises(ImproperFunctionError):
-            verify_sublevel_closure(PF(1, [(qv(1), Q(0))], empty_dom), Q(0))

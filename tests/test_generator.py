@@ -6,12 +6,12 @@ from supcalc.errors import GenerationError, InvalidParameterError
 from supcalc.generator import GeneratorParams, generate
 from supcalc.identities import check_identity
 from supcalc.polyhedron import interior_point
-from supcalc.reports import content_digest
+from supcalc.serialize import json_digest
 
 
 def test_same_seed_same_instance():
     p = GeneratorParams(dim=1, member_count=2, seed=1)
-    assert content_digest(generate(p)) == content_digest(generate(p))
+    assert json_digest(generate(p)) == json_digest(generate(p))
 
 
 def test_labels_are_sequential():
@@ -22,7 +22,7 @@ def test_labels_are_sequential():
 def test_distinct_seeds_differ():
     a = generate(GeneratorParams(dim=2, member_count=2, seed=0))
     b = generate(GeneratorParams(dim=2, member_count=2, seed=1))
-    assert content_digest(a) != content_digest(b)
+    assert json_digest(a) != json_digest(b)
 
 
 def test_force_increasing():

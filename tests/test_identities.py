@@ -10,6 +10,7 @@ from supcalc.functions import PolyhedralFunction
 from supcalc.identities import check_identity, identity_ids
 from supcalc.polyhedron import Polyhedron
 from supcalc.rationals import qv
+from supcalc.serialize import json_digest
 
 PF = PolyhedralFunction.make
 
@@ -40,6 +41,12 @@ def test_l2a_pass_and_digest_stability(fam_abs):
     r = check_identity("L2A", fam_abs)
     assert r.status == "pass"
     assert check_identity("L2A", fam_abs).instance_digest == r.instance_digest
+
+
+def test_digest_is_canonical_json_of_identity_instance_and_params(fam_abs):
+    digest = check_identity("L2A", fam_abs, {"eps": "1/2"}).instance_digest
+    assert digest == json_digest(["L2A", fam_abs, {"eps": Q(1, 2)}])
+    assert check_identity("L2A", fam_abs, {"eps": Q(2, 4)}).instance_digest == digest
 
 
 def test_l2b_and_l2c(fam_abs):

@@ -15,6 +15,7 @@ from supcalc.functions import PolyhedralFunction, eps_normal_set
 from supcalc.oracles import GridSpec, brute_generators, grid_legendre, membership_audit
 from supcalc.polyhedron import Polyhedron, polyhedron_equal
 from supcalc.rationals import qv
+from supcalc.serialize import json_digest
 
 PF = PolyhedralFunction.make
 
@@ -180,6 +181,14 @@ class TestMembershipAudit:
         a = membership_audit(sub, "subdiff", f=f, x=qv(0), eps=Q(1, 2), seed=3)
         b = membership_audit(sub, "subdiff", f=f, x=qv(0), eps=Q(1, 2), seed=3)
         assert a.details == b.details and a.instance_digest == b.instance_digest
+
+    def test_digest_is_canonical_json_of_the_audit_inputs(self):
+        f = PF(1, [(qv(1), Q(0)), (qv(-1), Q(0))])
+        sub = f.eps_subdifferential(qv(0), Q(1, 2))
+        r = membership_audit(sub, "subdiff", f=f, x=qv(0), eps="1/2", seed=3)
+        assert r.instance_digest == json_digest(
+            ["membership", "subdiff", f, sub, qv(0), Q(1, 2), 100, 3]
+        )
 
     def test_bad_kind_rejected(self):
         box = Polyhedron.box(qv(0), qv(1))
