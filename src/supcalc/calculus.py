@@ -38,7 +38,7 @@ from .errors import (
 )
 from .family import FunctionFamily
 from .functions import PolyhedralFunction, normal_cone
-from .lp import LPStatus, Row, solve_min
+from .lp import LPStatus, Row, solve_max, solve_min
 from .polyhedron import (
     Polyhedron,
     cone_is_trivial,
@@ -534,7 +534,7 @@ def rhs_basic_within(family: FunctionFamily, x: Sequence, budget, target: Polyhe
             if a[j]:
                 for k, c in enumerate(matrix[j]):
                     obj[k] += a[j] * c
-        return -solve_min(tuple(-t for t in obj), ineqs, eqs).optimum
+        return solve_max(obj, ineqs, eqs).optimum
 
     for a, b in target.ineqs:
         if not (support(a) <= ExtendedRational.finite(b)):

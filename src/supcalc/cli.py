@@ -78,9 +78,8 @@ def _payload(ident: str, instance: Instance) -> Any:
     center = interior_point(dom)
     if center is None:
         if dom.is_empty:
-            raise InvalidParameterError(
-                "cannot derive a robust constraint set: empty domain"
-            )
+            # no box to center; the checker reports the empty domain
+            return (family, Polyhedron.full_space(family.dim))
         center = dom.vertices[0]
     box = Polyhedron.box(
         tuple(c - 1 for c in center), tuple(c + 1 for c in center)

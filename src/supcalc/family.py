@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionMismatchError, InvalidParameterError
 from .functions import PolyhedralFunction
-from .polyhedron import Polyhedron, included, intersect
+from .polyhedron import Polyhedron, cco_union, included, intersect
 from .rationals import vec
 
 
@@ -73,6 +73,11 @@ class FunctionFamily:
         return PolyhedralFunction(
             self.dim, tuple(sorted(set(pieces))), domain
         )
+
+    @cached_property
+    def conjugate_hull(self) -> Polyhedron:
+        """Closed convex hull of the member conjugate epigraphs."""
+        return cco_union([f.conjugate().epigraph for _, f in self.members])
 
     def active_indices(self, x: Sequence, eps) -> set[str]:
         """Labels with f_t(x) within eps of the supremum value."""

@@ -221,6 +221,10 @@ class PolyhedralFunction:
 
     def is_epi_pointed(self) -> EpiPointedCertificate | None:
         """Certificate iff dom f* has nonempty interior, else None."""
+        return self._epi_pointed
+
+    @cached_property
+    def _epi_pointed(self) -> EpiPointedCertificate | None:
         dom_star = self.conjugate().domain
         if dom_star.eqs:
             return None

@@ -140,6 +140,19 @@ class TestVerify:
         rec = json.loads(capsys.readouterr().out.splitlines()[0])
         assert rec["status"] == "fail" and rec["witness"] == {"why": "forced"}
 
+    def test_disjoint_member_domains_report_every_identity(self, tmp_path, capsys):
+        # x on x <= 0 and -x on x >= 1: proper members, improper supremum
+        disjoint = {**BASIC, "functions": [
+            {**BASIC["functions"][0], "domain": {"ineqs": [{"a": ["1"], "b": "0"}]}},
+            {**BASIC["functions"][1], "domain": {"ineqs": [{"a": ["-1"], "b": "-1"}]}},
+        ]}
+        path = tmp_path / "disjoint.json"
+        path.write_text(json.dumps(disjoint), encoding="utf-8")
+        assert main(["verify", "--instance", str(path), "--identity", "ALL"]) == 0
+        lines = [json.loads(t) for t in capsys.readouterr().out.splitlines()]
+        assert len(lines) == 18
+        assert {r["status"] for r in lines} <= {"hypotheses-not-met", "trivial-pass"}
+
     def test_out_file_matches_stdout(self, abs_file, tmp_path, capsys):
         out = tmp_path / "reports.jsonl"
         main(["verify", "--instance", abs_file, "--identity", "ALL",

@@ -6,7 +6,7 @@ import pytest
 from supcalc.errors import DimensionMismatchError, InvalidParameterError
 from supcalc.family import FunctionFamily
 from supcalc.functions import PolyhedralFunction
-from supcalc.polyhedron import Polyhedron
+from supcalc.polyhedron import Polyhedron, cco_union, polyhedron_equal
 from supcalc.rationals import POS_INF, ExtendedRational, qv
 
 PF = PolyhedralFunction.make
@@ -27,6 +27,13 @@ def test_sup_domain_is_intersection():
     assert s.eval(qv("5/2")) == FIN(Q(5, 2))
     assert s.eval(qv(1)) == POS_INF
     assert s.eval(qv(4)) == POS_INF
+
+
+def test_conjugate_hull_is_the_member_hull_and_cached(fam_abs):
+    hull = fam_abs.conjugate_hull
+    epis = [f.conjugate().epigraph for _, f in fam_abs.members]
+    assert polyhedron_equal(hull, cco_union(epis))
+    assert fam_abs.conjugate_hull is hull
 
 
 def test_member_lookup(fam_abs):

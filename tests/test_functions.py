@@ -195,3 +195,6 @@ class TestEpiPointed:
         f = PF(2, [(qv(1, 0), Q(0)), (qv(-1, 0), Q(0))])
         assert f.is_epi_pointed() is None
 
+    def test_certificate_is_built_once(self, f_kink):
+        cert = f_kink.is_epi_pointed()
+        assert cert is not None and f_kink.is_epi_pointed() is cert

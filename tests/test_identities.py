@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+import supcalc.family as family_module
 import supcalc.identities as identities
 from supcalc.errors import IdentityFalsified, InvalidParameterError
 from supcalc.family import FunctionFamily
@@ -131,6 +132,54 @@ def test_t54b(fam_abs):
 def test_l57_descriptions(fam_abs):
     r = check_identity("L57", fam_abs, {"x": [0], "eps": Q(1, 4)})
     assert r.status == "pass" and r.details["descriptions"] == 6
+
+
+def test_member_hull_is_built_once_per_family(fam_abs, monkeypatch):
+    calls = []
+    real = family_module.cco_union
+
+    def counting(parts):
+        calls.append(len(parts))
+        return real(parts)
+
+    monkeypatch.setattr(family_module, "cco_union", counting)
+    for ident in ("L2A", "L2C", "T54A"):
+        assert check_identity(ident, fam_abs).status == "pass"
+    assert calls == [2]
+
+
+# x <= 0 and x >= 1: an identically +oo member
+EMPTY_LINE = Polyhedron.from_hrep(1, [(qv(1), Q(0)), (qv(-1), Q(-1))])
+
+IMPROPER_FAMILIES = {
+    # increasing chain whose top member has an empty domain
+    "improper-top": lambda: FunctionFamily.make(
+        [("lo", PF(1, [(qv(1), Q(0)), (qv(-1), Q(0))])),
+         ("hi", PF(1, [(qv(0), Q(0))], EMPTY_LINE))],
+        order_edges=[("lo", "hi")], increasing=True,
+    ),
+    # an order edge with both ends improper
+    "improper-edge": lambda: FunctionFamily.make(
+        [("a", PF(1, [(qv(1), Q(0))], EMPTY_LINE)),
+         ("b", PF(1, [(qv(0), Q(0))], EMPTY_LINE))],
+        order_edges=[("a", "b")],
+    ),
+    # proper members whose domains do not meet: x on x <= 0, -x on x >= 1
+    "disjoint-domains": lambda: FunctionFamily.make(
+        [("a", PF(1, [(qv(1), Q(0))], Polyhedron.from_hrep(1, [(qv(1), Q(0))]))),
+         ("b", PF(1, [(qv(-1), Q(0))], Polyhedron.from_hrep(1, [(qv(-1), Q(-1))])))],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(IMPROPER_FAMILIES))
+def test_family_identities_report_on_improper_members(name):
+    fam = IMPROPER_FAMILIES[name]()
+    for ident, entry in identities.CATALOG.items():
+        if entry.kind != "family":
+            continue
+        r = check_identity(ident, fam)
+        assert r.status in ("hypotheses-not-met", "trivial-pass"), (ident, r.status)
 
 
 class TestRobustInfimum:
