@@ -46,7 +46,7 @@ from .polyhedron import (
     lineality_space,
     support_value,
 )
-from .projection import project
+from .projection import project, pullback
 from .rationals import (
     NEG_INF,
     ExtendedRational,
@@ -77,45 +77,92 @@ class _System:
         self.nvars += count
         return r
 
+    def new_var(self) -> int:
+        return self.new_vars(1)[0]
+
     def add_ineq(self, coeffs: Mapping[int, Fraction], rhs) -> None:
         self.ineqs.append((dict(coeffs), Fraction(rhs)))
 
     def add_eq(self, coeffs: Mapping[int, Fraction], rhs) -> None:
         self.eqs.append((dict(coeffs), Fraction(rhs)))
 
-    def _dense(self, coeffs: Mapping[int, Fraction]) -> Vec:
+    def embed(self, p: Polyhedron, coords: Sequence[int], lam: int | None = None) -> None:
+        """The rows of p on the given variables, homogenized by lam if given."""
+        for rows, add in ((p.ineqs, self.add_ineq), (p.eqs, self.add_eq)):
+            for coef, h in rows:
+                row = {coords[k]: c for k, c in enumerate(coef) if c}
+                if lam is None:
+                    add(row, h)
+                else:
+                    row[lam] = -h
+                    add(row, 0)
+
+    def dense(self, coeffs: Mapping[int, Fraction]) -> Vec:
         return tuple(
             Fraction(coeffs.get(j, 0)) for j in range(self.nvars)
         )
 
     def rows(self) -> tuple[list[Row], list[Row]]:
         return (
-            [(self._dense(c), b) for c, b in self.ineqs],
-            [(self._dense(c), b) for c, b in self.eqs],
+            [(self.dense(c), b) for c, b in self.ineqs],
+            [(self.dense(c), b) for c, b in self.eqs],
         )
 
     def solve_min(self, objective: Mapping[int, Fraction]):
         ineqs, eqs = self.rows()
-        return solve_min(self._dense(objective), ineqs, eqs)
+        return solve_min(self.dense(objective), ineqs, eqs)
 
 
-def _perspective_block(sys: _System, conj: PolyhedralFunction, y: range, u: int, lam: int) -> None:
-    """Rows putting (y, u, lam) into the homogenized epigraph of conj."""
-    n = conj.dim
-    epi = conj.epigraph
-    for coef, h in epi.ineqs:
-        row = {y[j]: coef[j] for j in range(n) if coef[j]}
-        if coef[n]:
-            row[u] = coef[n]
-        row[lam] = row.get(lam, Fraction(0)) - h
-        sys.add_ineq(row, 0)
-    for coef, h in epi.eqs:
-        row = {y[j]: coef[j] for j in range(n) if coef[j]}
-        if coef[n]:
-            row[u] = coef[n]
-        row[lam] = row.get(lam, Fraction(0)) - h
-        sys.add_eq(row, 0)
+def _sum_rows(blocks: Sequence[Sequence[int]], n: int) -> list[dict[int, Fraction]]:
+    """Sparse rows of the map adding the n-vectors held in the blocks."""
+    return [{b[j]: Fraction(1) for b in blocks} for j in range(n)]
+
+
+def _perspective_vars(sys: _System, f_t: PolyhedralFunction) -> tuple[range, int, int]:
+    """(y_t, u_t, lambda_t) in the homogenized epigraph of f*_t, lambda_t >= 0."""
+    y = sys.new_vars(f_t.dim)
+    u = sys.new_var()
+    lam = sys.new_var()
+    sys.embed(f_t.conjugate().epigraph, list(y) + [u], lam)
     sys.add_ineq({lam: Fraction(-1)}, 0)
+    return y, u, lam
+
+
+def _subgradient_row(
+    sys: _System, f_t: PolyhedralFunction, x: Vec, y: range, u: int, lam: int,
+    e: int, gamma: Fraction = Fraction(0),
+) -> Fraction:
+    """u_t + lambda_t f_t(x) - <y_t, x> <= e_t + lambda_t gamma; returns f_t(x).
+
+    Outside dom f_t the member cannot carry weight: lambda_t is pinned
+    to 0 and f_t(x) is read as 0.
+    """
+    ft_x = f_t.eval(x)
+    if ft_x.is_finite:
+        ft_val = ft_x.finite_value()
+    else:
+        sys.add_eq({lam: Fraction(1)}, 0)
+        ft_val = Fraction(0)
+    row = {u: Fraction(1), lam: ft_val - gamma, e: Fraction(-1)}
+    for j, xj in enumerate(x):
+        if xj:
+            row[y[j]] = -xj
+    sys.add_ineq(row, 0)
+    return ft_val
+
+
+def _scaled_split(
+    sol: Vec, lam: Mapping[str, Fraction], y_of: Mapping[str, range]
+) -> tuple[list[tuple[str, Vec]], list[tuple[str, Vec]]]:
+    """Points y_t / lambda_t where lambda_t > 0, nonzero y_t where lambda_t = 0."""
+    points, directions = [], []
+    for t, y in y_of.items():
+        y_t = tuple(sol[j] for j in y)
+        if lam[t] > 0:
+            points.append((t, tuple(c / lam[t] for c in y_t)))
+        elif any(c != 0 for c in y_t):
+            directions.append((t, y_t))
+    return points, directions
 
 
 def _normal_block(sys: _System, dom: Polyhedron, x: Vec, z: range, eta: int) -> None:
@@ -273,30 +320,19 @@ class DecompositionWitness:
 def _co_hull_lp(
     family: FunctionFamily, xstar: Vec, allowed: Sequence[str]
 ) -> CoHullValue:
-    n = family.dim
     sys = _System()
     y_of, u_of, lam_of = {}, {}, {}
     for t in allowed:
-        f_t = family.member(t)
-        y_of[t] = sys.new_vars(n)
-        u_of[t] = sys.new_vars(1)[0]
-        lam_of[t] = sys.new_vars(1)[0]
-        _perspective_block(sys, f_t.conjugate(), y_of[t], u_of[t], lam_of[t])
+        y_of[t], u_of[t], lam_of[t] = _perspective_vars(sys, family.member(t))
     sys.add_eq({lam_of[t]: Fraction(1) for t in allowed}, 1)
-    for j in range(n):
-        sys.add_eq({y_of[t][j]: Fraction(1) for t in allowed}, xstar[j])
+    for j, row in enumerate(_sum_rows(list(y_of.values()), family.dim)):
+        sys.add_eq(row, xstar[j])
     res = sys.solve_min({u_of[t]: Fraction(1) for t in allowed})
     if res.status is not LPStatus.OPTIMAL:
         return CoHullValue(res.optimum)
     sol = res.primal_point
     lam = {t: sol[lam_of[t]] for t in allowed}
-    points, directions = [], []
-    for t in allowed:
-        y_t = tuple(sol[j] for j in y_of[t])
-        if lam[t] > 0:
-            points.append((t, tuple(c / lam[t] for c in y_t)))
-        elif any(c != 0 for c in y_t):
-            directions.append((t, y_t))
+    points, directions = _scaled_split(sol, lam, y_of)
     weights = SimplexWeights.make(lam, 1)
     return CoHullValue(res.optimum, weights, tuple(points), tuple(directions))
 
@@ -399,31 +435,15 @@ def _rhs_basic_system(
         raise InvalidParameterError("the supremum must be finite at x")
     fx = fx.finite_value()
     sys = _System()
-    y_of, u_of, lam_of, e_of = {}, {}, {}, {}
+    y_of, lam_of, e_of, f_at = {}, {}, {}, {}
     labels = family.labels
-    n = family.dim
     for t in labels:
         f_t = family.member(t)
-        y_of[t] = sys.new_vars(n)
-        u_of[t] = sys.new_vars(1)[0]
-        lam_of[t] = sys.new_vars(1)[0]
-        e_of[t] = sys.new_vars(1)[0]
-        _perspective_block(sys, f_t.conjugate(), y_of[t], u_of[t], lam_of[t])
-        ft_x = f_t.eval(x)
-        if not ft_x.is_finite:
-            # x outside dom f_t: the member cannot carry weight
-            sys.add_eq({lam_of[t]: Fraction(1)}, 0)
-            ft_val = Fraction(0)
-        else:
-            ft_val = ft_x.finite_value()
-        # u_t + lambda_t f_t(x) - <y_t, x> <= e_t
-        row = {u_of[t]: Fraction(1), lam_of[t]: ft_val, e_of[t]: Fraction(-1)}
-        for j in range(n):
-            if x[j]:
-                row[y_of[t][j]] = row.get(y_of[t][j], Fraction(0)) - x[j]
-        sys.add_ineq(row, 0)
+        y_of[t], u, lam_of[t] = _perspective_vars(sys, f_t)
+        e_of[t] = sys.new_var()
+        f_at[t] = _subgradient_row(sys, f_t, x, y_of[t], u, lam_of[t], e_of[t])
         sys.add_ineq({e_of[t]: Fraction(-1)}, 0)
-    delta = sys.new_vars(1)[0] if margin else None
+    delta = sys.new_var() if margin else None
     sys.add_eq({lam_of[t]: Fraction(1) for t in labels}, 1)
     row = {e_of[t]: Fraction(1) for t in labels}
     if delta is not None:
@@ -432,19 +452,14 @@ def _rhs_basic_system(
     # sum lambda_t f_t(x) >= f(x) + sum e_t - budget
     act = {e_of[t]: Fraction(1) for t in labels}
     for t in labels:
-        ft_x = family.member(t).eval(x)
-        if ft_x.is_finite:
-            act[lam_of[t]] = -ft_x.finite_value()
+        act[lam_of[t]] = -f_at[t]
     if delta is not None:
         act[delta] = Fraction(1)
     sys.add_ineq(act, budget - fx)
     if delta is not None:
         sys.add_ineq({delta: Fraction(-1)}, 0)
         sys.add_ineq({delta: Fraction(1)}, 1)
-    matrix = []
-    for j in range(n):
-        row = {y_of[t][j]: Fraction(1) for t in labels}
-        matrix.append(sys._dense(row))
+    matrix = [sys.dense(row) for row in _sum_rows(list(y_of.values()), family.dim)]
     return sys, matrix, delta
 
 
@@ -526,15 +541,9 @@ def rhs_basic_within(family: FunctionFamily, x: Sequence, budget, target: Polyhe
     budget = Fraction(budget)
     sys, matrix, _ = _rhs_basic_system(family, x, budget)
     ineqs, eqs = sys.rows()
-    n = family.dim
 
     def support(a: Vec) -> ExtendedRational:
-        obj = [Fraction(0)] * sys.nvars
-        for j in range(n):
-            if a[j]:
-                for k, c in enumerate(matrix[j]):
-                    obj[k] += a[j] * c
-        return solve_max(obj, ineqs, eqs).optimum
+        return solve_max(pullback(matrix, a), ineqs, eqs).optimum
 
     for a, b in target.ineqs:
         if not (support(a) <= ExtendedRational.finite(b)):
@@ -578,14 +587,12 @@ def eps_normal_intersection(
     z_of, eta_of = [], []
     for c in sets:
         z = sys.new_vars(n)
-        eta = sys.new_vars(1)[0]
+        eta = sys.new_var()
         z_of.append(z)
         eta_of.append(eta)
         _normal_block(sys, c, x, z, eta)
     sys.add_eq({eta: Fraction(1) for eta in eta_of}, eps + gamma)
-    matrix = []
-    for j in range(n):
-        matrix.append(sys._dense({z[j]: Fraction(1) for z in z_of}))
+    matrix = [sys.dense(row) for row in _sum_rows(z_of, n)]
     ineqs, eqs = sys.rows()
     return project(sys.nvars, ineqs, eqs, matrix)
 
@@ -624,11 +631,30 @@ def check_qc2(family: FunctionFamily, x: Sequence) -> bool:
                 sys.add_ineq(row, 0)
         for r in rays:
             sys.add_ineq({z[j]: r[j] for j in range(n) if r[j]}, 0)
-    ineqs, _ = sys.rows()
-    eqs = []
-    for j in range(n):
-        eqs.append((sys._dense({z[j]: Fraction(1) for z in blocks}), Fraction(0)))
+    return _only_zero_sum(sys, blocks, n)
+
+
+def _only_zero_sum(sys: _System, blocks: Sequence[range], n: int) -> bool:
+    """Is the zero pick, one n-vector per block, the only one summing to zero?
+
+    ``sys`` holds the cone rows of each block; the zero-sum rows are
+    appended and the product cone is tested for triviality.
+    """
+    for row in _sum_rows(blocks, n):
+        sys.add_eq(row, 0)
+    ineqs, eqs = sys.rows()
     return cone_is_trivial(sys.nvars, ineqs, eqs)
+
+
+def cones_sum_to_zero_trivially(cones: Sequence[Polyhedron]) -> bool:
+    """Only the zero pick, one point of each cone, sums to zero."""
+    sys = _System()
+    blocks = []
+    for cone in cones:
+        z = sys.new_vars(cone.dim)
+        sys.embed(cone, z)
+        blocks.append(z)
+    return _only_zero_sum(sys, blocks, cones[0].dim)
 
 
 # ============================================================
@@ -658,30 +684,12 @@ def _solve_decomposition(
     f = family.sup
     fx = f.eval_finite(x)
     sys = _System()
-    y_of, u_of, lam_of, e_of = {}, {}, {}, {}
+    y_of, lam_of, e_of = {}, {}, {}
     for t in s_labels:
         f_t = family.member(t)
-        ft_x = f_t.eval(x)
-        y_of[t] = sys.new_vars(n)
-        u_of[t] = sys.new_vars(1)[0]
-        lam_of[t] = sys.new_vars(1)[0]
-        e_of[t] = sys.new_vars(1)[0]
-        _perspective_block(sys, f_t.conjugate(), y_of[t], u_of[t], lam_of[t])
-        if not ft_x.is_finite:
-            sys.add_eq({lam_of[t]: Fraction(1)}, 0)
-            ft_val = Fraction(0)
-        else:
-            ft_val = ft_x.finite_value()
-        # u_t + lambda_t f_t(x) - <y_t, x> <= e_t + lambda_t gamma
-        row = {
-            u_of[t]: Fraction(1),
-            lam_of[t]: ft_val - gamma,
-            e_of[t]: Fraction(-1),
-        }
-        for j in range(n):
-            if x[j]:
-                row[y_of[t][j]] = row.get(y_of[t][j], Fraction(0)) - x[j]
-        sys.add_ineq(row, 0)
+        y_of[t], u, lam_of[t] = _perspective_vars(sys, f_t)
+        e_of[t] = sys.new_var()
+        ft_val = _subgradient_row(sys, f_t, x, y_of[t], u, lam_of[t], e_of[t], gamma)
         # activity: lambda_t f(x) <= lambda_t f_t(x) + e_t + lambda_t gamma
         sys.add_ineq(
             {lam_of[t]: fx - ft_val - gamma, e_of[t]: Fraction(-1)}, 0
@@ -692,13 +700,13 @@ def _solve_decomposition(
     z_blocks: list[tuple[str | None, range, int]] = []
     if aggregate_normal:
         z = sys.new_vars(n)
-        eta = sys.new_vars(1)[0]
+        eta = sys.new_var()
         _normal_block(sys, f.domain, x, z, eta)
         z_blocks.append((None, z, eta))
     else:
         for t in n_labels:
             z = sys.new_vars(n)
-            eta = sys.new_vars(1)[0]
+            eta = sys.new_var()
             _normal_block(sys, family.member(t).domain, x, z, eta)
             z_blocks.append((t, z, eta))
 
@@ -708,10 +716,8 @@ def _solve_decomposition(
         budget_row[eta] = Fraction(1)
     sys.add_ineq(budget_row, eps)
 
-    for j in range(n):
-        row = {y_of[t][j]: Fraction(1) for t in s_labels}
-        for _, z, _ in z_blocks:
-            row[z[j]] = row.get(z[j], Fraction(0)) + 1
+    blocks = list(y_of.values()) + [z for _, z, _ in z_blocks]
+    for j, row in enumerate(_sum_rows(blocks, n)):
         sys.add_eq(row, xstar[j])
 
     res = sys.solve_min(budget_row)
@@ -723,20 +729,14 @@ def _solve_decomposition(
 
     lam = {t: sol[lam_of[t]] for t in s_labels}
     errs = {t: sol[e_of[t]] for t in s_labels}
-    points: list[tuple[str, Vec]] = []
-    scaled: list[tuple[str, Vec]] = []
-    fold: list[tuple[str, Vec, Fraction]] = []  # lambda=0 residuals
-    for t in s_labels:
-        y_t = tuple(sol[j] for j in y_of[t])
-        if lam[t] > 0:
-            scaled.append((t, y_t))
-            points.append((t, tuple(c / lam[t] for c in y_t)))
-        elif any(c != 0 for c in y_t):
-            # at lambda_t = 0 the block pins (y_t, u_t) to the recession
-            # cone of epi f*_t, so y_t is an errs[t]-approximate normal
-            # to dom f_t at x; move the budget from eps1 to eps2
-            fold.append((t, y_t, errs[t]))
-            errs[t] = Fraction(0)
+    points, directions = _scaled_split(sol, lam, y_of)
+    scaled = [(t, tuple(sol[j] for j in y_of[t])) for t, _ in points]
+    # at lambda_t = 0 the block pins (y_t, u_t) to the recession cone of
+    # epi f*_t, so y_t is an errs[t]-approximate normal to dom f_t at x;
+    # move the budget from eps1 to eps2
+    fold = [(t, y_t, errs[t]) for t, y_t in directions]
+    for t, _ in directions:
+        errs[t] = Fraction(0)
 
     normal = [Fraction(0)] * n
     member_z: dict[str, list[Fraction]] = {}
@@ -894,11 +894,8 @@ def sum_functions(funcs: Sequence[PolyhedralFunction]) -> PolyhedralFunction:
         # maximize the margin d with (a_k - a_i) x + d <= b_i - b_k for all k
         sys = _System()
         xs = sys.new_vars(n)
-        d = sys.new_vars(1)[0]
-        for coef, h in domain.ineqs:
-            sys.add_ineq({xs[j]: coef[j] for j in range(n) if coef[j]}, h)
-        for coef, h in domain.eqs:
-            sys.add_eq({xs[j]: coef[j] for j in range(n) if coef[j]}, h)
+        d = sys.new_var()
+        sys.embed(domain, xs)
         for k, (a_k, b_k) in enumerate(candidates):
             if k == i:
                 continue
@@ -929,20 +926,10 @@ def inf_convolution_value(
     y_blocks, s_vars = [], []
     for g in funcs:
         y = sys.new_vars(n)
-        s = sys.new_vars(1)[0]
+        s = sys.new_var()
         y_blocks.append(y)
         s_vars.append(s)
-        epi = g.epigraph
-        for coef, h in epi.ineqs:
-            row = {y[j]: coef[j] for j in range(n) if coef[j]}
-            if coef[n]:
-                row[s] = coef[n]
-            sys.add_ineq(row, h)
-        for coef, h in epi.eqs:
-            row = {y[j]: coef[j] for j in range(n) if coef[j]}
-            if coef[n]:
-                row[s] = coef[n]
-            sys.add_eq(row, h)
-    for j in range(n):
-        sys.add_eq({y[j]: Fraction(1) for y in y_blocks}, xstar[j])
+        sys.embed(g.epigraph, list(y) + [s])
+    for j, row in enumerate(_sum_rows(y_blocks, n)):
+        sys.add_eq(row, xstar[j])
     return sys.solve_min({s: Fraction(1) for s in s_vars}).optimum

@@ -32,8 +32,13 @@ from .plotting import plot_function, plot_subdiff
 MAX_FUZZ_COUNT = 1000
 
 
-def _parse_point(text: str) -> Vec:
-    return tuple(parse_rational(part.strip()) for part in text.split(","))
+def _parse_point(text: str, dim: int) -> Vec:
+    x = tuple(parse_rational(part.strip()) for part in text.split(","))
+    if len(x) != dim:
+        raise InvalidParameterError(
+            f"point has {len(x)} coordinates, instance dimension is {dim}"
+        )
+    return x
 
 
 def _parse_grid(text: str) -> tuple[Fraction, ...]:
@@ -87,10 +92,11 @@ def _payload(ident: str, instance: Instance) -> Any:
     return (family, box)
 
 
-def _check_params(args: argparse.Namespace) -> dict[str, Any]:
+def _check_params(args: argparse.Namespace, dim: int | None = None) -> dict[str, Any]:
+    """Check parameters from the options; a point needs the instance dimension."""
     params: dict[str, Any] = {}
     if getattr(args, "point", None):
-        params["x"] = _parse_point(args.point)
+        params["x"] = _parse_point(args.point, dim)
     if getattr(args, "eps", None):
         params["eps"] = parse_rational(args.eps)
     if getattr(args, "gamma_grid", None):
@@ -120,11 +126,7 @@ def _report_line(report: CheckReport, extra: dict[str, Any] | None = None) -> st
 def cmd_eval(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
     family = instance.family
-    x = _parse_point(args.point)
-    if len(x) != family.dim:
-        raise InvalidParameterError(
-            f"point has {len(x)} coordinates, instance dimension is {family.dim}"
-        )
+    x = _parse_point(args.point, family.dim)
     eps = parse_rational(args.eps) if args.eps else Fraction(0)
     if eps < 0:
         raise InvalidParameterError("eps must be nonnegative")
@@ -148,7 +150,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
     idents = _identity_list(args.identity)
-    params = _check_params(args)
+    params = _check_params(args, instance.family.dim)
     lines: list[str] = []
     failed = False
     for ident in idents:
@@ -218,7 +220,7 @@ def cmd_plot(args: argparse.Namespace) -> int:
     elif args.what == "conjugate":
         svg = plot_function(f, conjugate=True)
     else:
-        x = _parse_point(args.point) if args.point else (Fraction(0),) * family.dim
+        x = _parse_point(args.point, family.dim) if args.point else (Fraction(0),) * family.dim
         eps = parse_rational(args.eps) if args.eps else Fraction(0)
         svg = plot_subdiff(f, x, eps)
     Path(args.out).write_text(svg, encoding="utf-8")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatchError, InvalidParameterError
 from .functions import PolyhedralFunction
@@ -133,7 +133,3 @@ class FunctionFamily:
             if not included(self.member(hi).epigraph, self.member(lo).epigraph):
                 return False
         return True
-
-    def member_values(self, x: Sequence) -> Mapping[str, object]:
-        x = vec(x)
-        return {t: f.eval(x) for t, f in self.members}

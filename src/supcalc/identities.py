@@ -24,6 +24,7 @@ from typing import Any, Callable, Mapping, Sequence
 from .calculus import (
     SUM_MEMBER_CAP,
     co_hull_conjugates,
+    cones_sum_to_zero_trivially,
     conjugate_on_interior,
     decompose,
     eps_normal_intersection,
@@ -731,32 +732,14 @@ def _conjugate_epi_cone_sum(family: FunctionFamily, params: Mapping[str, Any]) -
     """
     f = _proper_sup(family)
     recs = [recession_cone(f_t.conjugate().epigraph) for _, f_t in family.members]
-    d = family.dim + 1
-    m = len(recs)
-    ineqs = []
-    eqs = []
-    for i, cone in enumerate(recs):
-        for a, b in cone.ineqs:
-            row = [Fraction(0)] * (m * d)
-            row[i * d : (i + 1) * d] = list(a)
-            ineqs.append((tuple(row), b))
-        for a, b in cone.eqs:
-            row = [Fraction(0)] * (m * d)
-            row[i * d : (i + 1) * d] = list(a)
-            eqs.append((tuple(row), b))
-    for j in range(d):
-        row = [Fraction(0)] * (m * d)
-        for i in range(m):
-            row[i * d + j] = Fraction(1)
-        eqs.append((tuple(row), Fraction(0)))
-    if not cone_is_trivial(m * d, ineqs, eqs):
+    if not cones_sum_to_zero_trivially(recs):
         raise HypothesesNotMet(
             "member conjugate recession directions admit a nonzero zero sum"
         )
     assembled = minkowski_sum(family.conjugate_hull, cco_union(recs))
     _require_equal(f.conjugate().epigraph, assembled,
                    "the supremum conjugate epigraph", "the two-hull assembly")
-    return (CheckStatus.PASS, None, {"members": m})
+    return (CheckStatus.PASS, None, {"members": len(recs)})
 
 
 def _graph_generators(fstar: PolyhedralFunction) -> tuple[list[Vec], list[Vec]]:

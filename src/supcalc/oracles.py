@@ -56,13 +56,6 @@ class GridSpec:
                 raise InvalidParameterError("grid exceeds the point cap")
         return GridSpec(lower, upper, step)
 
-    @property
-    def point_count(self) -> int:
-        total = 1
-        for lo, hi in zip(self.lower, self.upper):
-            total *= int((hi - lo) / self.step) + 1
-        return total
-
     def points(self) -> Iterator[Vec]:
         axes = [
             [lo + k * self.step for k in range(int((hi - lo) / self.step) + 1)]

@@ -416,12 +416,6 @@ def lineality_space(p: Polyhedron) -> Polyhedron:
     return Polyhedron.from_hrep(p.dim, (), eqs)
 
 
-def is_pointed(p: Polyhedron) -> bool:
-    """True when the lineality space is trivial."""
-    lin = lineality_space(p)
-    return cone_is_trivial(p.dim, list(lin.ineqs), list(lin.eqs))
-
-
 def cone_is_trivial(dim: int, ineqs: Sequence[Row], eqs: Sequence[Row]) -> bool:
     """Is the H-form cone {0}?  Decided by 2*dim boxed coordinate LPs.
 

@@ -30,7 +30,8 @@ def _image(matrix: Sequence[Vec], x: Vec) -> Vec:
     return tuple(dot(row, x) for row in matrix)
 
 
-def _pullback(matrix: Sequence[Vec], a: Vec) -> Vec:
+def pullback(matrix: Sequence[Vec], a: Vec) -> Vec:
+    """The objective <a, C x> as a vector over the source coordinates."""
     src = len(matrix[0])
     return tuple(
         sum(a[i] * matrix[i][j] for i in range(len(matrix))) for j in range(src)
@@ -57,61 +58,43 @@ def project(
     points: set[Vec] = set()
     rays: set[Vec] = set()
 
-    def probe(direction: Vec) -> str:
-        """Support LP over S along a direction of the image space."""
-        obj = _pullback(rows_c, direction)
-        res = solve_max(obj, list(ineqs), list(eqs))
+    def exceeds(a: Vec, b: Fraction | None) -> bool | None:
+        """Does sup over S of <a, Cx> exceed b?  None when S is empty.
+
+        With b None any bounded maximum counts.  Whenever the answer is
+        yes, the maximizer's image (and the unbounded ray's) joins the pool.
+        """
+        res = solve_max(pullback(rows_c, a), list(ineqs), list(eqs))
         if res.status is LPStatus.INFEASIBLE:
-            return "infeasible"
-        if res.status is LPStatus.UNBOUNDED:
-            points.add(_image(rows_c, res.primal_point))
-            rays.add(_image(rows_c, res.ray))
-            return "unbounded"
+            return None
+        if res.status is LPStatus.OPTIMAL and b is not None:
+            if res.optimum.finite_value() <= b:
+                return False
         points.add(_image(rows_c, res.primal_point))
-        return "optimal"
+        if res.status is LPStatus.UNBOUNDED:
+            rays.add(_image(rows_c, res.ray))
+        return True
 
     for i in range(n):
         for sign in (1, -1):
             d = tuple(Fraction(sign if j == i else 0) for j in range(n))
-            if probe(d) == "infeasible":
+            if exceeds(d, None) is None:
                 return Polyhedron.empty(n)
 
     for _ in range(_MAX_ROUNDS):
         hull = Polyhedron.from_generators(n, points, rays)
-        grew = False
-        for a, b in hull.ineqs:
-            if _exceeds(rows_c, ineqs, eqs, a, b, points, rays):
-                grew = True
+        facets = list(hull.ineqs)
         for a, b in hull.eqs:
-            if _exceeds(rows_c, ineqs, eqs, a, b, points, rays):
-                grew = True
-            neg_a = tuple(-t for t in a)
-            if _exceeds(rows_c, ineqs, eqs, neg_a, -b, points, rays):
-                grew = True
+            facets += [(a, b), (tuple(-t for t in a), -b)]
+        grew = False
+        for a, b in facets:
+            found = exceeds(a, b)
+            if found is None:
+                raise LPInternalError("support oracle lost feasibility")
+            grew = grew or found
         if not grew:
             return hull
     raise LPInternalError("projection failed to converge")
-
-
-def _exceeds(rows_c, ineqs, eqs, a: Vec, b: Fraction, points, rays) -> bool:
-    """Does sup over S of <a, Cx> exceed b?  Side effect: pool grows."""
-    obj = _pullback(rows_c, a)
-    res = solve_max(obj, list(ineqs), list(eqs))
-    if res.status is LPStatus.UNBOUNDED:
-        points.add(_image(rows_c, res.primal_point))
-        rays.add(_image(rows_c, res.ray))
-        return True
-    if res.status is not LPStatus.OPTIMAL:
-        raise LPInternalError("support oracle lost feasibility")
-    if res.optimum.finite_value() > b:
-        points.add(_image(rows_c, res.primal_point))
-        return True
-    return False
-
-
-def project_polyhedron(p: Polyhedron, matrix: Sequence[Vec]) -> Polyhedron:
-    """Closure of the image of an existing polyhedron under x -> Cx."""
-    return project(p.dim, p.ineqs, p.eqs, matrix)
 
 
 def coordinate_projection(p: Polyhedron, coords: Sequence[int]) -> Polyhedron:

@@ -74,16 +74,8 @@ def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vscale(c: Fraction, a: Vec) -> Vec:
-    return tuple(c * x for x in a)
-
-
 def l1norm(a: Vec) -> Fraction:
     return sum((abs(x) for x in a), Fraction(0))
-
-
-def is_zero_vec(a: Vec) -> bool:
-    return all(x == 0 for x in a)
 
 
 # ============================================================
@@ -94,8 +86,7 @@ class ExtendedRational:
     """A rational number extended with +oo and -oo.
 
     Total order; addition is defined except for (+oo) + (-oo), which raises
-    :class:`ExtendedArithmeticError`.  Scaling by a nonnegative rational
-    follows the convention 0 * (+oo) = 0 used throughout the engine.
+    :class:`ExtendedArithmeticError`.
     """
 
     __slots__ = ("sign", "value")
@@ -144,16 +135,6 @@ class ExtendedRational:
     def __sub__(self, other: "ExtendedRational") -> "ExtendedRational":
         return self + (-_coerce(other))
 
-    def scale_nonneg(self, c: Fraction) -> "ExtendedRational":
-        """c * self for c >= 0, with 0 * (+/-oo) = 0."""
-        if c < 0:
-            raise ExtendedArithmeticError("scale_nonneg: negative factor")
-        if c == 0:
-            return ExtendedRational(0, Fraction(0))
-        if self.sign == 0:
-            return ExtendedRational(0, c * self.value)
-        return self
-
     # -- order -------------------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -196,20 +177,3 @@ def _coerce(x) -> ExtendedRational:
     if isinstance(x, ExtendedRational):
         return x
     return ExtendedRational(0, Fraction(x))
-
-
-def ratio_convention(num: Fraction, den: Fraction) -> ExtendedRational:
-    """num / den with the convention a/0 = +oo for a > 0.
-
-    Used for per-member error budgets split by simplex weights; a zero
-    numerator over a zero denominator is taken as 0 (the term vanishes).
-    """
-    if den > 0:
-        return ExtendedRational(0, num / den)
-    if den == 0:
-        if num > 0:
-            return POS_INF
-        if num == 0:
-            return ExtendedRational(0, Fraction(0))
-        raise ExtendedArithmeticError("negative/0 has no assigned value")
-    raise ExtendedArithmeticError("ratio_convention: negative denominator")

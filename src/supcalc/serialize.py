@@ -17,7 +17,6 @@ from typing import Any, Mapping, Sequence
 from .errors import InvalidParameterError, SchemaError
 from .family import FunctionFamily
 from .functions import PolyhedralFunction
-from .generator import GeneratorParams
 from .polyhedron import Polyhedron
 from .rationals import (
     ExtendedRational,
@@ -284,19 +283,3 @@ def dump_instance(instance: Instance) -> dict[str, Any]:
     if instance.robust_b is not None:
         doc["robust_B"] = _polyhedron_json(instance.robust_b)
     return doc
-
-
-_PARAM_FIELDS = {f.name for f in dataclasses.fields(GeneratorParams)}
-
-
-def params_to_json(params: GeneratorParams) -> dict[str, Any]:
-    return dataclasses.asdict(params)
-
-
-def params_from_json(data: Any) -> GeneratorParams:
-    m = _expect_mapping(data, "params")
-    _check_keys(m, (), tuple(_PARAM_FIELDS), "params")
-    try:
-        return GeneratorParams(**m)
-    except (TypeError, InvalidParameterError) as exc:
-        raise SchemaError(f"params: {exc}") from exc

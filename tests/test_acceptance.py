@@ -30,7 +30,6 @@ from supcalc.rationals import (
     l1norm,
     qv,
     vadd,
-    vscale,
     vsub,
     zeros,
 )
@@ -183,14 +182,14 @@ def _interior_duals(conj, want=5):
     blends = (Q(1, 8), Q(1, 2), Q(7, 8))
     for v in verts:
         for theta in blends:
-            p = vadd(c, vscale(theta, vsub(v, c)))
+            p = vadd(c, tuple(theta * t for t in vsub(v, c)))
             if dom.contains_in_interior(p) and p not in pts:
                 pts.append(p)
             if len(pts) == want:
                 return pts
     for r in rays:
         for theta in blends:
-            p = vadd(c, vscale(theta, r))
+            p = vadd(c, tuple(theta * t for t in r))
             if dom.contains_in_interior(p) and p not in pts:
                 pts.append(p)
             if len(pts) == want:

@@ -90,6 +90,21 @@ class TestEval:
         assert err["kind"] == "usage"
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--identity", "P34"],
+    ["plot", "subdiff"],
+], ids=["verify", "plot-subdiff"])
+def test_point_arity_mismatch_is_a_usage_error(command, abs_file, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    code = main(command + ["--instance", abs_file, "--out", out, "--point", "1,2"])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {
+        "error": "point has 2 coordinates, instance dimension is 1",
+        "kind": "usage",
+    }
+
+
 class TestVerify:
     def test_catalog_pass_run(self, abs_file, capsys):
         code = main(

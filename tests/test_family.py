@@ -56,11 +56,6 @@ def test_active_indices_needs_finite_sup():
         fam.active_indices(qv(9), Q(0))
 
 
-def test_member_values(fam_abs):
-    vals = fam_abs.member_values(qv(2))
-    assert vals["p"] == FIN(Q(2)) and vals["m"] == FIN(Q(-2))
-
-
 class TestMake:
     def test_duplicate_labels(self):
         f = PF(1, [(qv(1), Q(0))])

@@ -129,6 +129,20 @@ def test_t54b(fam_abs):
     assert check_identity("T54B", fam_abs).status == "pass"
 
 
+def test_t54b_zero_sum_condition_fails():
+    # 0 on x >= 0 and 0 on x <= 0: the conjugate epigraphs recede along
+    # (-1, 0) and (1, 0), which sum to zero
+    fam = FunctionFamily.make(
+        [("a", PF(1, [(qv(0), Q(0))], Polyhedron.from_hrep(1, [(qv(-1), Q(0))]))),
+         ("b", PF(1, [(qv(0), Q(0))], Polyhedron.from_hrep(1, [(qv(1), Q(0))])))],
+    )
+    r = check_identity("T54B", fam)
+    assert r.status == "hypotheses-not-met"
+    assert r.details["reason"] == (
+        "member conjugate recession directions admit a nonzero zero sum"
+    )
+
+
 def test_l57_descriptions(fam_abs):
     r = check_identity("L57", fam_abs, {"x": [0], "eps": Q(1, 4)})
     assert r.status == "pass" and r.details["descriptions"] == 6

@@ -19,7 +19,6 @@ from supcalc.polyhedron import (
     included,
     interior_point,
     intersect,
-    is_pointed,
     lineality_space,
     minkowski_sum,
     missing_generator,
@@ -181,8 +180,6 @@ class TestRecession:
         slab = Polyhedron.from_hrep(2, [(qv(1, 0), Q(1)), (qv(-1, 0), Q(1))])
         lin = lineality_space(slab)
         assert lin.contains(qv(0, 5)) and lin.contains(qv(0, -5))
-        assert not is_pointed(slab)
-        assert is_pointed(Polyhedron.box(qv(0, 0), qv(1, 1)))
 
     def test_cone_is_trivial(self):
         dim = 2

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from supcalc.polyhedron import Polyhedron, polyhedron_equal
-from supcalc.projection import coordinate_projection, project, project_polyhedron
+from supcalc.projection import coordinate_projection, project
 from supcalc.rationals import qv
 
 
@@ -34,8 +34,18 @@ def test_empty_source():
 def test_general_linear_map():
     box = Polyhedron.box(qv(0, 0), qv(1, 1))
     # image under (x, y) -> x + y
-    img = project_polyhedron(box, [qv(1, 1)])
+    img = project(box.dim, box.ineqs, box.eqs, [qv(1, 1)])
     assert polyhedron_equal(img, Polyhedron.box(qv(0), qv(2)))
+
+
+def test_image_with_an_equality_row():
+    # the image segment spans a line, so its hull carries an equality row
+    # that is probed on both sides
+    seg = Polyhedron.from_generators(3, [qv(0, 0, 5), qv(1, 2, 5)])
+    shadow = coordinate_projection(seg, [0, 1])
+    assert shadow.eqs
+    want = Polyhedron.from_generators(2, [qv(0, 0), qv(1, 2)])
+    assert polyhedron_equal(shadow, want)
 
 
 def test_lifted_system_without_enumerating_source():

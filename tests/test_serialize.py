@@ -15,8 +15,6 @@ from supcalc.serialize import (
     json_digest,
     load_instance,
     loads_instance,
-    params_from_json,
-    params_to_json,
     report_to_json,
     to_jsonable,
 )
@@ -140,19 +138,3 @@ def test_to_jsonable_rejects_floats():
     with pytest.raises(InvalidParameterError):
         canonical_json({"x": 0.5})
     assert to_jsonable(Q(1, 3)) == "1/3"
-
-
-def test_params_round_trip():
-    p = params_from_json({"dim": 2, "seed": 5, "force_qc2": True})
-    assert p.dim == 2 and p.force_qc2 and p.member_count == 2
-    assert params_from_json(params_to_json(p)) == p
-
-
-def test_params_unknown_key():
-    with pytest.raises(SchemaError):
-        params_from_json({"dim": 2, "bogus": 1})
-
-
-def test_params_invalid_value():
-    with pytest.raises(SchemaError):
-        params_from_json({"dim": 99})
