@@ -2,10 +2,11 @@
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supcalc.lp import LPStatus, feasible_point, solve_max, solve_min
+from supcalc.oracles import brute_generators
 from supcalc.rationals import ExtendedRational, dot, qv
 
 FIN = ExtendedRational.finite
@@ -116,3 +117,46 @@ def test_simplex_volume_corner(n):
     rows += [(tuple(-Q(i == j) for j in range(n)), Q(0)) for i in range(n)]
     res = solve_max(tuple(Q(1) for _ in range(n)), rows)
     assert res.optimum == FIN(Q(1))
+
+
+small = st.integers(min_value=-2, max_value=2).map(Q)
+
+
+@st.composite
+def small_lps(draw):
+    """(c, ineqs, eqs) with n <= 3 and at most 6 rows, one of them maybe a repeat.
+
+    Small integer data makes degenerate vertices, empty systems and
+    unbounded objectives common draws; the first ``split`` rows become
+    equalities, so a repeated row can land among the equalities too.
+    """
+    n = draw(st.integers(1, 3))
+    vector = st.tuples(*[small] * n)
+    rows = draw(st.lists(st.tuples(vector, small), max_size=5))
+    if rows and draw(st.booleans()):
+        a, b = rows[draw(st.integers(0, len(rows) - 1))]
+        k = draw(st.sampled_from([Q(1), Q(2), Q(1, 3)]))
+        rows.insert(draw(st.integers(0, len(rows))), (tuple(k * t for t in a), k * b))
+    split = draw(st.integers(0, min(2, len(rows))))
+    return draw(vector), rows[split:], rows[:split]
+
+
+@settings(max_examples=200)
+@given(small_lps())
+@example((qv(1), [(qv(1), Q(-1)), (qv(-1), Q(-1))], []))  # infeasible
+@example((qv(1, 0), [(qv(0, 1), Q(1))], []))  # unbounded
+@example((qv(1, 1), [(qv(-1, 0), Q(0)), (qv(0, -1), Q(0)), (qv(-1, -1), Q(0))], []))
+@example((qv(1, 0), [(qv(-1, 0), Q(0))], [(qv(1, 1), Q(2)), (qv(2, 2), Q(4))]))
+def test_solve_min_matches_generator_enumeration(lp):
+    # differential oracle: brute_generators enumerates row subsets and
+    # shares no code with the simplex
+    c, ineqs, eqs = lp
+    points, rays = brute_generators(len(c), ineqs, eqs)
+    res = solve_min(c, ineqs, eqs)
+    if not points:
+        assert res.status is LPStatus.INFEASIBLE
+    elif any(dot(c, r) < 0 for r in rays):
+        assert res.status is LPStatus.UNBOUNDED
+    else:
+        assert res.status is LPStatus.OPTIMAL
+        assert res.optimum == FIN(min(dot(c, p) for p in points))
