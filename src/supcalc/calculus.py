@@ -615,46 +615,30 @@ def check_qc1(family: FunctionFamily, x: Sequence) -> bool:
 def check_qc2(family: FunctionFamily, x: Sequence) -> bool:
     """Only the zero tuple of member-domain normals can sum to zero."""
     x = vec(x)
-    n = family.dim
     for t, f_t in family.members:
         if not f_t.domain.contains(x):
             raise InvalidParameterError(f"x must lie in dom of member {t!r}")
-    sys = _System()
-    blocks = []
-    for _, f_t in family.members:
-        z = sys.new_vars(n)
-        blocks.append(z)
-        verts, rays = f_t.domain.generators
-        for v in verts:
-            row = {z[j]: v[j] - x[j] for j in range(n) if v[j] != x[j]}
-            if row:
-                sys.add_ineq(row, 0)
-        for r in rays:
-            sys.add_ineq({z[j]: r[j] for j in range(n) if r[j]}, 0)
-    return _only_zero_sum(sys, blocks, n)
-
-
-def _only_zero_sum(sys: _System, blocks: Sequence[range], n: int) -> bool:
-    """Is the zero pick, one n-vector per block, the only one summing to zero?
-
-    ``sys`` holds the cone rows of each block; the zero-sum rows are
-    appended and the product cone is tested for triviality.
-    """
-    for row in _sum_rows(blocks, n):
-        sys.add_eq(row, 0)
-    ineqs, eqs = sys.rows()
-    return cone_is_trivial(sys.nvars, ineqs, eqs)
+    return cones_sum_to_zero_trivially(
+        [normal_cone(f_t.domain, x) for _, f_t in family.members]
+    )
 
 
 def cones_sum_to_zero_trivially(cones: Sequence[Polyhedron]) -> bool:
-    """Only the zero pick, one point of each cone, sums to zero."""
+    """Only the zero pick, one point of each cone, sums to zero.
+
+    The cones go on separate blocks of variables, the zero-sum rows are
+    appended, and the product cone is tested for triviality.
+    """
     sys = _System()
     blocks = []
     for cone in cones:
         z = sys.new_vars(cone.dim)
         sys.embed(cone, z)
         blocks.append(z)
-    return _only_zero_sum(sys, blocks, cones[0].dim)
+    for row in _sum_rows(blocks, cones[0].dim):
+        sys.add_eq(row, 0)
+    ineqs, eqs = sys.rows()
+    return cone_is_trivial(sys.nvars, ineqs, eqs)
 
 
 # ============================================================

@@ -136,6 +136,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     near = family.active_indices(x, eps) if fx.is_finite else set()
     active = [t for t in family.labels if t in near]
     print(f"active[eps={eps}] = {','.join(active) if active else '(none)'}")
+    if not f.is_proper:
+        return 0  # f is identically +inf, so f* is identically -inf
     fstar = f.conjugate()
     samples = list(fstar.domain.vertices[:4])
     c = interior_point(fstar.domain)
@@ -218,6 +220,8 @@ def cmd_plot(args: argparse.Namespace) -> int:
     if args.what == "function":
         svg = plot_function(f)
     elif args.what == "conjugate":
+        if not f.is_proper:
+            raise EmptySetError("f has an empty domain, so f* is identically -inf")
         svg = plot_function(f, conjugate=True)
     else:
         x = _parse_point(args.point, family.dim) if args.point else (Fraction(0),) * family.dim

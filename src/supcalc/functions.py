@@ -30,7 +30,7 @@ from .errors import (
     LPInternalError,
 )
 from .lp import LPStatus, Row, solve_max
-from .polyhedron import Polyhedron, polyhedron_equal
+from .polyhedron import Polyhedron, max_slack, polyhedron_equal
 from .rationals import (
     POS_INF,
     ExtendedRational,
@@ -229,13 +229,8 @@ class PolyhedralFunction:
         if dom_star.eqs:
             return None
         n = self.dim
-        # variables (y, alpha): maximize alpha subject to
-        # a.y + alpha*||a||_1 <= b per row, alpha <= 1
-        rows: list[Row] = []
-        for a, b in dom_star.ineqs:
-            rows.append((tuple(a) + (l1norm(a),), b))
-        rows.append((zeros(n) + (Fraction(1),), Fraction(1)))
-        res = solve_max(zeros(n) + (Fraction(1),), rows)
+        # the largest cube y + alpha*[-1, 1]^n inside dom f*, alpha <= 1
+        res = max_slack(dom_star, l1norm)
         if res.status is not LPStatus.OPTIMAL:
             raise LPInternalError("ball LP must be bounded by the cap row")
         alpha = res.optimum.finite_value()

@@ -19,6 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Any, Callable, Mapping, Sequence
 
 from .calculus import (
@@ -559,13 +560,16 @@ def _truncated_chain_subdiff(family: FunctionFamily, params: Mapping[str, Any]) 
     eps = params.get("eps", Fraction(0))
     top = chain[-1]
     target = f.eps_subdifferential(x, eps)
-    top_set = family.member(top).eps_subdifferential(x, eps)
-    _require_equal(target, top_set, "the supremum subdifferential",
-                   f"that of the top member {top!r}")
     gammas = (Fraction(0),) + tuple(sorted(_grid(params)))
-    for gamma in gammas:
+    # levels[k][i]: the subdifferential of chain[i] at budget eps + gammas[k]
+    levels = [
+        [family.member(t).eps_subdifferential(x, eps + gamma) for t in chain]
+        for gamma in gammas
+    ]
+    _require_equal(target, levels[0][-1], "the supremum subdifferential",
+                   f"that of the top member {top!r}")
+    for gamma, sets in zip(gammas, levels):
         budget = eps + gamma
-        sets = [family.member(t).eps_subdifferential(x, budget) for t in chain]
         for t, small, large in zip(chain, sets, sets[1:]):
             _require_included(
                 small, large,
@@ -573,11 +577,11 @@ def _truncated_chain_subdiff(family: FunctionFamily, params: Mapping[str, Any]) 
                 "that of its successor",
             )
     # budget monotonicity on the top member across the grid
-    top_sets = [family.member(top).eps_subdifferential(x, eps + g) for g in gammas]
+    top_sets = [sets[-1] for sets in levels]
     for small, large in zip(top_sets, top_sets[1:]):
         _require_included(small, large, "a smaller-budget subdifferential",
                           "the next budget level")
-    prefix = [family.member(t).eps_subdifferential(x, eps) for t in chain[:-1]]
+    prefix = levels[0][:-1]
     gap = [
         v for v in target.vertices if not any(p.contains(v) for p in prefix)
     ]
@@ -687,18 +691,6 @@ def _decomposition_check(
     if mode == "R54" and sizes:
         details["max_support"] = max(sizes)
     return (CheckStatus.PASS, first, details)
-
-
-def _decomposition_pooled(family: FunctionFamily, params: Mapping[str, Any]) -> Outcome:
-    return _decomposition_check(family, params, "T52")
-
-
-def _decomposition_exact(family: FunctionFamily, params: Mapping[str, Any]) -> Outcome:
-    return _decomposition_check(family, params, "T53")
-
-
-def _decomposition_bounded(family: FunctionFamily, params: Mapping[str, Any]) -> Outcome:
-    return _decomposition_check(family, params, "R54")
 
 
 def _conjugate_epi_recession_sum(
@@ -956,8 +948,6 @@ def _inf_compact_member(family: FunctionFamily, b_set: Polyhedron) -> str | None
 # the catalog
 # ---------------------------------------------------------------------
 
-_FamilyChecker = Callable[[FunctionFamily, Mapping[str, Any]], Outcome]
-
 _ENTRIES: tuple[tuple[IdentityEntry, Callable[..., Outcome]], ...] = (
     (IdentityEntry(
         "L2A",
@@ -1029,19 +1019,19 @@ _ENTRIES: tuple[tuple[IdentityEntry, Callable[..., Outcome]], ...] = (
         "eps-subgradients split into scaled member subgradients plus a "
         "pooled domain normal, relaxed over the gamma grid",
         "family",
-    ), _decomposition_pooled),
+    ), partial(_decomposition_check, mode="T52")),
     (IdentityEntry(
         "T53",
         "eps-subgradients split with exact activity and per-member "
         "domain normals",
         "family",
-    ), _decomposition_exact),
+    ), partial(_decomposition_check, mode="T53")),
     (IdentityEntry(
         "R54",
         "decomposition with disjoint weight and normal supports of total "
         "size at most dim + 1",
         "family",
-    ), _decomposition_bounded),
+    ), partial(_decomposition_check, mode="R54")),
     (IdentityEntry(
         "T54A",
         "conjugate epigraph equals the member hull plus its own recession "

@@ -17,23 +17,27 @@ positive denominator, updated by the two-term determinant recurrence
 in the update is exact).  This is substantially faster than carrying a
 Fraction per cell and keeps bit growth polynomial.
 
-Every result carries an exact certificate which is re-verified against
-the original data before the result is returned:
+Every result carries an exact certificate.  ``solve_min`` builds its
+result and passes it, with the original data, to ``_certify`` -- the one
+place any LP answer is checked -- before returning it:
 
-* optimal     -- dual multipliers with stationarity, sign, complementary
-                 slackness and equal objective values, all as identities;
+* optimal     -- a feasible point and dual multipliers with sign,
+                 complementary slackness, stationarity and equal
+                 objective values, all as identities;
 * infeasible  -- a Farkas witness (mu, nu) with G^T mu + A^T nu = 0,
                  mu >= 0 and mu.h + nu.b < 0;
 * unbounded   -- a feasible point plus a recession direction that
                  strictly improves the objective.
 
-A certificate that fails verification raises LPInternalError; it cannot
-be silently wrong.
+The optimality and Farkas checks share one row combination,
+sum mu_i (g_i, h_i) + sum nu_j (a_j, b_j), taken over the nonzero
+multipliers only.  A certificate that fails verification raises
+LPInternalError; it cannot be silently wrong.
 """
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -213,26 +217,28 @@ class _Tableau:
 
     # -- extraction ----------------------------------------------------
 
-    def primal_x(self) -> Vec:
-        vals = {}
-        for r in range(self.m):
-            if not self.deleted[r]:
-                vals[self.basis[r]] = Fraction(self.rows[r][self.col_rhs], self.den)
-        return tuple(
-            vals.get(j, Fraction(0)) - vals.get(self.n + j, Fraction(0))
-            for j in range(self.n)
-        )
+    def _fold(self, vals: dict[int, Fraction]) -> Vec:
+        """x_j = u_j - v_j from the values of the listed columns."""
+        zero = Fraction(0)
+        return tuple(vals.get(j, zero) - vals.get(self.n + j, zero) for j in range(self.n))
 
-    def duals(self, obj: list[int], art_cost: int, cost_scale: int) -> list[Fraction]:
-        """Original-row dual values read off the artificial columns."""
+    def primal_x(self) -> Vec:
+        return self._fold({
+            self.basis[r]: Fraction(self.rows[r][self.col_rhs], self.den)
+            for r in range(self.m)
+            if not self.deleted[r]
+        })
+
+    def duals(self, obj: list[int], art_cost: int, cost_scale: int) -> tuple[Vec, Vec]:
+        """Multipliers (mu, nu) of the original rows, read off the artificial columns."""
         ys = []
         for r in range(self.m):
             if self.deleted[r]:
                 ys.append(Fraction(0))
                 continue
             red = Fraction(obj[self.col_art + r], self.den * cost_scale)
-            ys.append(self.mult[r] * (Fraction(art_cost, cost_scale) - red))
-        return ys
+            ys.append(self.mult[r] * (red - Fraction(art_cost, cost_scale)))
+        return tuple(ys[: self.m1]), tuple(ys[self.m1 :])
 
     def ray_from(self, col: int) -> Vec:
         coef = {col: Fraction(1)}
@@ -242,67 +248,76 @@ class _Tableau:
             t = self.rows[i][col]
             if t:
                 coef[self.basis[i]] = Fraction(-t, self.den)
-        return tuple(
-            coef.get(j, Fraction(0)) - coef.get(self.n + j, Fraction(0))
-            for j in range(self.n)
-        )
+        return self._fold(coef)
 
 
-def _verify_feasible(x: Vec, ineqs: Sequence[Row], eqs: Sequence[Row]) -> None:
-    for a, b in ineqs:
-        if dot(a, x) > b:
-            raise LPInternalError("primal point violates an inequality")
-    for a, b in eqs:
-        if dot(a, x) != b:
-            raise LPInternalError("primal point violates an equality")
+def _combine(
+    mu: Vec, nu: Vec, ineqs: Sequence[Row], eqs: Sequence[Row], n: int
+) -> tuple[list[Fraction], Fraction]:
+    """(sum mu_i g_i + sum nu_j a_j, sum mu_i h_i + sum nu_j b_j) over nonzero multipliers."""
+    if len(mu) != len(ineqs) or len(nu) != len(eqs):
+        raise LPInternalError("multiplier count differs from the row count")
+    coef = [Fraction(0)] * n
+    rhs = Fraction(0)
+    for ys, rows in ((mu, ineqs), (nu, eqs)):
+        for y, (a, b) in zip(ys, rows):
+            if y:
+                for p, t in enumerate(a):
+                    if t:
+                        coef[p] += y * t
+                rhs += y * b
+    return coef, rhs
 
 
-def _verify_optimal(c, x, mu, nu, ineqs, eqs, value: Fraction) -> None:
-    _verify_feasible(x, ineqs, eqs)
-    for i, m_i in enumerate(mu):
+def _certify(res: LPResult, c: Vec, ineqs: Sequence[Row], eqs: Sequence[Row]) -> None:
+    """Re-check the certificate res carries against the original data.
+
+    Raises LPInternalError on the first check that fails.
+    """
+    if res.status is LPStatus.INFEASIBLE:
+        mu, nu = res.dual_certificate["farkas_mu"], res.dual_certificate["farkas_nu"]
+        if any(m < 0 for m in mu):
+            raise LPInternalError("Farkas multiplier negative")
+        coef, rhs = _combine(mu, nu, ineqs, eqs, len(c))
+        if any(coef):
+            raise LPInternalError("Farkas combination not null")
+        if rhs >= 0:
+            raise LPInternalError("Farkas value not negative")
+        if res.optimum != POS_INF:
+            raise LPInternalError("an infeasible minimum must be +inf")
+        return
+
+    x = res.primal_point
+    lhs = [dot(a, x) for a, _ in ineqs]
+    if any(v > b for v, (_, b) in zip(lhs, ineqs)):
+        raise LPInternalError("primal point violates an inequality")
+    if any(dot(a, x) != b for a, b in eqs):
+        raise LPInternalError("primal point violates an equality")
+
+    if res.status is LPStatus.UNBOUNDED:
+        ray = res.ray
+        if any(dot(a, ray) > 0 for a, _ in ineqs):
+            raise LPInternalError("ray leaves an inequality")
+        if any(dot(a, ray) != 0 for a, _ in eqs):
+            raise LPInternalError("ray leaves an equality")
+        if dot(c, ray) >= 0:
+            raise LPInternalError("ray does not improve the objective")
+        if res.optimum != NEG_INF:
+            raise LPInternalError("an unbounded minimum must be -inf")
+        return
+
+    mu, nu = res.dual_certificate["mu"], res.dual_certificate["nu"]
+    for m_i, v, (_, b) in zip(mu, lhs, ineqs):
         if m_i < 0:
             raise LPInternalError("negative dual multiplier")
-        if m_i != 0 and dot(ineqs[i][0], x) != ineqs[i][1]:
+        if m_i != 0 and v != b:
             raise LPInternalError("complementary slackness fails")
-    for p in range(len(c)):
-        s = c[p]
-        s += sum((mu[i] * ineqs[i][0][p] for i in range(len(ineqs))), Fraction(0))
-        s += sum((nu[j] * eqs[j][0][p] for j in range(len(eqs))), Fraction(0))
-        if s != 0:
-            raise LPInternalError("dual stationarity fails")
-    dual_value = -(
-        sum((mu[i] * ineqs[i][1] for i in range(len(ineqs))), Fraction(0))
-        + sum((nu[j] * eqs[j][1] for j in range(len(eqs))), Fraction(0))
-    )
-    if dual_value != value or dot(c, x) != value:
+    coef, rhs = _combine(mu, nu, ineqs, eqs, len(c))
+    if any(c_p + s for c_p, s in zip(c, coef)):
+        raise LPInternalError("dual stationarity fails")
+    value = dot(c, x)
+    if -rhs != value or res.optimum != ExtendedRational.finite(value):
         raise LPInternalError("primal and dual objectives differ")
-
-
-def _verify_farkas(mu, nu, ineqs, eqs, n: int) -> None:
-    for m_i in mu:
-        if m_i < 0:
-            raise LPInternalError("Farkas multiplier negative")
-    for p in range(n):
-        s = sum((mu[i] * ineqs[i][0][p] for i in range(len(ineqs))), Fraction(0))
-        s += sum((nu[j] * eqs[j][0][p] for j in range(len(eqs))), Fraction(0))
-        if s != 0:
-            raise LPInternalError("Farkas combination not null")
-    val = sum((mu[i] * ineqs[i][1] for i in range(len(ineqs))), Fraction(0))
-    val += sum((nu[j] * eqs[j][1] for j in range(len(eqs))), Fraction(0))
-    if val >= 0:
-        raise LPInternalError("Farkas value not negative")
-
-
-def _verify_unbounded(c, x, ray, ineqs, eqs) -> None:
-    _verify_feasible(x, ineqs, eqs)
-    for a, _ in ineqs:
-        if dot(a, ray) > 0:
-            raise LPInternalError("ray leaves an inequality")
-    for a, _ in eqs:
-        if dot(a, ray) != 0:
-            raise LPInternalError("ray leaves an equality")
-    if dot(c, ray) >= 0:
-        raise LPInternalError("ray does not improve the objective")
 
 
 def solve_min(c: Sequence[Fraction], ineqs: Sequence[Row] = (), eqs: Sequence[Row] = ()) -> LPResult:
@@ -310,56 +325,34 @@ def solve_min(c: Sequence[Fraction], ineqs: Sequence[Row] = (), eqs: Sequence[Ro
     c = tuple(Fraction(t) for t in c)
     ineqs = [(tuple(a), Fraction(b)) for a, b in ineqs]
     eqs = [(tuple(a), Fraction(b)) for a, b in eqs]
-    n = len(c)
 
     tab = _Tableau(c, ineqs, eqs)
-    z1 = tab.phase1()
-    if z1 > 0:
-        y = tab.duals(tab.obj1, art_cost=1, cost_scale=1)
-        mu = [-y[i] for i in range(tab.m1)]
-        nu = [-y[tab.m1 + j] for j in range(tab.m2)]
-        _verify_farkas(mu, nu, ineqs, eqs, n)
-        return LPResult(
-            LPStatus.INFEASIBLE,
-            POS_INF,
-            dual_certificate={"farkas_mu": tuple(mu), "farkas_nu": tuple(nu)},
+    if tab.phase1() > 0:
+        mu, nu = tab.duals(tab.obj1, art_cost=1, cost_scale=1)
+        res = LPResult(
+            LPStatus.INFEASIBLE, POS_INF,
+            dual_certificate={"farkas_mu": mu, "farkas_nu": nu},
         )
-    tab.drive_out_artificials()
-    col = tab.run_simplex(tab.obj2)
-    x = tab.primal_x()
-    if col is not None:
-        ray = tab.ray_from(col)
-        _verify_unbounded(c, x, ray, ineqs, eqs)
-        return LPResult(LPStatus.UNBOUNDED, NEG_INF, primal_point=x, ray=ray)
-
-    value = Fraction(-tab.obj2[tab.col_rhs], tab.den * tab.cost_scale)
-    y = tab.duals(tab.obj2, art_cost=0, cost_scale=tab.cost_scale)
-    mu = [-y[i] for i in range(tab.m1)]
-    nu = [-y[tab.m1 + j] for j in range(tab.m2)]
-    _verify_optimal(c, x, mu, nu, ineqs, eqs, value)
-    return LPResult(
-        LPStatus.OPTIMAL,
-        ExtendedRational.finite(value),
-        primal_point=x,
-        dual_certificate={"mu": tuple(mu), "nu": tuple(nu)},
-    )
+    else:
+        tab.drive_out_artificials()
+        col = tab.run_simplex(tab.obj2)
+        x = tab.primal_x()
+        if col is not None:
+            res = LPResult(LPStatus.UNBOUNDED, NEG_INF, primal_point=x, ray=tab.ray_from(col))
+        else:
+            value = Fraction(-tab.obj2[tab.col_rhs], tab.den * tab.cost_scale)
+            mu, nu = tab.duals(tab.obj2, art_cost=0, cost_scale=tab.cost_scale)
+            res = LPResult(
+                LPStatus.OPTIMAL,
+                ExtendedRational.finite(value),
+                primal_point=x,
+                dual_certificate={"mu": mu, "nu": nu},
+            )
+    _certify(res, c, ineqs, eqs)
+    return res
 
 
 def solve_max(c: Sequence[Fraction], ineqs: Sequence[Row] = (), eqs: Sequence[Row] = ()) -> LPResult:
     """Maximize c.x; certificates are those of the minimized negation."""
     res = solve_min(tuple(-Fraction(t) for t in c), ineqs, eqs)
-    return LPResult(
-        res.status,
-        -res.optimum,
-        primal_point=res.primal_point,
-        dual_certificate=res.dual_certificate,
-        ray=res.ray,
-    )
-
-
-def feasible_point(dim: int, ineqs: Sequence[Row] = (), eqs: Sequence[Row] = ()) -> Vec | None:
-    """A feasible point of the system, or None when it is empty."""
-    res = solve_min((Fraction(0),) * dim, ineqs, eqs)
-    if res.status is LPStatus.INFEASIBLE:
-        return None
-    return res.primal_point
+    return replace(res, optimum=-res.optimum)

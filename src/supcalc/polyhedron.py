@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     CapacityError,
@@ -37,7 +37,7 @@ from .errors import (
     EmptySetError,
     InvalidParameterError,
 )
-from .lp import LPStatus, Row, feasible_point, solve_max
+from .lp import LPResult, LPStatus, Row, solve_max, solve_min
 from .rationals import (
     NEG_INF,
     POS_INF,
@@ -315,7 +315,8 @@ class Polyhedron:
 
     @cached_property
     def is_empty(self) -> bool:
-        return feasible_point(self.dim, self.ineqs, self.eqs) is None
+        res = solve_min(zeros(self.dim), self.ineqs, self.eqs)
+        return res.status is LPStatus.INFEASIBLE
 
     def contains(self, x: Sequence) -> bool:
         x = vec(x)
@@ -515,6 +516,19 @@ def missing_generator(p: Polyhedron, q: Polyhedron) -> dict[str, Vec] | None:
     return None
 
 
+def max_slack(p: Polyhedron, weight: Callable[[Vec], Fraction]) -> LPResult:
+    """Maximize s subject to a.y + s*weight(a) <= b per inequality row and s <= 1.
+
+    The variables are (y, s).  With positive weights the optimum s is
+    positive exactly when some y meets every inequality with room to
+    spare, and it is negative when P is empty.
+    """
+    n = p.dim
+    rows: list[Row] = [(tuple(a) + (weight(a),), b) for a, b in p.ineqs]
+    rows.append((zeros(n) + (Fraction(1),), Fraction(1)))
+    return solve_max(zeros(n) + (Fraction(1),), rows)
+
+
 def interior_point(p: Polyhedron) -> Vec | None:
     """A point with strictly positive slack on every inequality.
 
@@ -522,21 +536,15 @@ def interior_point(p: Polyhedron) -> Vec | None:
     implicit equality (maximal slack zero), or emptiness.  The point is
     the deterministic maximizer of the smallest constraint slack.
     """
+    # the max-slack LP shows emptiness too (optimum below zero), but
+    # callers go on to ask is_empty of the same set, so skipping the
+    # check here would move that LP, not save it
     if p.eqs or p.is_empty:
         return None
-    n = p.dim
-    # variables (x, s): maximize s subject to a.x + s <= b, s <= 1
-    rows: list[Row] = []
-    for a, b in p.ineqs:
-        rows.append((tuple(a) + (Fraction(1),), b))
-    rows.append((zeros(n) + (Fraction(1),), Fraction(1)))
-    res = solve_max(zeros(n) + (Fraction(1),), rows)
-    if res.status is not LPStatus.OPTIMAL:
+    res = max_slack(p, lambda a: Fraction(1))
+    if res.status is not LPStatus.OPTIMAL or res.optimum.finite_value() <= 0:
         return None
-    s = res.optimum.finite_value()
-    if s <= 0:
-        return None
-    return res.primal_point[:n]
+    return res.primal_point[: p.dim]
 
 
 def affine_preimage(p: Polyhedron, matrix: Sequence[Vec], offset: Vec) -> Polyhedron:

@@ -33,6 +33,18 @@ def abs_file(tmp_path):
 
 
 @pytest.fixture
+def disjoint_file(tmp_path):
+    # x on x <= 0 and -x on x >= 1: the supremum is identically +inf
+    doc = {**BASIC, "functions": [
+        {**BASIC["functions"][0], "domain": {"ineqs": [{"a": ["1"], "b": "0"}]}},
+        {**BASIC["functions"][1], "domain": {"ineqs": [{"a": ["-1"], "b": "-1"}]}},
+    ]}
+    path = tmp_path / "disjoint.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@pytest.fixture
 def chain_file(tmp_path):
     doc = dump_instance(Instance(slope_chain(4)))
     path = tmp_path / "chain.json"
@@ -72,6 +84,13 @@ class TestEval:
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "usage"
         assert "eps" in err["error"]
+
+    def test_improper_supremum_prints_no_conjugate(self, disjoint_file, capsys):
+        assert main(["eval", "--instance", disjoint_file, "--point", "0"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "f(0) = +inf",
+            "active[eps=0] = (none)",
+        ]
 
     def test_point_arity_mismatch(self, abs_file, capsys):
         assert main(["eval", "--instance", abs_file, "--point", "1,2"]) == 2
@@ -229,6 +248,13 @@ class TestPlot:
         )
         assert code == 0
         assert "<svg" in out.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("what", ["function", "conjugate", "subdiff"])
+    def test_improper_supremum_is_a_usage_error(self, disjoint_file, tmp_path, capsys, what):
+        out = tmp_path / f"{what}.svg"
+        assert main(["plot", what, "--instance", disjoint_file, "--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err)["kind"] == "usage"
+        assert not out.exists()
 
     def test_deterministic_bytes(self, abs_file, tmp_path):
         a, b = tmp_path / "a.svg", tmp_path / "b.svg"

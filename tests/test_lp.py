@@ -1,12 +1,15 @@
 """Exact simplex: known optima, certificates, degenerate and redundant rows."""
+from dataclasses import replace
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from supcalc.lp import LPStatus, feasible_point, solve_max, solve_min
+from supcalc.errors import LPInternalError
+from supcalc.lp import LPStatus, _certify, solve_max, solve_min
 from supcalc.oracles import brute_generators
+from supcalc.polyhedron import Polyhedron
 from supcalc.rationals import ExtendedRational, dot, qv
 
 FIN = ExtendedRational.finite
@@ -77,12 +80,15 @@ def test_unbounded_with_ray():
     assert ray is not None and dot(qv(1, 0), ray) < 0
 
 
-def test_feasible_point():
+def test_zero_objective_decides_emptiness():
     rows = [(qv(1, 1), Q(2)), (qv(-1, 0), Q(0)), (qv(0, -1), Q(0))]
-    x = feasible_point(2, rows)
-    assert x is not None
-    assert all(dot(a, x) <= b for a, b in rows)
-    assert feasible_point(1, [(qv(1), Q(-1)), (qv(-1), Q(-1))]) is None
+    res = solve_min(qv(0, 0), rows)
+    assert res.status is LPStatus.OPTIMAL
+    assert all(dot(a, res.primal_point) <= b for a, b in rows)
+    assert not Polyhedron.from_hrep(2, rows).is_empty
+    empty = [(qv(1), Q(-1)), (qv(-1), Q(-1))]
+    assert solve_min(qv(0), empty).status is LPStatus.INFEASIBLE
+    assert Polyhedron.from_hrep(1, empty).is_empty
 
 
 def test_fractional_data():
@@ -160,3 +166,67 @@ def test_solve_min_matches_generator_enumeration(lp):
     else:
         assert res.status is LPStatus.OPTIMAL
         assert res.optimum == FIN(min(dot(c, p) for p in points))
+
+
+# (c, ineqs, eqs) with one result of each status and an equality row
+BOX = (qv(1, 1), [(qv(-1, 0), Q(-1)), (qv(0, -1), Q(-2))], [])  # optimum 3 at (1, 2)
+SEGMENT = (qv(1, -1), [(qv(1, -1), Q(1)), (qv(-1, 0), Q(0))], [(qv(1, 1), Q(2))])
+EMPTY = (qv(1), [(qv(1), Q(-1)), (qv(-1), Q(-1))], [])
+STRIP = (qv(1, 0), [(qv(0, 1), Q(1)), (qv(0, -1), Q(1))], [])  # ray (-1, 0)
+
+
+def _put(t, i, v):
+    return t[:i] + (v,) + t[i + 1:]
+
+
+def _cert_entry(key, i, edit):
+    def tamper(res):
+        cert = dict(res.dual_certificate)
+        cert[key] = _put(cert[key], i, edit(cert[key][i]))
+        return replace(res, dual_certificate=cert)
+    return tamper
+
+
+def _point_entry(field, i, value):
+    return lambda res: replace(res, **{field: _put(getattr(res, field), i, value)})
+
+
+@pytest.mark.parametrize("lp, tamper, message", [
+    pytest.param(BOX, _cert_entry("mu", 0, lambda m: m + 1),
+                 "dual stationarity fails", id="multiplier-value"),
+    pytest.param(SEGMENT, _cert_entry("nu", 0, lambda m: m + 1),
+                 "dual stationarity fails", id="equality-multiplier-value"),
+    pytest.param(BOX, _cert_entry("mu", 0, lambda m: -m),
+                 "negative dual multiplier", id="multiplier-sign"),
+    pytest.param(BOX, lambda res: replace(res, dual_certificate={
+                     "mu": res.dual_certificate["mu"][:1], "nu": ()}),
+                 "multiplier count differs", id="multiplier-dropped"),
+    pytest.param(BOX, _point_entry("primal_point", 1, Q(3)),
+                 "complementary slackness fails", id="primal-coordinate-slack"),
+    pytest.param(BOX, _point_entry("primal_point", 0, Q(0)),
+                 "primal point violates an inequality", id="primal-coordinate-outside"),
+    pytest.param(SEGMENT, _point_entry("primal_point", 1, Q(3)),
+                 "primal point violates an equality", id="primal-coordinate-off-equality"),
+    pytest.param(BOX, lambda res: replace(res, optimum=FIN(Q(4))),
+                 "primal and dual objectives differ", id="optimum"),
+    pytest.param(EMPTY, _cert_entry("farkas_mu", 0, lambda m: 2 * m),
+                 "Farkas combination not null", id="farkas-value"),
+    pytest.param(EMPTY, _cert_entry("farkas_mu", 0, lambda m: -m),
+                 "Farkas multiplier negative", id="farkas-sign"),
+    pytest.param(EMPTY, lambda res: replace(res, optimum=FIN(Q(0))),
+                 "infeasible minimum must be", id="infeasible-optimum"),
+    pytest.param(STRIP, _point_entry("ray", 1, Q(1)),
+                 "ray leaves an inequality", id="ray-leaves"),
+    pytest.param(STRIP, _point_entry("ray", 0, Q(0)),
+                 "ray does not improve the objective", id="ray-flat"),
+    pytest.param(STRIP, lambda res: replace(res, optimum=FIN(Q(0))),
+                 "unbounded minimum must be", id="unbounded-optimum"),
+])
+def test_certify_rejects_one_wrong_entry(lp, tamper, message):
+    res = solve_min(*lp)
+    _certify(res, *lp)
+    bad = tamper(res)
+    assert bad != res
+    with pytest.raises(LPInternalError, match=message):
+        _certify(bad, *lp)
+
