@@ -168,11 +168,13 @@ def test_solve_min_matches_generator_enumeration(lp):
         assert res.optimum == FIN(min(dot(c, p) for p in points))
 
 
-# (c, ineqs, eqs) with one result of each status and an equality row
+# (c, ineqs, eqs): optimal, infeasible and unbounded results, some with equality rows
 BOX = (qv(1, 1), [(qv(-1, 0), Q(-1)), (qv(0, -1), Q(-2))], [])  # optimum 3 at (1, 2)
 SEGMENT = (qv(1, -1), [(qv(1, -1), Q(1)), (qv(-1, 0), Q(0))], [(qv(1, 1), Q(2))])
 EMPTY = (qv(1), [(qv(1), Q(-1)), (qv(-1), Q(-1))], [])
 STRIP = (qv(1, 0), [(qv(0, 1), Q(1)), (qv(0, -1), Q(1))], [])  # ray (-1, 0)
+LINE = (qv(1, 0), [], [(qv(0, 1), Q(0))])  # ray (-1, 0)
+ZERO_ROW = (qv(1), [(qv(0), Q(-1))], [])  # 0 <= -1
 
 
 def _put(t, i, v):
@@ -213,10 +215,14 @@ def _point_entry(field, i, value):
                  "Farkas combination not null", id="farkas-value"),
     pytest.param(EMPTY, _cert_entry("farkas_mu", 0, lambda m: -m),
                  "Farkas multiplier negative", id="farkas-sign"),
+    pytest.param(ZERO_ROW, _cert_entry("farkas_mu", 0, lambda m: 0 * m),
+                 "Farkas value not negative", id="farkas-value-zero"),
     pytest.param(EMPTY, lambda res: replace(res, optimum=FIN(Q(0))),
                  "infeasible minimum must be", id="infeasible-optimum"),
     pytest.param(STRIP, _point_entry("ray", 1, Q(1)),
                  "ray leaves an inequality", id="ray-leaves"),
+    pytest.param(LINE, _point_entry("ray", 1, Q(1)),
+                 "ray leaves an equality", id="ray-off-equality"),
     pytest.param(STRIP, _point_entry("ray", 0, Q(0)),
                  "ray does not improve the objective", id="ray-flat"),
     pytest.param(STRIP, lambda res: replace(res, optimum=FIN(Q(0))),
