@@ -38,15 +38,16 @@ from .errors import (
 )
 from .family import FunctionFamily
 from .functions import PolyhedralFunction, normal_cone
-from .lp import LPStatus, Row, solve_max, solve_min
+from .lp import LPStatus, Row, solve_min
 from .polyhedron import (
     Polyhedron,
     cone_is_trivial,
     intersect,
     lineality_space,
+    missing_generator,
     support_value,
 )
-from .projection import project, pullback
+from .projection import Image, project
 from .rationals import (
     NEG_INF,
     ExtendedRational,
@@ -463,6 +464,14 @@ def _rhs_basic_system(
     return sys, matrix, delta
 
 
+def rhs_basic_image(family: FunctionFamily, x: Sequence, budget) -> Image:
+    """The scaled-subgradient set at the given budget, as an LP-backed image."""
+    x = vec(x)
+    sys, matrix, _ = _rhs_basic_system(family, x, Fraction(budget))
+    ineqs, eqs = sys.rows()
+    return Image(sys.nvars, ineqs, eqs, matrix)
+
+
 def eps_subdiff_rhs_basic(
     family: FunctionFamily, x: Sequence, eps, gamma
 ) -> Polyhedron:
@@ -480,10 +489,7 @@ def eps_subdiff_rhs_basic(
         raise InvalidParameterError("eps must be nonnegative")
     if gamma <= 0:
         raise InvalidParameterError("gamma must be positive")
-    x = vec(x)
-    sys, matrix, _ = _rhs_basic_system(family, x, eps + gamma)
-    ineqs, eqs = sys.rows()
-    return project(sys.nvars, ineqs, eqs, matrix)
+    return project(rhs_basic_image(family, x, eps + gamma))
 
 
 def rhs_basic_strict_margin(family: FunctionFamily, x: Sequence, budget) -> Fraction:
@@ -503,58 +509,17 @@ def rhs_basic_strict_margin(family: FunctionFamily, x: Sequence, budget) -> Frac
     return -res.optimum.finite_value()
 
 
-def rhs_basic_covers(family: FunctionFamily, x: Sequence, budget, target: Polyhedron) -> bool:
-    """Do the target's generators lie in the lifted set's projection?
+def rhs_basic_covers(image: Image, target: Polyhedron) -> bool:
+    """Do the target's generators lie in the image?
 
-    Feasibility LPs pinning sum_t y_t to each vertex (and the recession
-    version to each ray) avoid materializing the projection.
+    One pinned feasibility LP per generator avoids materializing the image.
     """
-    x = vec(x)
-    budget = Fraction(budget)
-    sys, matrix, _ = _rhs_basic_system(family, x, budget)
-    ineqs, eqs = sys.rows()
-    n = family.dim
-    verts, rays = target.generators
-    for v in verts:
-        pinned = eqs + [(matrix[j], v[j]) for j in range(n)]
-        res = solve_min(zeros(sys.nvars), ineqs, pinned)
-        if res.status is LPStatus.INFEASIBLE:
-            return False
-    if rays:
-        hom_ineqs = [(a, Fraction(0)) for a, _ in ineqs]
-        hom_eqs = [(a, Fraction(0)) for a, _ in eqs]
-        for r in rays:
-            pinned = hom_eqs + [(matrix[j], r[j]) for j in range(n)]
-            res = solve_min(zeros(sys.nvars), hom_ineqs, pinned)
-            if res.status is LPStatus.INFEASIBLE:
-                return False
-    return True
+    return missing_generator(target, image) is None
 
 
-def rhs_basic_within(family: FunctionFamily, x: Sequence, budget, target: Polyhedron) -> bool:
-    """Is the lifted set's projection contained in the target?
-
-    One support LP per facet of the target: the maximum of <a, sum y_t>
-    over the lifted system must not exceed the facet offset.
-    """
-    x = vec(x)
-    budget = Fraction(budget)
-    sys, matrix, _ = _rhs_basic_system(family, x, budget)
-    ineqs, eqs = sys.rows()
-
-    def support(a: Vec) -> ExtendedRational:
-        return solve_max(pullback(matrix, a), ineqs, eqs).optimum
-
-    for a, b in target.ineqs:
-        if not (support(a) <= ExtendedRational.finite(b)):
-            return False
-    for a, b in target.eqs:
-        if not (support(a) <= ExtendedRational.finite(b)):
-            return False
-        neg = tuple(-t for t in a)
-        if not (support(neg) <= ExtendedRational.finite(-b)):
-            return False
-    return True
+def rhs_basic_within(image: Image, target: Polyhedron) -> bool:
+    """Is the image contained in the target?  One support LP per target row."""
+    return image.crossing_row(target) is None
 
 
 # ============================================================
@@ -594,7 +559,7 @@ def eps_normal_intersection(
     sys.add_eq({eta: Fraction(1) for eta in eta_of}, eps + gamma)
     matrix = [sys.dense(row) for row in _sum_rows(z_of, n)]
     ineqs, eqs = sys.rows()
-    return project(sys.nvars, ineqs, eqs, matrix)
+    return project(Image(sys.nvars, ineqs, eqs, matrix))
 
 
 # ============================================================

@@ -31,6 +31,7 @@ from .calculus import (
     eps_normal_intersection,
     inf_convolution_value,
     rhs_basic_covers,
+    rhs_basic_image,
     rhs_basic_strict_margin,
     rhs_basic_within,
     sum_functions,
@@ -438,12 +439,13 @@ def _subdiff_grid_representation(family: FunctionFamily, params: Mapping[str, An
         budget = eps + gamma
         target = f.eps_subdifferential(x, budget)
         targets.append(target)
-        if not rhs_basic_covers(family, x, budget, target):
+        image = rhs_basic_image(family, x, budget)
+        if not rhs_basic_covers(image, target):
             raise IdentityFalsified(
                 "a subdifferential generator is unreachable at its own budget",
-                certificate={"gamma": gamma, **_uncovered_generator(family, x, budget, target)},
+                certificate={"gamma": gamma, **missing_generator(target, image)},
             )
-        if not rhs_basic_within(family, x, budget, target):
+        if not rhs_basic_within(image, target):
             raise IdentityFalsified(
                 "the represented set overshoots the subdifferential",
                 certificate={"gamma": gamma, "budget": budget},
@@ -464,20 +466,6 @@ def _subdiff_grid_representation(family: FunctionFamily, params: Mapping[str, An
             "degenerate_strict_levels": degenerate,
         },
     )
-
-
-def _uncovered_generator(
-    family: FunctionFamily, x: Vec, budget: Fraction, target: Polyhedron
-) -> dict[str, Any]:
-    for v in target.vertices:
-        if not rhs_basic_covers(family, x, budget, Polyhedron.single_point(v)):
-            return {"point": v}
-    base = target.vertices[0]
-    for r in target.rays:
-        probe = Polyhedron.from_generators(target.dim, [base], [r])
-        if not rhs_basic_covers(family, x, budget, probe):
-            return {"ray": r}
-    return {"point": None}
 
 
 def _increasing_conjugate_min(family: FunctionFamily, params: Mapping[str, Any]) -> Outcome:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import (
     CapacityError,
@@ -48,6 +48,9 @@ from .rationals import (
     vec,
     zeros,
 )
+
+if TYPE_CHECKING:
+    from .projection import Image
 
 DEFAULT_DD_CAP = 6
 
@@ -496,17 +499,17 @@ def included(p: Polyhedron, q: Polyhedron) -> bool:
     return not q.is_empty and missing_generator(p, q) is None
 
 
-def missing_generator(p: Polyhedron, q: Polyhedron) -> dict[str, Vec] | None:
+def missing_generator(p: Polyhedron, q: Polyhedron | Image) -> dict[str, Vec] | None:
     """A generator of P outside Q, or None when P is a subset of Q.
 
     The witness is ``{"point": v}`` for a point of P outside Q, else
-    ``{"ray": r}`` for a ray of P outside the recession cone of Q.  When
-    Q is empty it is P's first point.
+    ``{"ray": r}`` for a ray of P outside the recession cone of Q.  An
+    empty Q contains no point, so then it is P's first point.  Q is a
+    Polyhedron or a ``projection.Image``; only its ``contains`` and
+    ``contains_ray`` are asked.
     """
     if p.is_empty:
         return None
-    if q.is_empty:
-        return {"point": p.vertices[0]}
     for v in p.vertices:
         if not q.contains(v):
             return {"point": v}

@@ -1,78 +1,113 @@
-"""Exact projection of a lifted constraint system onto few coordinates.
+"""The image  pi(S) = { C y : y in S }  of a polyhedron S in R^N under a
+linear map C with a low-dimensional range, known only through LPs over
+the rows of S, so no vertex enumeration ever runs in R^N.
 
-Computes the closed image  pi(S) = { C x : x in S }  of a polyhedron
-S in R^N under a linear map C with a low-dimensional range, without ever
-running a vertex enumeration in R^N.  Only the image dimension is
-subject to the double description cap; N may be large.
-
-The method maintains an inner approximation Q = conv(points) + cone(rays)
-built from images of points and rays of S, so Q is a subset of pi(S) at
-every step.  Each facet (and each implicit equality) of Q is tested by a
-support LP over S; a violation yields a new image point or recession
-direction, which strictly enlarges Q.  Since the simplex solver only
-returns basic solutions, of which there are finitely many, the loop
-terminates with Q = closure(pi(S)).
+``project`` materializes the closure of pi(S) by support probes
+(Lassez & Lassez 1992).  It keeps an inner approximation
+Q = conv(points) + cone(rays) built from images of points and rays of
+S, so Q is a subset of pi(S) at every step.  Each facet (and each
+implicit equality) of Q is tested by a support LP over S; a violation
+yields a new image point or recession direction, which strictly
+enlarges Q.  Since the simplex solver only returns basic solutions, of
+which there are finitely many, the loop terminates with
+Q = closure(pi(S)).  Only the image dimension is subject to the double
+description cap; N may be large.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import LPInternalError
-from .lp import LPStatus, Row, solve_max
+from .errors import DimensionMismatchError, LPInternalError
+from .lp import LPResult, LPStatus, Row, solve_max, solve_min
 from .polyhedron import Polyhedron
-from .rationals import Vec, dot, vec
+from .rationals import ExtendedRational, Vec, dot, vec, zeros
 
 _MAX_ROUNDS = 10_000
 
 
-def _image(matrix: Sequence[Vec], x: Vec) -> Vec:
-    return tuple(dot(row, x) for row in matrix)
-
-
-def pullback(matrix: Sequence[Vec], a: Vec) -> Vec:
-    """The objective <a, C x> as a vector over the source coordinates."""
+def _pullback(matrix: Sequence[Vec], a: Vec) -> Vec:
+    """The objective <a, C y> as a vector over the source coordinates."""
     src = len(matrix[0])
     return tuple(
         sum(a[i] * matrix[i][j] for i in range(len(matrix))) for j in range(src)
     )
 
 
-def project(
-    src_dim: int,
-    ineqs: Sequence[Row],
-    eqs: Sequence[Row],
-    matrix: Sequence[Vec],
-) -> Polyhedron:
-    """Closure of {C x : x satisfies the rows}, as a Polyhedron.
+def _two_sided(q: Polyhedron) -> list[Row]:
+    """The rows of q with each equality read as two inequalities."""
+    rows = list(q.ineqs)
+    for a, b in q.eqs:
+        rows += [(a, b), (tuple(-t for t in a), -b)]
+    return rows
 
-    ``matrix`` holds the rows of C; every row must have src_dim entries.
-    Returns the empty polyhedron when the system is infeasible.
-    """
-    n = len(matrix)
-    rows_c = [vec(r) for r in matrix]
-    for r in rows_c:
-        if len(r) != src_dim:
+
+class Image:
+    """{C y : y satisfies the rows}; ``matrix`` holds the rows of C."""
+
+    def __init__(
+        self, src_dim: int, ineqs: Sequence[Row], eqs: Sequence[Row], matrix: Sequence[Vec]
+    ) -> None:
+        self.matrix = [vec(r) for r in matrix]
+        if any(len(r) != src_dim for r in self.matrix):
             raise LPInternalError("projection matrix arity mismatch")
+        self.src_dim = src_dim
+        self.dim = len(self.matrix)
+        self.ineqs = list(ineqs)
+        self.eqs = list(eqs)
 
+    def map(self, y: Vec) -> Vec:
+        return tuple(dot(row, y) for row in self.matrix)
+
+    def support(self, a: Vec) -> LPResult:
+        """The LP maximizing <a, C y> over the rows."""
+        return solve_max(_pullback(self.matrix, a), self.ineqs, self.eqs)
+
+    def _pinned(self, ineqs: Sequence[Row], eqs: Sequence[Row], v: Sequence) -> bool:
+        v = vec(v)
+        if len(v) != self.dim:
+            raise DimensionMismatchError("point arity mismatch")
+        pinned = eqs + [(self.matrix[j], v[j]) for j in range(self.dim)]
+        return solve_min(zeros(self.src_dim), ineqs, pinned).status is not LPStatus.INFEASIBLE
+
+    def contains(self, v: Sequence) -> bool:
+        """Is v = C y for some y satisfying the rows?"""
+        return self._pinned(self.ineqs, self.eqs, v)
+
+    def contains_ray(self, r: Sequence) -> bool:
+        """Is r = C d for some d in the recession cone of the rows?"""
+        hom = [[(a, Fraction(0)) for a, _ in rows] for rows in (self.ineqs, self.eqs)]
+        return self._pinned(*hom, r)
+
+    def crossing_row(self, q: Polyhedron) -> Row | None:
+        """The first row of q the image crosses; None when it lies inside q."""
+        for a, b in _two_sided(q):
+            if not (self.support(a).optimum <= ExtendedRational.finite(b)):
+                return (a, b)
+        return None
+
+
+def project(image: Image) -> Polyhedron:
+    """Closure of the image, as a Polyhedron; empty when the rows are infeasible."""
+    n = image.dim
     points: set[Vec] = set()
     rays: set[Vec] = set()
 
     def exceeds(a: Vec, b: Fraction | None) -> bool | None:
-        """Does sup over S of <a, Cx> exceed b?  None when S is empty.
+        """Does sup over S of <a, Cy> exceed b?  None when S is empty.
 
         With b None any bounded maximum counts.  Whenever the answer is
         yes, the maximizer's image (and the unbounded ray's) joins the pool.
         """
-        res = solve_max(pullback(rows_c, a), list(ineqs), list(eqs))
+        res = image.support(a)
         if res.status is LPStatus.INFEASIBLE:
             return None
         if res.status is LPStatus.OPTIMAL and b is not None:
             if res.optimum.finite_value() <= b:
                 return False
-        points.add(_image(rows_c, res.primal_point))
+        points.add(image.map(res.primal_point))
         if res.status is LPStatus.UNBOUNDED:
-            rays.add(_image(rows_c, res.ray))
+            rays.add(image.map(res.ray))
         return True
 
     for i in range(n):
@@ -83,11 +118,8 @@ def project(
 
     for _ in range(_MAX_ROUNDS):
         hull = Polyhedron.from_generators(n, points, rays)
-        facets = list(hull.ineqs)
-        for a, b in hull.eqs:
-            facets += [(a, b), (tuple(-t for t in a), -b)]
         grew = False
-        for a, b in facets:
+        for a, b in _two_sided(hull):
             found = exceeds(a, b)
             if found is None:
                 raise LPInternalError("support oracle lost feasibility")
@@ -102,4 +134,4 @@ def coordinate_projection(p: Polyhedron, coords: Sequence[int]) -> Polyhedron:
     matrix = [
         tuple(Fraction(1 if j == c else 0) for j in range(p.dim)) for c in coords
     ]
-    return project(p.dim, p.ineqs, p.eqs, matrix)
+    return project(Image(p.dim, p.ineqs, p.eqs, matrix))

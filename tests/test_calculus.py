@@ -13,6 +13,7 @@ from supcalc.calculus import (
     eps_subdiff_rhs_basic,
     inf_convolution_value,
     rhs_basic_covers,
+    rhs_basic_image,
     rhs_basic_strict_margin,
     rhs_basic_within,
     sum_functions,
@@ -82,12 +83,13 @@ class TestRhsBasic:
 
     def test_sandwich_helpers(self, fam_abs):
         sub0 = fam_abs.sup.eps_subdifferential(qv(0), Q(0))
-        assert rhs_basic_covers(fam_abs, qv(0), Q(0), sub0)
-        assert rhs_basic_within(fam_abs, qv(0), Q(0), sub0)
+        image = rhs_basic_image(fam_abs, qv(0), Q(0))
+        assert rhs_basic_covers(image, sub0)
+        assert rhs_basic_within(image, sub0)
         big = Polyhedron.box(qv(-2), qv(2))
-        assert not rhs_basic_covers(fam_abs, qv(0), Q(0), big)
+        assert not rhs_basic_covers(image, big)
         small = Polyhedron.box(qv(0), qv("1/2"))
-        assert not rhs_basic_within(fam_abs, qv(0), Q(0), small)
+        assert not rhs_basic_within(image, small)
 
     def test_strict_margin_positive_budget(self, fam_abs):
         m = rhs_basic_strict_margin(fam_abs, qv(0), Q(1, 4))

@@ -86,6 +86,44 @@ def test_p34_custom_gamma_grid(fam_abs):
     assert r.status == "pass"
 
 
+def _patch_target(monkeypatch, family, target):
+    # the supremum's own subdifferential is replaced by a wrong target;
+    # the members, which build the lifted system, keep theirs
+    sup = family.sup
+    original = PolyhedralFunction.eps_subdifferential
+
+    def wrong(self, x, eps):
+        return target if self is sup else original(self, x, eps)
+
+    monkeypatch.setattr(PolyhedralFunction, "eps_subdifferential", wrong)
+
+
+P34_AT_ZERO = {"x": [0], "eps": 0, "gamma_grid": [Q(1, 2)]}
+
+
+@pytest.mark.parametrize("target, reason, witness", [
+    pytest.param(
+        Polyhedron.box(qv(-2), qv(2)),
+        "a subdifferential generator is unreachable at its own budget",
+        {"gamma": 0, "point": (-2,)}, id="uncovered-point"),
+    pytest.param(
+        Polyhedron.from_generators(1, [qv(0)], [qv(1)]),
+        "a subdifferential generator is unreachable at its own budget",
+        {"gamma": 0, "ray": (1,)}, id="uncovered-ray"),
+    pytest.param(
+        Polyhedron.box(qv(0), qv(Q(1, 2))),
+        "the represented set overshoots the subdifferential",
+        {"gamma": 0, "budget": 0}, id="overshoot"),
+])
+def test_p34_failure_reports(fam_abs, monkeypatch, target, reason, witness):
+    # the represented set at budget 0 is [-1, 1]
+    _patch_target(monkeypatch, fam_abs, target)
+    r = check_identity("P34", fam_abs, P34_AT_ZERO)
+    assert r.status == "fail"
+    assert r.details == {"reason": reason}
+    assert r.witness == witness
+
+
 def test_t41(fam_abs, chain6):
     assert check_identity("T41", fam_abs).status == "hypotheses-not-met"
     r = check_identity("T41", chain6)

@@ -14,3 +14,37 @@ def test_tracer_installs_on_this_checkout():
         cwd=PERFBENCH, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+P34_TRACE = """
+import tracing, workloads
+from fractions import Fraction as Q
+S = workloads.import_supcalc()
+from supcalc.family import FunctionFamily
+from supcalc.functions import PolyhedralFunction
+tracer = tracing.Tracer()
+tracer.install()
+tracer.phase = "ops"
+one = lambda a: ((Q(a),), Q(0))
+fam = FunctionFamily.make([("p", PolyhedralFunction.make(1, [one(1)])),
+                           ("m", PolyhedralFunction.make(1, [one(-1)]))])
+report = S.identities.check_identity(
+    "P34", fam, {"x": [0], "eps": 0, "gamma_grid": [Q(1, 2)]})
+layer = tracer.tables["ops"]["calculus.rhs_basic"]
+print(report.status.value, layer.calls, layer.lp_solves)
+"""
+
+
+def test_p34_goes_through_the_traced_rhs_basic_layer():
+    # a refactor that keeps the traced names but routes P34 around them
+    # would zero the calculus.rhs_basic metrics without failing install();
+    # covers, within at two budget levels and one strict margin are 5 calls
+    proc = subprocess.run(
+        [sys.executable, "-c", P34_TRACE],
+        cwd=PERFBENCH, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    status, calls, lp_solves = proc.stdout.split()
+    assert status == "pass"
+    assert int(calls) == 5
+    assert int(lp_solves) > 0

@@ -1,11 +1,12 @@
 """Projection via support probes, cross-checked by shadow enumeration."""
 from fractions import Fraction as Q
 
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from supcalc.polyhedron import Polyhedron, polyhedron_equal
-from supcalc.projection import coordinate_projection, project
+from supcalc.oracles import brute_generators
+from supcalc.polyhedron import Polyhedron, included, missing_generator, polyhedron_equal
+from supcalc.projection import Image, coordinate_projection, project
 from supcalc.rationals import qv
 
 
@@ -34,7 +35,7 @@ def test_empty_source():
 def test_general_linear_map():
     box = Polyhedron.box(qv(0, 0), qv(1, 1))
     # image under (x, y) -> x + y
-    img = project(box.dim, box.ineqs, box.eqs, [qv(1, 1)])
+    img = project(Image(box.dim, box.ineqs, box.eqs, [qv(1, 1)]))
     assert polyhedron_equal(img, Polyhedron.box(qv(0), qv(2)))
 
 
@@ -58,7 +59,7 @@ def test_lifted_system_without_enumerating_source():
         ne = tuple(-c for c in e)
         ineqs.append((e, Q(1)))
         ineqs.append((ne, Q(0)))
-    img = project(n, ineqs, [], [tuple(Q(1) for _ in range(n))])
+    img = project(Image(n, ineqs, [], [tuple(Q(1) for _ in range(n))]))
     assert polyhedron_equal(img, Polyhedron.box(qv(0), qv(n)))
 
 
@@ -86,3 +87,86 @@ def test_shadow_matches_vertex_images(pts):
     xs = [v[0] for v in verts]
     want = Polyhedron.box((min(xs),), (max(xs),))
     assert polyhedron_equal(shadow, want)
+
+
+small = st.integers(min_value=-2, max_value=2).map(Q)
+
+
+@st.composite
+def small_images(draw):
+    """(src_dim, ineqs, eqs, matrix, box, plane) with at most 3 variables and 5 rows.
+
+    Small integer rows make bounded, unbounded and empty source systems
+    common draws; the first row becomes an equality on a coin flip, and
+    the map has one or two rows.  The box and the hyperplane lie in the
+    image space.
+    """
+    n = draw(st.integers(1, 3))
+    vector = st.tuples(*[small] * n)
+    rows = draw(st.lists(st.tuples(vector, small), max_size=5))
+    split = 1 if rows and draw(st.booleans()) else 0
+    matrix = draw(st.lists(vector, min_size=1, max_size=2))
+    lo = draw(st.tuples(*[small] * len(matrix)))
+    hi = tuple(a + draw(st.integers(0, 2)) for a in lo)
+    plane = draw(st.tuples(st.tuples(*[small] * len(matrix)), small))
+    return n, rows[split:], rows[:split], matrix, Polyhedron.box(lo, hi), plane
+
+
+def _reference(n, ineqs, eqs, matrix):
+    """The image as the hull of mapped generators; no LP is involved."""
+    points, rays = brute_generators(n, ineqs, eqs)
+    img = Image(n, ineqs, eqs, matrix)
+    return Polyhedron.from_generators(
+        len(matrix), [img.map(p) for p in points], [img.map(r) for r in rays]
+    )
+
+
+def _triangle(third):
+    # the coordinate probes see only the diagonal (0, 0)-(3, 3), so the
+    # first hull is a segment whose equality row must be probed on both
+    # sides; one of the two mirror images sits on each side
+    tri = Polyhedron.from_generators(2, [qv(0, 0), qv(3, 3), third])
+    eye = [qv(1, 0), qv(0, 1)]
+    return (2, list(tri.ineqs), [], eye, Polyhedron.box(qv(0, 0), qv(3, 3)),
+            (qv(1, -1), Q(0)))
+
+
+BOX1 = Polyhedron.box(qv(-1), qv(1))
+
+
+@settings(max_examples=60)
+@given(small_images())
+@example((1, [(qv(1), Q(-1)), (qv(-1), Q(-1))], [], [qv(1)], BOX1, (qv(1), Q(0))))  # empty
+@example((2, [(qv(0, 1), Q(1))], [], [qv(1, 0), qv(0, 1)],
+          Polyhedron.box(qv(0, 0), qv(1, 2)), (qv(0, 1), Q(1))))  # unbounded
+@example((2, [], [(qv(1, -1), Q(0))], [qv(1, 1)], BOX1, (qv(1), Q(0))))  # a line
+@example(_triangle(qv(1, 2)))
+@example(_triangle(qv(2, 1)))
+def test_image_matches_mapped_generators(system):
+    # differential oracle: the reference enumerates row subsets and maps
+    # the generators, sharing no LP code with Image
+    n, ineqs, eqs, matrix, box, (a, b) = system
+    image = Image(n, ineqs, eqs, matrix)
+    ref = _reference(n, ineqs, eqs, matrix)
+    m = image.dim
+    assert polyhedron_equal(project(image), ref)
+
+    probes = [tuple(Q(0) for _ in range(m))]
+    for v in ref.vertices:
+        assert image.contains(v)
+        for i in range(m):
+            for step in (Q(1, 3), Q(-1, 3)):
+                probes.append(tuple(c + step * (i == j) for j, c in enumerate(v)))
+    for w in probes:
+        assert image.contains(w) == ref.contains(w)
+    if not ref.is_empty:
+        # the recession cone of an empty set is not defined by its rows
+        for r in ref.rays:
+            assert image.contains_ray(r)
+            neg = tuple(-c for c in r)
+            assert image.contains_ray(neg) == ref.contains_ray(neg)
+
+    assert missing_generator(box, image) == missing_generator(box, ref)
+    plane = Polyhedron.from_hrep(m, [], [(a, b)])
+    for q in (box, plane, ref):
+        assert (image.crossing_row(q) is None) == included(ref, q)
