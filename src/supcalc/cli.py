@@ -10,9 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager, nullcontext
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .errors import (
     EmptySetError,
@@ -104,12 +105,17 @@ def _check_params(args: argparse.Namespace, dim: int | None = None) -> dict[str,
     return params
 
 
-def _emit_reports(lines: list[str], out: str | None) -> None:
-    for line in lines:
-        print(line)
-    if out:
-        Path(out).write_text("".join(line + "\n" for line in lines),
-                             encoding="utf-8")
+@contextmanager
+def _report_stream(out: str | None) -> Iterator[Callable[[str], None]]:
+    """Print each report line and append it to ``out`` as it is produced,
+    so an engine error part-way keeps the lines (and seeds) before it."""
+    with open(out, "w", encoding="utf-8") if out else nullcontext() as fh:
+        def emit(line: str) -> None:
+            print(line)
+            if fh is not None:
+                fh.write(line + "\n")
+                fh.flush()
+        yield emit
 
 
 def _report_line(report: CheckReport, extra: dict[str, Any] | None = None) -> str:
@@ -153,13 +159,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
     idents = _identity_list(args.identity)
     params = _check_params(args, instance.family.dim)
-    lines: list[str] = []
     failed = False
-    for ident in idents:
-        report = check_identity(ident, _payload(ident, instance), params)
-        failed = failed or report.status is CheckStatus.FAIL
-        lines.append(_report_line(report))
-    _emit_reports(lines, args.out)
+    with _report_stream(args.out) as emit:
+        for ident in idents:
+            report = check_identity(ident, _payload(ident, instance), params)
+            failed = failed or report.status is CheckStatus.FAIL
+            emit(_report_line(report))
     return 1 if failed else 0
 
 
@@ -184,21 +189,20 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         raise InvalidParameterError("dim-max must be between 1 and 4")
     idents = _identity_list(args.identity)
     params = _check_params(args)
-    lines: list[str] = []
     tally: dict[str, dict[str, int]] = {
         ident: {s.value: 0 for s in CheckStatus} for ident in idents
     }
     failed = False
-    for i in range(args.count):
-        gen = _fuzz_params(args.seed, i, dim_max)
-        family = generate(gen)
-        instance = Instance(family)
-        for ident in idents:
-            report = check_identity(ident, _payload(ident, instance), params)
-            tally[ident][report.status.value] += 1
-            failed = failed or report.status is CheckStatus.FAIL
-            lines.append(_report_line(report, {"seed": gen.seed}))
-    _emit_reports(lines, args.out)
+    with _report_stream(args.out) as emit:
+        for i in range(args.count):
+            gen = _fuzz_params(args.seed, i, dim_max)
+            family = generate(gen)
+            instance = Instance(family)
+            for ident in idents:
+                report = check_identity(ident, _payload(ident, instance), params)
+                tally[ident][report.status.value] += 1
+                failed = failed or report.status is CheckStatus.FAIL
+                emit(_report_line(report, {"seed": gen.seed}))
     head = f"{'identity':<10}{'pass':>6}{'fail':>6}{'hnm':>6}{'trivial':>8}"
     print(head, file=sys.stderr)
     for ident in idents:

@@ -9,7 +9,7 @@ import pytest
 import supcalc.cli as cli
 import supcalc.identities as identities
 from supcalc.cli import main
-from supcalc.errors import GenerationError, IdentityFalsified
+from supcalc.errors import GenerationError, IdentityFalsified, LPInternalError
 from supcalc.generator import GeneratorParams, generate
 from supcalc.serialize import Instance, canonical_json, dump_instance
 
@@ -230,6 +230,41 @@ class TestFuzz:
         assert main(["fuzz", "--count", "1", "--identity", "L2A"]) == 3
         err = json.loads(capsys.readouterr().err)
         assert err["kind"] == "generation"
+
+    def test_engine_error_keeps_the_lines_before_it(self, tmp_path, capsys, monkeypatch):
+        # an engine error in the second instance must not lose the first
+        # instance's lines or its seed, on stdout or in --out
+        real = cli.check_identity
+        per_instance = len(identities.identity_ids())
+        calls = []
+
+        def failing_second_instance(ident, payload, params):
+            calls.append(ident)
+            if len(calls) > per_instance:
+                raise LPInternalError("injected")
+            return real(ident, payload, params)
+
+        monkeypatch.setattr(cli, "check_identity", failing_second_instance)
+        out = tmp_path / "corpus.jsonl"
+        assert main(["fuzz", "--seed", "2026", "--count", "2", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {"error": "injected", "kind": "engine"}
+        lines = [json.loads(t) for t in captured.out.splitlines()]
+        assert len(lines) == 18
+        assert {r["seed"] for r in lines} == {2026}
+        assert out.read_text(encoding="utf-8") == captured.out
+
+
+@pytest.mark.parametrize("command", [
+    ["verify", "--identity", "NOPE"],
+    ["fuzz", "--count", "1", "--dim-max", "9"],
+], ids=["verify", "fuzz"])
+def test_out_is_not_opened_on_a_usage_error(command, abs_file, tmp_path, capsys):
+    out = tmp_path / "out.jsonl"
+    extra = ["--instance", abs_file] if command[0] == "verify" else []
+    assert main(command + extra + ["--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err)["kind"] == "usage"
+    assert not out.exists()
 
 
 class TestPlot:
