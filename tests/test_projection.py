@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from supcalc.oracles import brute_generators
 from supcalc.polyhedron import Polyhedron, included, missing_generator, polyhedron_equal
 from supcalc.projection import Image, coordinate_projection, project
-from supcalc.rationals import qv
+from supcalc.rationals import dot, qv
 
 
 def test_triangle_shadow_on_axis():
@@ -115,9 +115,12 @@ def small_images(draw):
 def _reference(n, ineqs, eqs, matrix):
     """The image as the hull of mapped generators; no LP is involved."""
     points, rays = brute_generators(n, ineqs, eqs)
-    img = Image(n, ineqs, eqs, matrix)
+
+    def apply(y):
+        return tuple(dot(row, y) for row in matrix)
+
     return Polyhedron.from_generators(
-        len(matrix), [img.map(p) for p in points], [img.map(r) for r in rays]
+        len(matrix), [apply(p) for p in points], [apply(r) for r in rays]
     )
 
 
