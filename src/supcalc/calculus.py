@@ -43,7 +43,7 @@ from .polyhedron import (
     Polyhedron,
     cone_is_trivial,
     intersect,
-    lineality_space,
+    interior_point,
     missing_generator,
     support_value,
 )
@@ -509,12 +509,12 @@ def rhs_basic_strict_margin(family: FunctionFamily, x: Sequence, budget) -> Frac
     return -res.optimum.finite_value()
 
 
-def rhs_basic_covers(image: Image, target: Polyhedron) -> bool:
-    """Do the target's generators lie in the image?
+def rhs_basic_covers(image: Image, target: Polyhedron) -> dict[str, Vec] | None:
+    """The first target generator outside the image, or None when all lie in it.
 
     One pinned feasibility LP per generator avoids materializing the image.
     """
-    return missing_generator(target, image) is None
+    return missing_generator(target, image)
 
 
 def rhs_basic_within(image: Image, target: Polyhedron) -> bool:
@@ -567,14 +567,14 @@ def eps_normal_intersection(
 # ============================================================
 
 def check_qc1(family: FunctionFamily, x: Sequence) -> bool:
-    """Does the normal cone to dom f at x contain no line?"""
+    """No line in the normal cone to dom f at x: its lineality space is
+    (aff dom f - x)^perp, so this holds exactly when dom f has an interior.
+    """
     x = vec(x)
     f = family.sup
     if not f.domain.contains(x):
         raise InvalidParameterError("x must lie in dom f")
-    cone = normal_cone(f.domain, x)
-    lin = lineality_space(cone)
-    return cone_is_trivial(family.dim, [], list(lin.eqs))
+    return interior_point(f.domain) is not None
 
 
 def check_qc2(family: FunctionFamily, x: Sequence) -> bool:

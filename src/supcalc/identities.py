@@ -121,7 +121,7 @@ def _as_family_and_set(instance: object) -> tuple[FunctionFamily, Polyhedron]:
     raise InvalidParameterError("this identity takes a (family, set) pair")
 
 
-_PARAM_KEYS = ("x", "eps", "gamma_grid", "dual_points")
+_PARAM_KEYS = ("x", "eps", "gamma_grid")
 
 
 def _canon_params(params: Mapping[str, Any] | None) -> dict[str, Any]:
@@ -138,13 +138,11 @@ def _canon_params(params: Mapping[str, Any] | None) -> dict[str, Any]:
             if eps < 0:
                 raise InvalidParameterError("eps must be nonnegative")
             out["eps"] = eps
-        elif key == "gamma_grid":
+        else:
             grid = tuple(sorted({Fraction(g) for g in value}, reverse=True))
             if not grid or grid[-1] <= 0:
                 raise InvalidParameterError("gamma grid entries must be positive")
             out["gamma_grid"] = grid
-        else:
-            out["dual_points"] = tuple(vec(p) for p in value)
     return out
 
 
@@ -188,10 +186,8 @@ def _dedup(points: Sequence[Vec], cap: int = SAMPLE_CAP) -> tuple[Vec, ...]:
     return tuple(out)
 
 
-def _dual_samples(family: FunctionFamily, params: Mapping[str, Any]) -> tuple[Vec, ...]:
+def _dual_samples(family: FunctionFamily) -> tuple[Vec, ...]:
     """Sample dual points: conjugate-domain vertices plus inward blends."""
-    if "dual_points" in params:
-        return params["dual_points"]
     dom = _proper_sup(family).conjugate().domain
     c = interior_point(dom)
     pts: list[Vec] = list(dom.vertices)
@@ -204,11 +200,7 @@ def _dual_samples(family: FunctionFamily, params: Mapping[str, Any]) -> tuple[Ve
     return _dedup(pts)
 
 
-def _interior_dual_samples(
-    family: FunctionFamily, params: Mapping[str, Any], dom: Polyhedron
-) -> tuple[Vec, ...]:
-    if "dual_points" in params:
-        return params["dual_points"]
+def _interior_dual_samples(dom: Polyhedron) -> tuple[Vec, ...]:
     c = interior_point(dom)
     if c is None:
         raise HypothesesNotMet("the conjugate domain has empty interior")
@@ -269,7 +261,7 @@ def _hull_support_cap(family: FunctionFamily, params: Mapping[str, Any]) -> Outc
     _proper_sup(family)
     cap = min(family.dim + 1, len(family.labels))
     finite = infinite = 0
-    for xs in _dual_samples(family, params):
+    for xs in _dual_samples(family):
         capped = co_hull_conjugates(family, xs, support_cap=cap)
         if capped.value.is_finite:
             finite += 1
@@ -301,7 +293,7 @@ def _conjugate_hull_envelope(family: FunctionFamily, params: Mapping[str, Any]) 
     _require_equal(target, family.conjugate_hull, "the supremum conjugate epigraph",
                    "the envelope epigraph")
     audited = 0
-    for xs in _dual_samples(family, params):
+    for xs in _dual_samples(family):
         direct = f.conjugate_eval(xs)
         envelope = co_hull_conjugates(family, xs).value
         if direct != envelope:
@@ -440,10 +432,11 @@ def _subdiff_grid_representation(family: FunctionFamily, params: Mapping[str, An
         target = f.eps_subdifferential(x, budget)
         targets.append(target)
         image = rhs_basic_image(family, x, budget)
-        if not rhs_basic_covers(image, target):
+        gap = rhs_basic_covers(image, target)
+        if gap is not None:
             raise IdentityFalsified(
                 "a subdifferential generator is unreachable at its own budget",
-                certificate={"gamma": gamma, **missing_generator(target, image)},
+                certificate={"gamma": gamma, **gap},
             )
         if not rhs_basic_within(image, target):
             raise IdentityFalsified(
@@ -472,7 +465,7 @@ def _increasing_conjugate_min(family: FunctionFamily, params: Mapping[str, Any])
     """Conjugate of an increasing epi-pointed sup is the member minimum."""
     f = _proper_sup(family)
     dom_star = f.conjugate().domain
-    samples = _interior_dual_samples(family, params, dom_star)
+    samples = _interior_dual_samples(dom_star)
     values = []
     for xs in samples:
         # self-verifying: raises on any mismatch with the direct conjugate
@@ -501,7 +494,7 @@ def _sum_conjugate_convolution(family: FunctionFamily, params: Mapping[str, Any]
     if total.is_epi_pointed() is None:
         raise HypothesesNotMet("the sum is not epi-pointed")
     dom_star = total.conjugate().domain
-    samples = _interior_dual_samples(family, params, dom_star)
+    samples = _interior_dual_samples(dom_star)
     conjugates = [f.conjugate() for f in members]
     for xs in samples:
         direct = total.conjugate_eval(xs)

@@ -412,30 +412,34 @@ def recession_cone(p: Polyhedron) -> Polyhedron:
     return Polyhedron.from_hrep(p.dim, rows, eqs)
 
 
-def lineality_space(p: Polyhedron) -> Polyhedron:
-    if p.is_empty:
-        raise EmptySetError("lineality space of an empty polyhedron")
-    eqs = [(a, Fraction(0)) for a, _ in p.ineqs]
-    eqs += [(a, Fraction(0)) for a, _ in p.eqs]
-    return Polyhedron.from_hrep(p.dim, (), eqs)
+def _rank(rows: Sequence[Vec]) -> int:
+    """Rank of rational vectors by exact Gaussian elimination."""
+    rows = [r for r in rows if any(r)]
+    if not rows:
+        return 0
+    top = rows[0]
+    col = next(j for j, t in enumerate(top) if t != 0)
+    return 1 + _rank([[t - r[col] / top[col] * u for t, u in zip(r, top)] for r in rows[1:]])
 
 
 def cone_is_trivial(dim: int, ineqs: Sequence[Row], eqs: Sequence[Row]) -> bool:
-    """Is the H-form cone {0}?  Decided by 2*dim boxed coordinate LPs.
+    """Is the cone {y : G y <= 0, A y = 0} equal to {0}?
 
-    The cone contains a nonzero point iff it contains one in the unit
-    box with some coordinate equal to +-1, so maximizing each signed
-    coordinate over (cone intersect box) detects nontriviality exactly.
+    Stiemke's lemma: exactly when [G; A] has rank dim and some mu > 0
+    and nu give G^T mu + A^T nu = 0.  The second part is one certified
+    LP in (mu, nu) with mu >= 1.  Every right-hand side must be 0.
     """
-    box = Polyhedron.box([-1] * dim, [1] * dim)
-    rows = list(ineqs) + list(box.ineqs)
-    for i in range(dim):
-        for sign in (1, -1):
-            obj = tuple(Fraction(sign if j == i else 0) for j in range(dim))
-            res = solve_max(obj, rows, list(eqs))
-            if res.status is LPStatus.OPTIMAL and res.optimum.finite_value() > 0:
-                return False
-    return True
+    rows = [*ineqs, *eqs]
+    if any(b != 0 for _, b in rows):
+        raise InvalidParameterError("a cone row must have right-hand side 0")
+    normals = [vec(a) for a, _ in rows]
+    if _rank(normals) < dim:
+        return False
+    k = len(normals)
+    ge_one = [(tuple(Fraction(-(j == i)) for j in range(k)), Fraction(-1))
+              for i in range(len(ineqs))]
+    balance = [(tuple(a[d] for a in normals), Fraction(0)) for d in range(dim)]
+    return solve_min(zeros(k), ge_one, balance).status is not LPStatus.INFEASIBLE
 
 
 def cco_union(parts: Sequence[Polyhedron]) -> Polyhedron:

@@ -3,6 +3,7 @@ from fractions import Fraction as Q
 
 import pytest
 
+import supcalc.calculus as calculus_module
 from supcalc.calculus import (
     check_qc1,
     check_qc2,
@@ -84,10 +85,10 @@ class TestRhsBasic:
     def test_sandwich_helpers(self, fam_abs):
         sub0 = fam_abs.sup.eps_subdifferential(qv(0), Q(0))
         image = rhs_basic_image(fam_abs, qv(0), Q(0))
-        assert rhs_basic_covers(image, sub0)
+        assert rhs_basic_covers(image, sub0) is None
         assert rhs_basic_within(image, sub0)
         big = Polyhedron.box(qv(-2), qv(2))
-        assert not rhs_basic_covers(image, big)
+        assert rhs_basic_covers(image, big) is not None
         small = Polyhedron.box(qv(0), qv("1/2"))
         assert not rhs_basic_within(image, small)
 
@@ -120,6 +121,36 @@ class TestEpsNormalIntersection:
 class TestQualification:
     def test_qc1_full_space(self, fam_abs):
         assert check_qc1(fam_abs, qv(0))
+
+    def test_qc1_fails_on_an_explicit_equality(self):
+        line = Polyhedron.from_hrep(2, [], [(qv(0, 1), Q(0))])
+        fam = FunctionFamily.make(
+            [("line", PolyhedralFunction.indicator(line)),
+             ("slope", PF(2, [(qv(1, 0), Q(0))]))]
+        )
+        assert fam.sup.domain.eqs
+        assert not check_qc1(fam, qv(3, 0))
+
+    def test_qc1_fails_on_an_implicit_equality(self):
+        below = Polyhedron.from_hrep(2, [(qv(0, 1), Q(1))])
+        above = Polyhedron.from_hrep(2, [(qv(0, -1), Q(-1))])
+        fam = FunctionFamily.make(
+            [("below", PolyhedralFunction.indicator(below)),
+             ("above", PolyhedralFunction.indicator(above))]
+        )
+        assert not fam.sup.domain.eqs
+        assert not check_qc1(fam, qv(0, 1))
+
+    def test_qc1_builds_no_cone(self, fam_abs, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("check_qc1 ran a cone test")
+
+        monkeypatch.setattr(calculus_module, "cone_is_trivial", refuse)
+        assert check_qc1(fam_abs, qv(0))
+        # a corner of the square: a pointed normal cone, so QC1 holds
+        square = Polyhedron.box(qv(0, 0), qv(1, 1))
+        fam = FunctionFamily.make([("box", PolyhedralFunction.indicator(square))])
+        assert check_qc1(fam, qv(1, 0))
 
     def test_qc2_opposing_indicators_fails(self):
         neg = Polyhedron.from_hrep(1, [(qv(1), Q(0))])

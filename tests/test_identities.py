@@ -260,6 +260,10 @@ class TestValidation:
         with pytest.raises(InvalidParameterError):
             check_identity("L2A", fam_abs, {"bogus": 1})
 
+    def test_dual_points_is_not_a_parameter(self, fam_abs):
+        with pytest.raises(InvalidParameterError, match="dual_points"):
+            check_identity("L2B", fam_abs, {"dual_points": [[0]]})
+
     def test_wrong_instance_kind(self):
         boxes = [Polyhedron.box(qv(0), qv(1))]
         with pytest.raises(InvalidParameterError):

@@ -6,8 +6,10 @@ built on raw vertex/ray enumeration, never from the operation under test.
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+import supcalc.polyhedron as polyhedron_module
 
 from supcalc.errors import CapacityError, EmptySetError, InvalidParameterError
 from supcalc.polyhedron import (
@@ -19,13 +21,13 @@ from supcalc.polyhedron import (
     included,
     interior_point,
     intersect,
-    lineality_space,
     minkowski_sum,
     missing_generator,
     polyhedron_equal,
     recession_cone,
     support_value,
 )
+from supcalc.oracles import _nullspace_basis, brute_generators
 from supcalc.rationals import NEG_INF, POS_INF, ExtendedRational, dot, qv
 
 FIN = ExtendedRational.finite
@@ -176,17 +178,64 @@ class TestRecession:
         rc = recession_cone(Polyhedron.box(qv(0, 0), qv(1, 1)))
         assert polyhedron_equal(rc, Polyhedron.single_point(qv(0, 0)))
 
-    def test_lineality_and_pointedness(self):
-        slab = Polyhedron.from_hrep(2, [(qv(1, 0), Q(1)), (qv(-1, 0), Q(1))])
-        lin = lineality_space(slab)
-        assert lin.contains(qv(0, 5)) and lin.contains(qv(0, -5))
-
     def test_cone_is_trivial(self):
         dim = 2
         origin_rows = [(qv(1, 0), Q(0)), (qv(-1, 0), Q(0)),
                        (qv(0, 1), Q(0)), (qv(0, -1), Q(0))]
         assert cone_is_trivial(dim, origin_rows, [])
         assert not cone_is_trivial(dim, [(qv(1, 0), Q(0))], [])
+
+    def test_cone_rows_need_zero_right_hand_sides(self):
+        with pytest.raises(InvalidParameterError):
+            cone_is_trivial(1, [(qv(1), Q(1))], [])
+        with pytest.raises(InvalidParameterError):
+            cone_is_trivial(1, [(qv(1), Q(0))], [(qv(1), Q(-1))])
+
+
+@st.composite
+def small_cones(draw):
+    """(dim, ineqs, eqs) of a cone: dim <= 4, at most 7 inequalities, 2 equalities.
+
+    Entries lie in [-2, 2].  On coin flips an inequality is joined by
+    its negation (an implicit equality) or repeated, and one coordinate
+    is zeroed in every row so that [G; A] loses rank.
+    """
+    dim = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(-2, 2).map(Q)] * dim)
+    ineqs = draw(st.lists(vector, max_size=5))
+    eqs = draw(st.lists(vector, max_size=2))
+    if ineqs and draw(st.booleans()):
+        ineqs.append(tuple(-t for t in draw(st.sampled_from(ineqs))))
+    if ineqs and draw(st.booleans()):
+        ineqs.append(draw(st.sampled_from(ineqs)))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, dim - 1))
+        ineqs, eqs = ([a[:k] + (Q(0),) + a[k + 1:] for a in rows] for rows in (ineqs, eqs))
+    return dim, [(a, Q(0)) for a in ineqs], [(a, Q(0)) for a in eqs]
+
+
+def _cone(dim, ineqs, eqs=()):
+    return dim, [(qv(*a), Q(0)) for a in ineqs], [(qv(*a), Q(0)) for a in eqs]
+
+
+@settings(max_examples=200)
+@given(small_cones())
+@example(_cone(2, [(1, 0), (0, 1), (-1, -1)]))  # a positive spanning set
+@example(_cone(3, [(1, 0, 0), (0, 1, 0), (-1, -1, 0)], [(0, 0, 1)]))
+@example(_cone(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]))  # rank 2
+@example(_cone(2, [(1, 1), (-1, -1), (1, -1)], [(0, 0)]))  # a half-line
+def test_cone_is_trivial_matches_brute_generators(cone):
+    """Trivial exactly when the oracle finds no ray; one LP, none below full rank."""
+    dim, ineqs, eqs = cone
+    _, rays = brute_generators(dim, ineqs, eqs)
+    solves = []
+    real = polyhedron_module.solve_min
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyhedron_module, "solve_min",
+                   lambda *args: solves.append(args) or real(*args))
+        assert cone_is_trivial(dim, ineqs, eqs) == (not rays)
+    full_rank = not _nullspace_basis([a for a, _ in ineqs + eqs], dim)
+    assert len(solves) == (1 if full_rank else 0)
 
 
 class TestInteriorPoint:
