@@ -1,4 +1,6 @@
 """Exact simplex: known optima, certificates, degenerate and redundant rows."""
+import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as Q
 
@@ -11,6 +13,7 @@ from supcalc.lp import LPStatus, _certify, solve_max, solve_min
 from supcalc.oracles import brute_generators
 from supcalc.polyhedron import Polyhedron
 from supcalc.rationals import ExtendedRational, dot, qv
+from supcalc.serialize import json_digest
 
 FIN = ExtendedRational.finite
 
@@ -236,3 +239,68 @@ def test_certify_rejects_one_wrong_entry(lp, tamper, message):
     with pytest.raises(LPInternalError, match=message):
         _certify(bad, *lp)
 
+
+
+def _pinned_lps():
+    """400 seeded LPs: n <= 4, at most 8 rows, fractional entries.
+
+    About a third of the draws repeat a row, scaled by 1, 2, 1/3 or -1
+    (the last turns an inequality into an implicit equality), the first
+    rows become equalities in most draws, and every fourth objective is
+    zero and every other fourth is the negated normal of an inequality,
+    so many optima are attained on a whole face and the returned point
+    is the one the pivot sequence reaches.
+    """
+    rng = random.Random(1968)
+
+    def q():
+        return Q(rng.randint(-4, 4), rng.choice((1, 1, 1, 2, 3, 5)))
+
+    lps = []
+    for k in range(400):
+        n = rng.randint(1, 4)
+        rows = [(tuple(q() for _ in range(n)), q()) for _ in range(rng.randint(1, 7))]
+        if rng.random() < 0.3:
+            a, b = rng.choice(rows)
+            t = rng.choice((Q(1), Q(2), Q(1, 3), Q(-1)))
+            rows.insert(rng.randint(0, len(rows)), (tuple(t * x for x in a), t * b))
+        split = rng.randint(0, min(2, len(rows)))
+        eqs, ineqs = rows[:split], rows[split:]
+        if k % 4 == 0:
+            c = (Q(0),) * n
+        elif k % 4 == 1 and ineqs:
+            t = rng.choice((Q(1), Q(1, 2), Q(3)))
+            c = tuple(-t * x for x in rng.choice(ineqs)[0])
+        else:
+            c = tuple(q() for _ in range(n))
+        lps.append((c, ineqs, eqs))
+    return lps
+
+
+# sha256 of the canonical JSON of every field of every result above
+PINNED_RESULTS = "cf9952622817da892af390832250e33cfc705976b49eeccf4e17380c6b6fa10c"
+
+
+def test_results_match_the_pinned_digest():
+    # any change to the pivot sequence moves some point, certificate or
+    # ray; a kernel rewrite must keep every field of every result
+    results = [solve_min(*lp) for lp in _pinned_lps()]
+    assert json_digest(results) == PINNED_RESULTS
+
+
+def test_pinned_lps_cover_every_case():
+    lps = _pinned_lps()
+    results = [solve_min(*lp) for lp in lps]
+    statuses = Counter(r.status for r in results)
+    assert min(statuses[s] for s in LPStatus) >= 80
+    assert sum(1 for _, _, eqs in lps if eqs) >= 200
+    # optima attained at two generator points or along a flat ray
+    on_a_face = 0
+    for (c, ineqs, eqs), res in zip(lps, results):
+        if res.status is LPStatus.OPTIMAL:
+            points, rays = brute_generators(len(c), ineqs, eqs)
+            best = res.optimum.finite_value()
+            if (sum(dot(c, p) == best for p in points) >= 2
+                    or any(dot(c, r) == 0 for r in rays)):
+                on_a_face += 1
+    assert on_a_face >= 80
