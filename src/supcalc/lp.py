@@ -11,11 +11,17 @@ and solved by a two-phase primal simplex.  Pivoting uses Bland's rule
 basic index as deterministic tie-break), so the method terminates and the
 answer is a pure function of the input.
 
-The tableau is kept fraction-free: all entries are integers sharing one
+The tableau is kept fraction-free: all entries are integers over a
 positive denominator, updated by the two-term determinant recurrence
-(every entry is a minor of the original integer system, so the division
-in the update is exact).  This is substantially faster than carrying a
-Fraction per cell and keeps bit growth polynomial.
+(Bareiss 1968; every entry is a minor of the original integer system, so
+the division in the update is exact).  This is substantially faster than
+carrying a Fraction per cell and keeps bit growth polynomial.
+
+The simplex sees the columns u | v | slacks | artificials of the
+standard form, with x = u - v, but a row stores only u, one column per
+row and the right-hand side.  The v and slack columns are fixed
+multiples of stored ones (v = -u, slack_r = mult_r * art_r) and are
+derived when read; see ``_Tableau``.
 
 Every result carries an exact certificate.  ``solve_min`` builds its
 result and passes it, with the original data, to ``_certify`` -- the one
@@ -31,19 +37,23 @@ place any LP answer is checked -- before returning it:
 
 The optimality and Farkas checks share one row combination,
 sum mu_i (g_i, h_i) + sum nu_j (a_j, b_j), taken over the nonzero
-multipliers only.  A certificate that fails verification raises
-LPInternalError; it cannot be silently wrong.
+multipliers only.  The checks run in integers on the caller's rows, each
+scaled by the lcm of its denominators, with the point, the ray and the
+multipliers over common denominators; they never read the tableau.  A
+certificate that fails verification raises LPInternalError; it cannot
+be silently wrong.
 """
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import gcd
+from math import lcm
+from operator import mul
 from typing import Sequence
 
 from .errors import DimensionMismatchError, LPInternalError
-from .rationals import ExtendedRational, NEG_INF, POS_INF, Vec, dot
+from .rationals import ExtendedRational, NEG_INF, POS_INF, Vec
 
 Row = tuple[Vec, Fraction]  # (a, b) for a.x <= b or a.x == b
 
@@ -64,112 +74,166 @@ class LPResult:
     ray: Vec | None = None  # improving recession direction when unbounded
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // gcd(a, b) * b
-
-
 def _scale_to_int(coeffs: Sequence[Fraction]) -> tuple[list[int], int]:
-    """Return (k*coeffs as ints, k) for the smallest positive integer k."""
-    k = 1
-    for c in coeffs:
-        k = _lcm(k, c.denominator)
-    return [int(c * k) for c in coeffs], k
+    """Return (k*coeffs as ints, k) for the smallest positive integer k.
+
+    Built from numerators and the lcm of the denominators, so one call
+    also puts a vector over its common denominator: coeffs = ints / k.
+    """
+    k = lcm(*[t.denominator for t in coeffs])
+    return [t.numerator * (k // t.denominator) for t in coeffs], k
+
+
+def _reduce(target: list[int], f: int, p: int, d: int, prow: list[int]) -> list[int]:
+    """One Bareiss step: (p * target - f * prow) / d, exact in integers."""
+    if f == 0:
+        return target if p == d else [t * p // d for t in target]
+    return [(t * p - f * q) // d for t, q in zip(target, prow)]
+
+
+def _catch_up(target: list[int], f: int, p: int, d: int, di: int, prow: list[int]) -> list[int]:
+    """The Bareiss step for a row last brought up to date at denominator di.
+
+    At d the row would read target * d / di, every entry an integer, so
+    ``t * d * p // di`` is exact; f is the row's pivot-column entry at d.
+    """
+    dp = d * p
+    return [(t * dp // di - f * q) // d for t, q in zip(target, prow)]
 
 
 class _Tableau:
-    """Integer simplex tableau with one shared positive denominator.
+    """Integer simplex tableau over one positive denominator, den.
 
-    The true rational tableau is ``rows / den``; both objective rows are
-    carried through every pivot so reduced costs and duals stay readable
-    at any point.
+    The simplex runs on the columns u (n) | v (n) | slacks (m1) |
+    artificials (m), with x = u - v; ``basis`` and Bland's order use
+    these column indices.  A row stores only n + m + 1 integers:
+    u | one column per row | rhs.  Row operations keep every linear
+    relation between columns, so the other columns are derived when
+    read:
+
+    * v_j = -u_j;
+    * slack_r = mult_r * art_r in every constraint row and in obj2, and
+      mult_r * (art_r - den) in obj1, whose stored artificial entries
+      carry the phase-1 costs (den each) on top of the row combination.
+
+    The true rational tableau is ``rows / den``, except that a pivot
+    leaves alone every row whose pivot-column entry is zero: that row
+    keeps its integers and the denominator ``scale[i]`` it was last
+    updated at, and the true row is ``rows[i] / scale[i]``.  Its entries
+    at den are ``rows[i] * den / scale[i]``, exact integers, and it is
+    brought there when a pivot next changes it or pivots on it.  Ratio
+    tests and signs read the stale integers unchanged.
+
+    obj2 is carried through every pivot; obj1 only through phase 1,
+    since only the infeasible branch reads it, before any later pivot.
+    Rows marked ``deleted`` are never read again and are no longer
+    updated.
     """
 
     def __init__(self, c: Sequence[Fraction], ineqs: Sequence[Row], eqs: Sequence[Row]):
         n = len(c)
         self.n = n
         self.m1 = len(ineqs)
-        self.m2 = len(eqs)
-        m = self.m1 + self.m2
+        m = self.m1 + len(eqs)
         self.m = m
-        # column layout: u (n) | v (n) | slacks (m1) | artificials (m) | rhs
         self.col_slack = 2 * n
         self.col_art = 2 * n + self.m1
-        self.col_rhs = self.col_art + m
-        self.ncols = self.col_rhs + 1
         self.rows: list[list[int]] = []
-        self.mult: list[Fraction] = []  # tableau row = mult * original row
+        self.mult: list[int] = []  # tableau row = mult * original row
         self.deleted = [False] * m
         self.den = 1
+        self.scale = [1] * m  # den at which each row was last updated
 
-        for r, (a, b) in enumerate(list(ineqs) + list(eqs)):
+        for r, (a, b) in enumerate((*ineqs, *eqs)):
             if len(a) != n:
                 raise DimensionMismatchError("constraint arity mismatch")
-            ints, k = _scale_to_int(list(a) + [b])
-            sgn = -1 if ints[-1] < 0 else 1
-            ints = [sgn * t for t in ints]
-            row = [0] * self.ncols
-            for j in range(n):
-                row[j] = ints[j]
-                row[n + j] = -ints[j]
-            if r < self.m1:
-                row[self.col_slack + r] = sgn * k
-            row[self.col_art + r] = 1
-            row[self.col_rhs] = ints[-1]
+            ints, k = _scale_to_int((*a, b))
+            if ints[-1] < 0:
+                ints = [-t for t in ints]
+                k = -k
+            row = ints[:n] + [0] * m + ints[n:]
+            row[n + r] = 1
             self.rows.append(row)
-            self.mult.append(Fraction(sgn * k))
+            self.mult.append(k)
 
         self.basis = [self.col_art + r for r in range(m)]
 
         # phase-2 objective, priced out trivially (artificials cost 0 here)
         c_ints, self.cost_scale = _scale_to_int(c)
-        self.obj2 = [0] * self.ncols
-        for j in range(n):
-            self.obj2[j] = c_ints[j]
-            self.obj2[n + j] = -c_ints[j]
+        self.obj2 = c_ints + [0] * (m + 1)
         # phase-1 objective (sum of artificials), priced out for the
         # all-artificial starting basis
-        self.obj1 = [0] * self.ncols
-        for row in self.rows:
-            for j in range(self.ncols):
-                self.obj1[j] -= row[j]
-        for r in range(m):
-            self.obj1[self.col_art + r] = 0
+        self.obj1 = [-sum(col) for col in zip(*self.rows)] if m else [0] * (n + 1)
+        self.obj1[n : n + m] = [0] * m
+        self.objs = (self.obj1, self.obj2)
+
+    def _column(self, c: int) -> tuple[int, int]:
+        """(s, k): column c is k times stored column s (obj1 slacks aside)."""
+        n = self.n
+        if c < n:
+            return c, 1
+        if c < self.col_slack:
+            return c - n, -1
+        if c < self.col_art:
+            return n + c - self.col_slack, self.mult[c - self.col_slack]
+        return n + c - self.col_art, 1
+
+    def _obj_entry(self, obj: list[int], c: int) -> int:
+        s, k = self._column(c)
+        if obj is self.obj1 and self.col_slack <= c < self.col_art:
+            return k * (obj[s] - self.den)
+        return k * obj[s]
 
     def _pivot(self, r: int, c: int) -> None:
-        prow = self.rows[r]
-        p = prow[c]
-        assert p > 0
+        s, k = self._column(c)
         d = self.den
-        for target in self.rows + [self.obj1, self.obj2]:
-            if target is prow:
+        rows, scale, deleted = self.rows, self.scale, self.deleted
+        if scale[r] != d:
+            rows[r] = [t * d // scale[r] for t in rows[r]]
+        prow = rows[r]
+        p = k * prow[s]
+        assert p > 0
+        for i, target in enumerate(rows):
+            if i == r or deleted[i] or not target[s]:
                 continue
-            f = target[c]
-            if f == 0:
-                if p != d:
-                    for j in range(self.ncols):
-                        target[j] = target[j] * p // d
+            di = scale[i]
+            if di == d:
+                rows[i] = _reduce(target, k * target[s], p, d, prow)
             else:
-                for j in range(self.ncols):
-                    target[j] = (target[j] * p - f * prow[j]) // d
+                rows[i] = _catch_up(target, k * target[s] * d // di, p, d, di, prow)
+            scale[i] = p
+        for obj in self.objs:
+            obj[:] = _reduce(obj, self._obj_entry(obj, c), p, d, prow)
+        scale[r] = p
         self.den = p
         self.basis[r] = c
 
     def _entering(self, obj: list[int]) -> int | None:
-        for j in range(self.col_art):  # artificial columns never re-enter
+        """Bland's first improving column: u, then v, then slacks."""
+        n = self.n
+        for j in range(n):
             if obj[j] < 0:
                 return j
-        return None
+        for j in range(n):
+            if obj[j] > 0:
+                return n + j
+        shift = self.den if obj is self.obj1 else 0
+        for r in range(self.m1):
+            if self.mult[r] * (obj[n + r] - shift) < 0:
+                return self.col_slack + r
+        return None  # artificial columns never re-enter
 
     def _leaving(self, c: int) -> int | None:
+        s, k = self._column(c)
         best: int | None = None
         bn = bd = 0  # best ratio = bn/bd
-        for i in range(self.m):
+        for i, row in enumerate(self.rows):
             if self.deleted[i]:
                 continue
-            a = self.rows[i][c]
+            a = k * row[s]
             if a <= 0:
                 continue
-            rn = self.rows[i][self.col_rhs]
+            rn = row[-1]
             if best is None:
                 best, bn, bd = i, rn, a
                 continue
@@ -194,25 +258,31 @@ class _Tableau:
     def phase1(self) -> Fraction:
         col = self.run_simplex(self.obj1)
         assert col is None, "phase-1 objective is bounded below by zero"
-        return Fraction(-self.obj1[self.col_rhs], self.den)
+        self.objs = (self.obj2,)
+        return Fraction(-self.obj1[-1], self.den)
 
     def drive_out_artificials(self) -> None:
+        n = self.n
         for r in range(self.m):
             if self.deleted[r] or self.basis[r] < self.col_art:
                 continue
-            assert self.rows[r][self.col_rhs] == 0
-            pivot_col = None
-            for j in range(self.col_art):
-                if self.rows[r][j] != 0:
-                    pivot_col = j
-                    break
+            row = self.rows[r]
+            assert row[-1] == 0
+            # first nonzero column in Bland's order; v_j is nonzero
+            # exactly when u_j is, and slack_q exactly when art_q is
+            pivot_col = next((j for j in range(n) if row[j]), None)
+            if pivot_col is None:
+                pivot_col = next(
+                    (self.col_slack + q for q in range(self.m1) if row[n + q]), None
+                )
             if pivot_col is None:
                 self.deleted[r] = True  # redundant combination of other rows
                 continue
-            if self.rows[r][pivot_col] < 0:
+            s, k = self._column(pivot_col)
+            if k * row[s] < 0:
                 # sign flip of the current row only; mult stays fixed since
                 # dual extraction is anchored to the starting matrix
-                self.rows[r] = [-t for t in self.rows[r]]
+                self.rows[r] = [-t for t in row]
             self._pivot(r, pivot_col)
 
     # -- extraction ----------------------------------------------------
@@ -224,7 +294,7 @@ class _Tableau:
 
     def primal_x(self) -> Vec:
         return self._fold({
-            self.basis[r]: Fraction(self.rows[r][self.col_rhs], self.den)
+            self.basis[r]: Fraction(self.rows[r][-1], self.scale[r])
             for r in range(self.m)
             if not self.deleted[r]
         })
@@ -236,49 +306,77 @@ class _Tableau:
             if self.deleted[r]:
                 ys.append(Fraction(0))
                 continue
-            red = Fraction(obj[self.col_art + r], self.den * cost_scale)
+            red = Fraction(obj[self.n + r], self.den * cost_scale)
             ys.append(self.mult[r] * (red - Fraction(art_cost, cost_scale)))
         return tuple(ys[: self.m1]), tuple(ys[self.m1 :])
 
     def ray_from(self, col: int) -> Vec:
+        s, k = self._column(col)
         coef = {col: Fraction(1)}
-        for i in range(self.m):
+        for i, row in enumerate(self.rows):
             if self.deleted[i]:
                 continue
-            t = self.rows[i][col]
+            t = k * row[s]
             if t:
-                coef[self.basis[i]] = Fraction(-t, self.den)
+                coef[self.basis[i]] = Fraction(-t, self.scale[i])
         return self._fold(coef)
 
 
+def _idot(a: Sequence[int], b: Sequence[int]) -> int:
+    """a . b over the first len(b) entries of a (a row may carry its rhs last)."""
+    return sum(map(mul, a, b))
+
+
+def _over_one_denominator(v: Sequence[Fraction], n: int) -> tuple[list[int], int]:
+    """(V, D) with v = V / D, D > 0; a length other than n is refused like dot's."""
+    if len(v) != n:
+        raise DimensionMismatchError(f"dot: {n} vs {len(v)}")
+    return _scale_to_int(v)
+
+
 def _combine(
-    mu: Vec, nu: Vec, ineqs: Sequence[Row], eqs: Sequence[Row], n: int
-) -> tuple[list[Fraction], Fraction]:
-    """(sum mu_i g_i + sum nu_j a_j, sum mu_i h_i + sum nu_j b_j) over nonzero multipliers."""
-    if len(mu) != len(ineqs) or len(nu) != len(eqs):
+    mu: Vec, nu: Vec, rows: Sequence[tuple[list[int], int]], m1: int, n: int
+) -> tuple[list[int], int, int]:
+    """(S, T, M) with sum mu_i (g_i, h_i) + sum nu_j (a_j, b_j) = (S, T) / M.
+
+    ``rows`` holds each caller row as (k (a | b) in integers, k), the
+    inequalities first.  Only nonzero multipliers enter; each y / k is
+    put over the common denominator M > 0.
+    """
+    if len(mu) != m1 or len(nu) != len(rows) - m1:
         raise LPInternalError("multiplier count differs from the row count")
-    coef = [Fraction(0)] * n
-    rhs = Fraction(0)
-    for ys, rows in ((mu, ineqs), (nu, eqs)):
-        for y, (a, b) in zip(ys, rows):
-            if y:
-                for p, t in enumerate(a):
-                    if t:
-                        coef[p] += y * t
-                rhs += y * b
-    return coef, rhs
+    terms = [(y, row, k) for y, (row, k) in zip((*mu, *nu), rows) if y]
+    big = lcm(*[y.denominator * k for y, _, k in terms])
+    coef = [0] * (n + 1)
+    for y, row, k in terms:
+        w = y.numerator * (big // (y.denominator * k))
+        for p, t in enumerate(row):
+            if t:
+                coef[p] += w * t
+    return coef[:n], coef[n], big
 
 
 def _certify(res: LPResult, c: Vec, ineqs: Sequence[Row], eqs: Sequence[Row]) -> None:
     """Re-check the certificate res carries against the original data.
 
+    Reads only (c, ineqs, eqs) and res.  Every check runs in integers:
+    each row is scaled by the lcm of its denominators, and the point,
+    the ray and the multipliers are put over common denominators.
     Raises LPInternalError on the first check that fails.
     """
+    n = len(c)
+    rows = []
+    for a, b in (*ineqs, *eqs):
+        if len(a) != n:
+            raise DimensionMismatchError(f"dot: {len(a)} vs {n}")
+        rows.append(_scale_to_int((*a, b)))
+    m1 = len(ineqs)
+
     if res.status is LPStatus.INFEASIBLE:
         mu, nu = res.dual_certificate["farkas_mu"], res.dual_certificate["farkas_nu"]
-        if any(m < 0 for m in mu):
+        if any(y < 0 for y in mu):
             raise LPInternalError("Farkas multiplier negative")
-        coef, rhs = _combine(mu, nu, ineqs, eqs, len(c))
+        coef, rhs, _ = _combine(mu, nu, rows, m1, n)
         if any(coef):
             raise LPInternalError("Farkas combination not null")
         if rhs >= 0:
@@ -287,36 +385,40 @@ def _certify(res: LPResult, c: Vec, ineqs: Sequence[Row], eqs: Sequence[Row]) ->
             raise LPInternalError("an infeasible minimum must be +inf")
         return
 
-    x = res.primal_point
-    lhs = [dot(a, x) for a, _ in ineqs]
-    if any(v > b for v, (_, b) in zip(lhs, ineqs)):
+    cost, cost_scale = _scale_to_int(c)
+    x, x_den = _over_one_denominator(res.primal_point, n)
+    lhs = [_idot(row, x) for row, _ in rows]  # k * a.x * x_den per row
+    if any(v > row[-1] * x_den for v, (row, _) in zip(lhs[:m1], rows)):
         raise LPInternalError("primal point violates an inequality")
-    if any(dot(a, x) != b for a, b in eqs):
+    if any(v != row[-1] * x_den for v, (row, _) in zip(lhs[m1:], rows[m1:])):
         raise LPInternalError("primal point violates an equality")
 
     if res.status is LPStatus.UNBOUNDED:
-        ray = res.ray
-        if any(dot(a, ray) > 0 for a, _ in ineqs):
+        ray, _ = _over_one_denominator(res.ray, n)
+        if any(_idot(row, ray) > 0 for row, _ in rows[:m1]):
             raise LPInternalError("ray leaves an inequality")
-        if any(dot(a, ray) != 0 for a, _ in eqs):
+        if any(_idot(row, ray) != 0 for row, _ in rows[m1:]):
             raise LPInternalError("ray leaves an equality")
-        if dot(c, ray) >= 0:
+        if _idot(cost, ray) >= 0:
             raise LPInternalError("ray does not improve the objective")
         if res.optimum != NEG_INF:
             raise LPInternalError("an unbounded minimum must be -inf")
         return
 
     mu, nu = res.dual_certificate["mu"], res.dual_certificate["nu"]
-    for m_i, v, (_, b) in zip(mu, lhs, ineqs):
-        if m_i < 0:
+    for y, v, (row, _) in zip(mu, lhs, rows[:m1]):
+        if y < 0:
             raise LPInternalError("negative dual multiplier")
-        if m_i != 0 and v != b:
+        if y != 0 and v != row[-1] * x_den:
             raise LPInternalError("complementary slackness fails")
-    coef, rhs = _combine(mu, nu, ineqs, eqs, len(c))
-    if any(c_p + s for c_p, s in zip(c, coef)):
+    coef, rhs, big = _combine(mu, nu, rows, m1, n)
+    # c + coef / big = 0 with c = cost / cost_scale
+    if any(t * big + cost_scale * s for t, s in zip(cost, coef)):
         raise LPInternalError("dual stationarity fails")
-    value = dot(c, x)
-    if -rhs != value or res.optimum != ExtendedRational.finite(value):
+    # c.x = cost.x / (cost_scale * x_den) must equal -rhs / big
+    value = _idot(cost, x)
+    if (-rhs * cost_scale * x_den != value * big
+            or res.optimum != ExtendedRational.finite(Fraction(value, cost_scale * x_den))):
         raise LPInternalError("primal and dual objectives differ")
 
 
@@ -340,7 +442,7 @@ def solve_min(c: Sequence[Fraction], ineqs: Sequence[Row] = (), eqs: Sequence[Ro
         if col is not None:
             res = LPResult(LPStatus.UNBOUNDED, NEG_INF, primal_point=x, ray=tab.ray_from(col))
         else:
-            value = Fraction(-tab.obj2[tab.col_rhs], tab.den * tab.cost_scale)
+            value = Fraction(-tab.obj2[-1], tab.den * tab.cost_scale)
             mu, nu = tab.duals(tab.obj2, art_cost=0, cost_scale=tab.cost_scale)
             res = LPResult(
                 LPStatus.OPTIMAL,

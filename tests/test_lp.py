@@ -2,6 +2,7 @@
 import random
 from collections import Counter
 from dataclasses import replace
+from math import gcd
 from fractions import Fraction as Q
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supcalc.errors import LPInternalError
-from supcalc.lp import LPStatus, _certify, solve_max, solve_min
+from supcalc.lp import LPStatus, _certify, _combine, _scale_to_int, solve_max, solve_min
 from supcalc.oracles import brute_generators
 from supcalc.polyhedron import Polyhedron
 from supcalc.rationals import ExtendedRational, dot, qv
@@ -178,6 +179,23 @@ EMPTY = (qv(1), [(qv(1), Q(-1)), (qv(-1), Q(-1))], [])
 STRIP = (qv(1, 0), [(qv(0, 1), Q(1)), (qv(0, -1), Q(1))], [])  # ray (-1, 0)
 LINE = (qv(1, 0), [], [(qv(0, 1), Q(0))])  # ray (-1, 0)
 ZERO_ROW = (qv(1), [(qv(0), Q(-1))], [])  # 0 <= -1
+INTEGER = {"BOX": BOX, "SEGMENT": SEGMENT, "EMPTY": EMPTY, "STRIP": STRIP,
+           "LINE": LINE, "ZERO_ROW": ZERO_ROW}
+
+# the same sets with non-unit denominators in rows, right-hand sides and
+# objectives, so a check that scaled a row but not its b, or forgot a
+# row's scale in a multiplier, fails on them
+FRACTIONAL = {
+    "BOX": (qv("1/2", "3/5"),  # BOX rows scaled by 1/3 and 2/7: optimum 17/10 at (1, 2)
+            [(qv("-1/3", 0), Q(-1, 3)), (qv(0, "-2/7"), Q(-4, 7))], []),
+    "SEGMENT": (qv("1/2", "-1/2"),  # x + y = 5/3
+                [(qv("2/3", "-2/3"), Q(2, 3)), (qv("-1/4", 0), Q(0))],
+                [(qv(1, 1), Q(5, 3))]),
+    "EMPTY": (qv("1/2"), [(qv("1/3"), Q(-1, 5)), (qv("-2/7"), Q(-1, 2))], []),
+    "STRIP": (qv("2/3", 0), [(qv(0, "1/3"), Q(1, 2)), (qv(0, "-3/5"), Q(2, 7))], []),
+    "LINE": (qv("3/4", 0), [], [(qv(0, "2/5"), Q(1, 3))]),
+    "ZERO_ROW": (qv("1/2"), [(qv(0), Q(-2, 3))], []),
+}
 
 
 def _put(t, i, v):
@@ -196,40 +214,50 @@ def _point_entry(field, i, value):
     return lambda res: replace(res, **{field: _put(getattr(res, field), i, value)})
 
 
+# (set, tamper, message, id); each runs on the integer and the fractional set
+TAMPERS = [
+    ("BOX", _cert_entry("mu", 0, lambda m: m + 1),
+     "dual stationarity fails", "multiplier-value"),
+    ("SEGMENT", _cert_entry("nu", 0, lambda m: m + 1),
+     "dual stationarity fails", "equality-multiplier-value"),
+    ("BOX", _cert_entry("mu", 0, lambda m: -m),
+     "negative dual multiplier", "multiplier-sign"),
+    ("BOX", lambda res: replace(res, dual_certificate={
+        "mu": res.dual_certificate["mu"][:1], "nu": ()}),
+     "multiplier count differs", "multiplier-dropped"),
+    ("BOX", _point_entry("primal_point", 1, Q(3)),
+     "complementary slackness fails", "primal-coordinate-slack"),
+    ("BOX", _point_entry("primal_point", 0, Q(0)),
+     "primal point violates an inequality", "primal-coordinate-outside"),
+    ("SEGMENT", _point_entry("primal_point", 1, Q(3)),
+     "primal point violates an equality", "primal-coordinate-off-equality"),
+    ("BOX", lambda res: replace(res, optimum=FIN(Q(4))),
+     "primal and dual objectives differ", "optimum"),
+    ("EMPTY", _cert_entry("farkas_mu", 0, lambda m: 2 * m),
+     "Farkas combination not null", "farkas-value"),
+    ("EMPTY", _cert_entry("farkas_mu", 0, lambda m: -m),
+     "Farkas multiplier negative", "farkas-sign"),
+    ("ZERO_ROW", _cert_entry("farkas_mu", 0, lambda m: 0 * m),
+     "Farkas value not negative", "farkas-value-zero"),
+    ("EMPTY", lambda res: replace(res, optimum=FIN(Q(0))),
+     "infeasible minimum must be", "infeasible-optimum"),
+    ("STRIP", _point_entry("ray", 1, Q(1)),
+     "ray leaves an inequality", "ray-leaves"),
+    ("LINE", _point_entry("ray", 1, Q(1)),
+     "ray leaves an equality", "ray-off-equality"),
+    ("STRIP", _point_entry("ray", 0, Q(0)),
+     "ray does not improve the objective", "ray-flat"),
+    ("STRIP", lambda res: replace(res, optimum=FIN(Q(0))),
+     "unbounded minimum must be", "unbounded-optimum"),
+]
+
+
 @pytest.mark.parametrize("lp, tamper, message", [
-    pytest.param(BOX, _cert_entry("mu", 0, lambda m: m + 1),
-                 "dual stationarity fails", id="multiplier-value"),
-    pytest.param(SEGMENT, _cert_entry("nu", 0, lambda m: m + 1),
-                 "dual stationarity fails", id="equality-multiplier-value"),
-    pytest.param(BOX, _cert_entry("mu", 0, lambda m: -m),
-                 "negative dual multiplier", id="multiplier-sign"),
-    pytest.param(BOX, lambda res: replace(res, dual_certificate={
-                     "mu": res.dual_certificate["mu"][:1], "nu": ()}),
-                 "multiplier count differs", id="multiplier-dropped"),
-    pytest.param(BOX, _point_entry("primal_point", 1, Q(3)),
-                 "complementary slackness fails", id="primal-coordinate-slack"),
-    pytest.param(BOX, _point_entry("primal_point", 0, Q(0)),
-                 "primal point violates an inequality", id="primal-coordinate-outside"),
-    pytest.param(SEGMENT, _point_entry("primal_point", 1, Q(3)),
-                 "primal point violates an equality", id="primal-coordinate-off-equality"),
-    pytest.param(BOX, lambda res: replace(res, optimum=FIN(Q(4))),
-                 "primal and dual objectives differ", id="optimum"),
-    pytest.param(EMPTY, _cert_entry("farkas_mu", 0, lambda m: 2 * m),
-                 "Farkas combination not null", id="farkas-value"),
-    pytest.param(EMPTY, _cert_entry("farkas_mu", 0, lambda m: -m),
-                 "Farkas multiplier negative", id="farkas-sign"),
-    pytest.param(ZERO_ROW, _cert_entry("farkas_mu", 0, lambda m: 0 * m),
-                 "Farkas value not negative", id="farkas-value-zero"),
-    pytest.param(EMPTY, lambda res: replace(res, optimum=FIN(Q(0))),
-                 "infeasible minimum must be", id="infeasible-optimum"),
-    pytest.param(STRIP, _point_entry("ray", 1, Q(1)),
-                 "ray leaves an inequality", id="ray-leaves"),
-    pytest.param(LINE, _point_entry("ray", 1, Q(1)),
-                 "ray leaves an equality", id="ray-off-equality"),
-    pytest.param(STRIP, _point_entry("ray", 0, Q(0)),
-                 "ray does not improve the objective", id="ray-flat"),
-    pytest.param(STRIP, lambda res: replace(res, optimum=FIN(Q(0))),
-                 "unbounded minimum must be", id="unbounded-optimum"),
+    pytest.param(INTEGER[name], tamper, message, id=ident)
+    for name, tamper, message, ident in TAMPERS
+] + [
+    pytest.param(FRACTIONAL[name], tamper, message, id=f"{ident}-fractional")
+    for name, tamper, message, ident in TAMPERS
 ])
 def test_certify_rejects_one_wrong_entry(lp, tamper, message):
     res = solve_min(*lp)
@@ -239,6 +267,42 @@ def test_certify_rejects_one_wrong_entry(lp, tamper, message):
     with pytest.raises(LPInternalError, match=message):
         _certify(bad, *lp)
 
+
+
+def test_fractional_sets_have_the_stated_results():
+    box, segment = solve_min(*FRACTIONAL["BOX"]), solve_min(*FRACTIONAL["SEGMENT"])
+    assert (box.optimum, box.primal_point) == (FIN(Q(17, 10)), qv(1, 2))
+    assert (segment.optimum, segment.primal_point) == (FIN(Q(-5, 6)), qv(0, "5/3"))
+    for name in ("EMPTY", "ZERO_ROW"):
+        assert solve_min(*FRACTIONAL[name]).status is LPStatus.INFEASIBLE
+    for name in ("STRIP", "LINE"):
+        assert solve_min(*FRACTIONAL[name]).status is LPStatus.UNBOUNDED
+
+
+@given(st.lists(coeff, max_size=6))
+def test_scale_to_int_matches_fraction_arithmetic(v):
+    ints, k = _scale_to_int(v)
+    assert k > 0 and all(type(t) is int for t in ints)
+    assert [Q(t, k) for t in ints] == v
+    assert gcd(k, *ints) == 1  # no smaller k makes every entry integral
+
+
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.tuples(*[coeff] * n), coeff), max_size=4),
+    st.lists(st.tuples(st.tuples(*[coeff] * n), coeff), max_size=3),
+    st.lists(coeff, min_size=7, max_size=7),
+)))
+def test_combine_matches_fraction_sums(data):
+    # the integer row combination of _certify against plain Fraction sums
+    n, ineqs, eqs, ys = data
+    rows = ineqs + eqs
+    mu, nu = tuple(ys[: len(ineqs)]), tuple(ys[len(ineqs) : len(rows)])
+    coef, rhs, big = _combine(mu, nu, [_scale_to_int((*a, b)) for a, b in rows], len(ineqs), n)
+    want = [sum((y * a[p] for y, (a, _) in zip(mu + nu, rows)), Q(0)) for p in range(n)]
+    assert big > 0
+    assert [Q(t, big) for t in coef] == want
+    assert Q(rhs, big) == sum((y * b for y, (_, b) in zip(mu + nu, rows)), Q(0))
 
 
 def _pinned_lps():
