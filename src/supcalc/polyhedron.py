@@ -542,16 +542,23 @@ def interior_point(p: Polyhedron) -> Vec | None:
     Returns None when the interior is empty: explicit equalities, an
     implicit equality (maximal slack zero), or emptiness.  The point is
     the deterministic maximizer of the smallest constraint slack.
+
+    The max-slack LP also decides emptiness: its optimum is below zero
+    exactly when P is empty.  So unless ``p.is_empty`` is already known,
+    that one LP settles it too, and a later ``is_empty`` solves nothing.
     """
-    # the max-slack LP shows emptiness too (optimum below zero), but
-    # callers go on to ask is_empty of the same set, so skipping the
-    # check here would move that LP, not save it
-    if p.eqs or p.is_empty:
+    if p.eqs:
+        return None
+    known = vars(p).get("is_empty")  # the cached_property's value, if computed
+    if known:
         return None
     res = max_slack(p, lambda a: Fraction(1))
-    if res.status is not LPStatus.OPTIMAL or res.optimum.finite_value() <= 0:
+    if res.status is not LPStatus.OPTIMAL:
         return None
-    return res.primal_point[: p.dim]
+    slack = res.optimum.finite_value()
+    if known is None:
+        vars(p)["is_empty"] = slack < 0
+    return res.primal_point[: p.dim] if slack > 0 else None
 
 
 def affine_preimage(p: Polyhedron, matrix: Sequence[Vec], offset: Vec) -> Polyhedron:

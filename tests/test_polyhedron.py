@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import supcalc.lp as lp_module
 import supcalc.polyhedron as polyhedron_module
 
 from supcalc.errors import CapacityError, EmptySetError, InvalidParameterError
@@ -254,6 +255,34 @@ class TestInteriorPoint:
     def test_row_free_full_space(self):
         x = interior_point(Polyhedron.full_space(3))
         assert x is not None and len(x) == 3
+
+    @pytest.mark.parametrize("rows, has_interior, empty", [
+        ([(qv(1, 0), Q(1)), (qv(-1, 0), Q(0)), (qv(0, 1), Q(1)), (qv(0, -1), Q(0))],
+         True, False),
+        ([(qv(1, 0), Q(0)), (qv(-1, 0), Q(0))], False, False),  # the line x = 0
+        ([(qv(1, 0), Q(-1)), (qv(-1, 0), Q(-1))], False, True),
+    ])
+    def test_one_lp_settles_emptiness(self, rows, has_interior, empty):
+        # the max-slack LP is negative exactly on an empty set, so it
+        # answers is_empty too, and a known answer is reused
+        def counted(make):
+            p = Polyhedron.from_hrep(2, rows)
+            solves = []
+            real = lp_module.solve_min
+            with pytest.MonkeyPatch.context() as mp:
+                for module in (lp_module, polyhedron_module):
+                    mp.setattr(module, "solve_min",
+                               lambda *args: solves.append(args) or real(*args))
+                answers = make(p)
+            return answers, len(solves)
+
+        point_first, n_first = counted(lambda p: (interior_point(p), p.is_empty))
+        assert n_first == 1
+        assert (point_first[0] is not None) == has_interior
+        assert point_first[1] == empty
+        empty_first, n_known = counted(lambda p: (p.is_empty, interior_point(p)))
+        assert empty_first == (empty, point_first[0])
+        assert n_known == (1 if empty else 2)
 
 
 class TestAffinePreimage:
