@@ -340,6 +340,62 @@ def test_double_conversion_identity(bx, by):
     assert polyhedron_equal(rebuilt, p)
 
 
+@st.composite
+def rows_and_probes(draw):
+    """(dim, ineqs, eqs, x, d) with fractional rows, dim <= 3.
+
+    Rows are often tight at the point x or flat along the direction d,
+    so equalities and boundaries are hit; zero rows, repeated rows and
+    rows repeated at a positive rational scale also occur.
+    """
+    dim = draw(st.integers(min_value=1, max_value=3))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    vector = st.tuples(*[entry] * dim)
+    x, d = draw(vector), draw(vector)
+    flat = (d[1], -d[0]) + (Q(0),) * (dim - 2) if dim > 1 else (Q(0),)
+
+    def row():
+        kind = draw(st.sampled_from(["free", "tight", "tight", "flat", "zero"]))
+        if kind == "zero":
+            return (Q(0),) * dim, draw(st.sampled_from([Q(0), Q(0), Q(1, 2), Q(-1)]))
+        a = flat if kind == "flat" else draw(vector)
+        return a, dot(a, x) if kind == "tight" else draw(entry)
+
+    def rows(most):
+        out = [row() for _ in range(draw(st.integers(min_value=0, max_value=most)))]
+        if out and draw(st.booleans()):
+            a, b = draw(st.sampled_from(out))
+            k = draw(st.sampled_from([Q(1), Q(2, 3), Q(5)]))
+            out.append((tuple(k * t for t in a), k * b))
+        return out
+
+    return dim, rows(4), rows(2), x, d
+
+
+@given(rows_and_probes())
+@example((2, [((Q(1, 2), Q(0)), Q(1, 3)), ((Q(0), Q(0)), Q(0))],
+          [((Q(0), Q(0)), Q(0))], (Q(2, 3), Q(1)), (Q(-1), Q(0))))
+def test_predicates_agree_with_the_callers_rows(data):
+    # the reference reads the rows as given, not as the polyhedron stores them
+    dim, ineqs, eqs, x, d = data
+    p = Polyhedron.from_hrep(dim, ineqs, eqs)
+    assert p.contains(x) == (
+        all(dot(a, x) <= b for a, b in ineqs) and all(dot(a, x) == b for a, b in eqs)
+    )
+    # interior: a zero row limits nothing unless it is unsatisfiable,
+    # and a nonzero equality leaves no interior
+    assert p.contains_in_interior(x) == (
+        all(dot(a, x) < b if any(a) else b >= 0 for a, b in ineqs)
+        and all(not any(a) and b == 0 for a, b in eqs)
+    )
+    # an unsatisfiable zero row stores the empty marker, whose
+    # recession test admits every direction
+    if all(b >= 0 for a, b in ineqs if not any(a)) and all(b == 0 for a, b in eqs if not any(a)):
+        assert p.contains_ray(d) == (
+            all(dot(a, d) <= 0 for a, _ in ineqs) and all(dot(a, d) == 0 for a, _ in eqs)
+        )
+
+
 @given(
     st.lists(
         st.tuples(
