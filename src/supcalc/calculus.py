@@ -99,9 +99,7 @@ class _System:
                     add(row, 0)
 
     def dense(self, coeffs: Mapping[int, Fraction]) -> Vec:
-        return tuple(
-            Fraction(coeffs.get(j, 0)) for j in range(self.nvars)
-        )
+        return tuple(coeffs.get(j, 0) for j in range(self.nvars))
 
     def rows(self) -> tuple[list[Row], list[Row]]:
         return (

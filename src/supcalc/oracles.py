@@ -158,6 +158,7 @@ def brute_generators(
     first so the pointed part is enumerable; its basis re-enters as
     paired opposite rays.
     """
+    ineqs, eqs = ([(vec(a), Fraction(b)) for a, b in rows] for rows in (ineqs, eqs))
     normals = [a for a, _ in ineqs] + [a for a, _ in eqs]
     lineality = _nullspace_basis(normals, dim)
     aug_eqs = list(eqs) + [(l, Fraction(0)) for l in lineality]

@@ -10,14 +10,20 @@ opposite rays.  When P is not pointed the points in V are not extreme
 points of P (none exist); they are a minimal set of representatives
 produced by the conversion, which is deterministic.
 
+The rows are stored in one canonical form: each row (a, b) is a tuple
+of coprime ``int`` coefficients a and an ``int`` right-hand side b, an
+equality's first nonzero entry is positive, and the rows are sorted
+without repeats, so equal inputs give equal rows.  Points, generators
+and LP results are ``Fraction``s.  Membership is decided in integers on
+the stored rows.
+
 Conversion in both directions runs the double description method on the
 homogenization cone  {(x, t) : a_i.x <= b_i t, e_j.x == d_j t, t >= 0}:
 rays with t > 0 map to points of P, rays with t = 0 to recession
 directions, and lineality basis vectors to lines.  The V->H direction is
 the same computation applied to the polar cone, whose extreme rays are
-the facet normals.  Generators and constraints are canonicalized
-(coprime integer coefficients, fixed sort order), so equal inputs give
-byte-equal outputs.
+the facet normals.  Generators are canonicalized too (fixed sort order,
+coprime integer rays), so equal inputs give byte-equal outputs.
 
 Conversions refuse to run above a dimension cap (default 6) which can be
 overridden through the SUPCALC_DD_CAP environment variable.
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     CapacityError,
@@ -37,7 +43,7 @@ from .errors import (
     EmptySetError,
     InvalidParameterError,
 )
-from .lp import LPResult, LPStatus, Row, solve_max, solve_min
+from .lp import LPResult, LPStatus, Row, _idot, _scale_to_int, solve_max, solve_min
 from .rationals import (
     NEG_INF,
     POS_INF,
@@ -73,20 +79,18 @@ def dd_dimension_cap() -> int:
 # ============================================================
 
 IVec = tuple[int, ...]
+IRow = tuple[IVec, int]  # a canonical stored row (a, b)
+
+
+def _primitive(v: Sequence[int]) -> IVec:
+    """v divided by the gcd of its entries (direction kept)."""
+    g = gcd(*v)
+    return tuple(t // g for t in v) if g > 1 else tuple(v)
 
 
 def _int_normalize(entries: Sequence[Fraction]) -> IVec:
     """Scale by a positive rational to coprime integers (direction kept)."""
-    k = 1
-    for e in entries:
-        k = k // gcd(k, e.denominator) * e.denominator
-    ints = [int(e * k) for e in entries]
-    g = 0
-    for t in ints:
-        g = gcd(g, t)
-    if g > 1:
-        ints = [t // g for t in ints]
-    return tuple(ints)
+    return _primitive(_scale_to_int(entries)[0])
 
 
 def _sign_normalize(v: IVec) -> IVec:
@@ -96,18 +100,8 @@ def _sign_normalize(v: IVec) -> IVec:
     return v
 
 
-def _idot(a: IVec, b: IVec) -> int:
-    return sum(x * y for x, y in zip(a, b))
-
-
 def _icomb(ca: int, a: IVec, cb: int, b: IVec) -> IVec:
-    raw = tuple(ca * x + cb * y for x, y in zip(a, b))
-    g = 0
-    for t in raw:
-        g = gcd(g, t)
-    if g > 1:
-        raw = tuple(t // g for t in raw)
-    return raw
+    return _primitive([ca * x + cb * y for x, y in zip(a, b)])
 
 
 # ============================================================
@@ -213,8 +207,8 @@ def dd_cone(norms: Sequence[IVec], dim: int) -> tuple[list[IVec], list[IVec]]:
 # Polyhedron
 # ============================================================
 
-def _canonical_rows(rows: Iterable[Row], dim: int, equality: bool) -> tuple[tuple[IVec, ...], bool]:
-    """Canonical integer rows; second result reports syntactic infeasibility."""
+def _canonical_rows(rows: Iterable[Row], dim: int, equality: bool) -> tuple[tuple[IRow, ...], bool]:
+    """Canonical integer rows (a, b); second result reports syntactic infeasibility."""
     out = set()
     infeasible = False
     for a, b in rows:
@@ -226,17 +220,11 @@ def _canonical_rows(rows: Iterable[Row], dim: int, equality: bool) -> tuple[tupl
             if (equality and b != 0) or (not equality and b < 0):
                 infeasible = True
             continue
-        row = _int_normalize(tuple(a) + (b,))
+        row = _int_normalize((*a, b))
         if equality:
             row = _sign_normalize(row)
         out.add(row)
-    return tuple(sorted(out)), infeasible
-
-
-def _rows_to_fractions(rows: Iterable[IVec]) -> tuple[Row, ...]:
-    return tuple(
-        (tuple(Fraction(t) for t in r[:-1]), Fraction(r[-1])) for r in rows
-    )
+    return tuple((r[:-1], r[-1]) for r in sorted(out)), infeasible
 
 
 @dataclass(frozen=True)
@@ -244,8 +232,8 @@ class Polyhedron:
     """Immutable H-form polyhedron; V-form computed on demand and cached."""
 
     dim: int
-    ineqs: tuple[Row, ...]
-    eqs: tuple[Row, ...]
+    ineqs: tuple[IRow, ...]
+    eqs: tuple[IRow, ...]
 
     # -- construction -------------------------------------------------
 
@@ -257,7 +245,7 @@ class Polyhedron:
         rows_e, bad_e = _canonical_rows(eqs, dim, equality=True)
         if bad_i or bad_e:
             return Polyhedron.empty(dim)
-        return Polyhedron(dim, _rows_to_fractions(rows_i), _rows_to_fractions(rows_e))
+        return Polyhedron(dim, rows_i, rows_e)
 
     @staticmethod
     def from_generators(dim: int, vertices: Iterable[Vec] = (), rays: Iterable[Vec] = ()) -> "Polyhedron":
@@ -272,23 +260,15 @@ class Polyhedron:
         if not vs:
             return Polyhedron.empty(dim)
         _check_cap(dim)
-        norms = [_int_normalize(tuple(v) + (Fraction(1),)) for v in vs]
-        norms += [_int_normalize(tuple(r) + (Fraction(0),)) for r in rs]
+        norms = [_int_normalize((*v, 1)) for v in vs] + [_int_normalize((*r, 0)) for r in rs]
         polar_rays, polar_lines = dd_cone(norms, dim + 1)
-        ineqs = [
-            (tuple(Fraction(t) for t in g[:-1]), Fraction(-g[-1]))
-            for g in polar_rays
-        ]
-        eqs = [
-            (tuple(Fraction(t) for t in g[:-1]), Fraction(-g[-1]))
-            for g in polar_lines
-        ]
-        return Polyhedron.from_hrep(dim, ineqs, eqs)
+        return Polyhedron.from_hrep(
+            dim, [(g[:-1], -g[-1]) for g in polar_rays], [(g[:-1], -g[-1]) for g in polar_lines]
+        )
 
     @staticmethod
     def empty(dim: int) -> "Polyhedron":
-        marker = ((tuple(Fraction(0) for _ in range(dim)), Fraction(-1)),)
-        return Polyhedron(dim, marker, ())
+        return Polyhedron(dim, (((0,) * dim, -1),), ())
 
     @staticmethod
     def full_space(dim: int) -> "Polyhedron":
@@ -298,9 +278,11 @@ class Polyhedron:
     def box(lo: Sequence, hi: Sequence) -> "Polyhedron":
         lo, hi = vec(lo), vec(hi)
         dim = len(lo)
+        if len(hi) != dim:
+            raise DimensionMismatchError("box bounds arity mismatch")
         rows: list[Row] = []
         for i in range(dim):
-            e = tuple(Fraction(1 if j == i else 0) for j in range(dim))
+            e = tuple(int(j == i) for j in range(dim))
             rows.append((e, hi[i]))
             rows.append((tuple(-t for t in e), -lo[i]))
         return Polyhedron.from_hrep(dim, rows)
@@ -308,10 +290,7 @@ class Polyhedron:
     @staticmethod
     def single_point(x: Sequence) -> "Polyhedron":
         x = vec(x)
-        eqs = [
-            (tuple(Fraction(1 if j == i else 0) for j in range(len(x))), x[i])
-            for i in range(len(x))
-        ]
+        eqs = [(tuple(int(j == i) for j in range(len(x))), x[i]) for i in range(len(x))]
         return Polyhedron.from_hrep(len(x), (), eqs)
 
     # -- basic predicates ---------------------------------------------
@@ -321,27 +300,36 @@ class Polyhedron:
         res = solve_min(zeros(self.dim), self.ineqs, self.eqs)
         return res.status is LPStatus.INFEASIBLE
 
-    def contains(self, x: Sequence) -> bool:
+    def _residuals(self, x: Sequence, cone: bool = False) -> tuple[Iterator[int], Iterator[int]]:
+        """D (a.x - b) over the inequality rows and over the equality rows, lazily.
+
+        D > 0 is x's common denominator, so each residual has the sign
+        of a.x - b.  With ``cone`` every b reads 0: the rows of the
+        recession cone.
+        """
         x = vec(x)
         if len(x) != self.dim:
             raise DimensionMismatchError("point arity mismatch")
-        return all(dot(a, x) <= b for a, b in self.ineqs) and all(
-            dot(a, x) == b for a, b in self.eqs
+        ints, den = _scale_to_int(x)
+        if cone:
+            den = 0
+        return tuple(
+            (_idot(a, ints) - b * den for a, b in rows) for rows in (self.ineqs, self.eqs)
         )
+
+    def contains(self, x: Sequence) -> bool:
+        ineqs, eqs = self._residuals(x)
+        return all(v <= 0 for v in ineqs) and not any(eqs)
 
     def contains_in_interior(self, x: Sequence) -> bool:
         """Membership in the topological interior (not merely relative)."""
-        x = vec(x)
-        if self.eqs:
-            return False
-        return all(dot(a, x) < b for a, b in self.ineqs)
+        ineqs, _ = self._residuals(x)
+        return not self.eqs and all(v < 0 for v in ineqs)
 
     def contains_ray(self, r: Sequence) -> bool:
         """Does the recession cone contain direction r?"""
-        r = vec(r)
-        return all(dot(a, r) <= 0 for a, _ in self.ineqs) and all(
-            dot(a, r) == 0 for a, _ in self.eqs
-        )
+        ineqs, eqs = self._residuals(r, cone=True)
+        return all(v <= 0 for v in ineqs) and not any(eqs)
 
     # -- generator form -----------------------------------------------
 
@@ -349,13 +337,9 @@ class Polyhedron:
     def generators(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
         """(points, rays) with P = conv(points) + cone(rays), canonical."""
         _check_cap(self.dim)
-        norms: list[IVec] = []
-        for a, b in self.ineqs:
-            norms.append(_int_normalize(tuple(a) + (-b,)))
+        norms = [(*a, -b) for a, b in self.ineqs]
         for a, b in self.eqs:
-            base = _int_normalize(tuple(a) + (-b,))
-            norms.append(base)
-            norms.append(tuple(-t for t in base))
+            norms += [(*a, -b), (*(-t for t in a), b)]
         norms.append(tuple([0] * self.dim + [-1]))  # homogenizing t >= 0
         hom_rays, hom_lines = dd_cone(norms, self.dim + 1)
 
@@ -366,10 +350,7 @@ class Polyhedron:
             if t > 0:
                 verts.add(tuple(Fraction(c, t) for c in r[:-1]))
             elif any(c != 0 for c in r[:-1]):
-                g = 0
-                for c in r[:-1]:
-                    g = gcd(g, c)
-                rays.add(tuple(c // g for c in r[:-1]) if g > 1 else r[:-1])
+                rays.add(_primitive(r[:-1]))
         for l in hom_lines:
             body = l[:-1]
             if any(c != 0 for c in body):
@@ -407,8 +388,8 @@ def recession_cone(p: Polyhedron) -> Polyhedron:
     """{d : x + t d in P for all x in P, t >= 0}; undefined on empty sets."""
     if p.is_empty:
         raise EmptySetError("recession cone of an empty polyhedron")
-    rows = [(a, Fraction(0)) for a, _ in p.ineqs]
-    eqs = [(a, Fraction(0)) for a, _ in p.eqs]
+    rows = [(a, 0) for a, _ in p.ineqs]
+    eqs = [(a, 0) for a, _ in p.eqs]
     return Polyhedron.from_hrep(p.dim, rows, eqs)
 
 
@@ -568,6 +549,8 @@ def affine_preimage(p: Polyhedron, matrix: Sequence[Vec], offset: Vec) -> Polyhe
     src_dim = len(matrix[0]) if matrix else 0
     if src_dim < 1:
         raise InvalidParameterError("affine_preimage needs a positive source dimension")
+    if any(len(row) != src_dim for row in matrix):
+        raise DimensionMismatchError("affine_preimage matrix rows differ in length")
 
     def pull(a: Vec, b: Fraction) -> Row:
         coeff = tuple(

@@ -50,7 +50,7 @@ class Image:
     ) -> None:
         self.matrix = [vec(r) for r in matrix]
         if any(len(r) != src_dim for r in self.matrix):
-            raise LPInternalError("projection matrix arity mismatch")
+            raise DimensionMismatchError("projection matrix arity mismatch")
         self.src_dim = src_dim
         self.dim = len(self.matrix)
         self.ineqs = list(ineqs)

@@ -2,7 +2,8 @@
 
 Every finite quantity in the engine is a ``fractions.Fraction`` (always in
 lowest terms with a positive denominator, which is exactly the scalar
-contract we need), and vectors are plain tuples of Fractions.  Infinite
+contract we need), and vectors are plain tuples of Fractions.  The one
+exception is a Polyhedron's stored rows, which are canonical integers.  Infinite
 values never mix with vector arithmetic; they only occur as function
 values and LP optima, wrapped in :class:`ExtendedRational`.
 

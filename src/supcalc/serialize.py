@@ -53,6 +53,12 @@ def to_jsonable(obj: Any) -> Any:
         return format_extended(obj)
     if isinstance(obj, Enum):
         return to_jsonable(obj.value)
+    if isinstance(obj, Polyhedron):
+        # its integer rows are written as "p/q" strings, like every rational
+        return {"dim": obj.dim, **{
+            name: [[[format_rational(t) for t in a], format_rational(b)] for a, b in rows]
+            for name, rows in (("ineqs", obj.ineqs), ("eqs", obj.eqs))
+        }}
     if isinstance(obj, Mapping):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -4,6 +4,7 @@ Derived expectations in this file come from a support-function oracle
 built on raw vertex/ray enumeration, never from the operation under test.
 """
 from fractions import Fraction as Q
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +13,12 @@ from hypothesis import strategies as st
 import supcalc.lp as lp_module
 import supcalc.polyhedron as polyhedron_module
 
-from supcalc.errors import CapacityError, EmptySetError, InvalidParameterError
+from supcalc.errors import (
+    CapacityError,
+    DimensionMismatchError,
+    EmptySetError,
+    InvalidParameterError,
+)
 from supcalc.polyhedron import (
     Polyhedron,
     affine_preimage,
@@ -29,6 +35,7 @@ from supcalc.polyhedron import (
     support_value,
 )
 from supcalc.oracles import _nullspace_basis, brute_generators
+from supcalc.projection import Image
 from supcalc.rationals import NEG_INF, POS_INF, ExtendedRational, dot, qv
 
 FIN = ExtendedRational.finite
@@ -41,6 +48,16 @@ DIRECTIONS_2D = [
         (Q(1, 2), 1), (1, Q(1, 3)), (Q(-2, 3), Q(1, 5)), (Q(5, 7), Q(-1, 2)),
     ]
 ]
+
+
+def assert_canonical_rows(p):
+    """Stored rows are int, coprime and sorted without repeats; equalities lead positive."""
+    for rows in (p.ineqs, p.eqs):
+        flat = [(*a, b) for a, b in rows]
+        assert all(type(t) is int for r in flat for t in r)
+        assert all(gcd(*r) == 1 for r in flat)
+        assert flat == sorted(set(flat))
+    assert all(next(t for t in a if t) > 0 for a, _ in p.eqs)
 
 
 def oracle_support(verts, rays, d):
@@ -87,6 +104,39 @@ class TestRepresentations:
         assert ray.contains_ray(qv(1, 0))
         assert ray.contains_ray(qv(0, 1))
         assert not ray.contains_ray(qv(-1, 0))
+
+    @pytest.mark.parametrize("make", [
+        lambda: Polyhedron.from_hrep(2, [(qv("1/2", "-1/3"), Q(1, 6))], [(qv(-2, 4), Q(1))]),
+        lambda: Polyhedron.from_generators(2, [qv("1/2", 0), qv(0, "1/3")]),
+        lambda: Polyhedron.from_generators(2, [qv("1/2", 0)], [qv(-1, "-2/3"), qv(0, 1)]),
+        lambda: Polyhedron.empty(2),
+        lambda: Polyhedron.box(qv("-1/2", 0), qv(1, "2/3")),
+        lambda: Polyhedron.single_point(qv("1/3", -2)),
+        lambda: intersect(Polyhedron.box(qv(0, 0), qv(2, 2)),
+                          Polyhedron.from_hrep(2, [(qv(1, 1), Q(5, 2))], [(qv(-1, 1), Q(0))])),
+    ], ids=["from_hrep", "from_generators", "from_generators_rays", "empty", "box",
+            "single_point", "intersect"])
+    def test_every_constructor_stores_canonical_int_rows(self, make):
+        p = make()
+        assert p.ineqs or p.eqs
+        assert_canonical_rows(p)
+
+    @pytest.mark.parametrize("predicate", ["contains", "contains_ray", "contains_in_interior"])
+    def test_predicates_refuse_a_wrong_length(self, predicate):
+        for p in (Polyhedron.full_space(2), Polyhedron.from_hrep(2, [], [(qv(1, 0), Q(0))])):
+            for probe in (qv(1), qv(1, 2, 3)):
+                with pytest.raises(DimensionMismatchError):
+                    getattr(p, predicate)(probe)
+
+    @pytest.mark.parametrize("build", [
+        lambda: Polyhedron.box(qv(0, 0), qv(1)),
+        lambda: Polyhedron.box(qv(0), qv(1, 1)),
+        lambda: affine_preimage(Polyhedron.box(qv(0, 0), qv(1, 1)), [qv(1, 0), qv(1)], qv(0, 0)),
+        lambda: Image(2, [], [], [qv(1, 0), qv(1)]),
+    ], ids=["box_short_hi", "box_long_hi", "affine_preimage_ragged", "image_ragged"])
+    def test_constructors_refuse_a_wrong_length(self, build):
+        with pytest.raises(DimensionMismatchError):
+            build()
 
 
 class TestSetAlgebra:
@@ -375,10 +425,12 @@ def rows_and_probes(draw):
 @given(rows_and_probes())
 @example((2, [((Q(1, 2), Q(0)), Q(1, 3)), ((Q(0), Q(0)), Q(0))],
           [((Q(0), Q(0)), Q(0))], (Q(2, 3), Q(1)), (Q(-1), Q(0))))
+@example((2, [((Q(1), Q(0)), Q(-1))], [], (Q(0), Q(0)), (Q(0), Q(1))))
 def test_predicates_agree_with_the_callers_rows(data):
     # the reference reads the rows as given, not as the polyhedron stores them
     dim, ineqs, eqs, x, d = data
     p = Polyhedron.from_hrep(dim, ineqs, eqs)
+    assert_canonical_rows(p)
     assert p.contains(x) == (
         all(dot(a, x) <= b for a, b in ineqs) and all(dot(a, x) == b for a, b in eqs)
     )

@@ -5,9 +5,13 @@ from fractions import Fraction as Q
 import pytest
 
 from supcalc.errors import InvalidParameterError, SchemaError
+from supcalc.family import FunctionFamily
+from supcalc.functions import PolyhedralFunction
 from supcalc.generator import GeneratorParams, generate
 from supcalc.identities import check_identity
-from supcalc.polyhedron import polyhedron_equal
+from supcalc.oracles import brute_generators
+from supcalc.polyhedron import Polyhedron, polyhedron_equal
+from supcalc.rationals import qv
 from supcalc.serialize import (
     Instance,
     canonical_json,
@@ -138,3 +142,21 @@ def test_to_jsonable_rejects_floats():
     with pytest.raises(InvalidParameterError):
         canonical_json({"x": 0.5})
     assert to_jsonable(Q(1, 3)) == "1/3"
+
+
+def test_instance_digest_of_fractional_and_empty_sets_is_pinned():
+    # rows are written as "p/q" strings; the stored (1/2)x <= 1/3 reads 3x <= 2
+    dom = Polyhedron.from_hrep(2, [(qv("1/2", 0), Q(1, 3))], [(qv(1, -1), Q(0))])
+    fam = FunctionFamily.make([("f", PolyhedralFunction.make(2, [(qv(1, 0), Q(0))], dom))])
+    inst = Instance(fam, (("E", Polyhedron.empty(2)),))
+    assert json_digest(inst) == (
+        "83f5fb9988fb0a4d27831e58fbfa348957be5a450387e4ffbd64096502630681"
+    )
+
+
+def test_brute_generators_of_stored_rows_stay_fractions():
+    # the vertex (2/3, -1/3) and the ray (-1, 2) are reached by division
+    p = Polyhedron.from_hrep(2, [(qv(2, 1), Q(1)), (qv(0, -3), Q(1))])
+    points, rays = brute_generators(p.dim, p.ineqs, p.eqs)
+    assert points == [qv("2/3", "-1/3")] and sorted(rays) == [qv(-1, 0), qv(-1, 2)]
+    assert all(type(t) is Q for g in points + rays for t in g)
