@@ -3,9 +3,9 @@
 Every finite quantity in the engine is a ``fractions.Fraction`` (always in
 lowest terms with a positive denominator, which is exactly the scalar
 contract we need), and vectors are plain tuples of Fractions.  The one
-exception is a Polyhedron's stored rows, which are canonical integers.  Infinite
-values never mix with vector arithmetic; they only occur as function
-values and LP optima, wrapped in :class:`ExtendedRational`.
+exception is a Polyhedron's stored rows, which are canonical integers.
+Infinite values never mix with vector arithmetic; they only occur as
+function values and LP optima, wrapped in :class:`ExtendedRational`.
 
 Wire format for scalars is the string ``"p/q"`` with ``/q`` omitted when
 the denominator is 1, e.g. ``"3/4"``, ``"-2"``.
