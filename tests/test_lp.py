@@ -151,6 +151,41 @@ def small_lps(draw):
     return draw(vector), rows[split:], rows[:split]
 
 
+def _cold_solve(c, ineqs, eqs):
+    """solve_min on a fresh tableau, sharing nothing with earlier solves."""
+    return solve_min(c, ineqs, eqs)
+
+
+@st.composite
+def objectives_on_one_row_set(draw):
+    """(objectives, ineqs, eqs): a small_lps row set under 3-6 objectives.
+
+    The row set may be feasible, infeasible or unbounded under a given
+    objective; objectives mix small integers, fractions, zero and the
+    negated normal of a row, so optima land on faces as well as vertices.
+    """
+    c, ineqs, eqs = draw(small_lps())
+    n = len(c)
+    rows = ineqs + eqs
+    objective = st.one_of(
+        st.tuples(*[small] * n),
+        st.tuples(*[coeff] * n),
+        st.just((Q(0),) * n),
+        *([st.sampled_from(rows).map(lambda r: tuple(-t for t in r[0]))] if rows else []),
+    )
+    return draw(st.lists(objective, min_size=3, max_size=6)), ineqs, eqs
+
+
+@settings(max_examples=150)
+@given(objectives_on_one_row_set())
+def test_objectives_on_one_row_set_match_cold_solves(data):
+    # every objective on a row set solved before must give the result a
+    # fresh tableau gives, field for field, in any order
+    objectives, ineqs, eqs = data
+    results = [solve_min(c, ineqs, eqs) for c in objectives]
+    assert results == [_cold_solve(c, ineqs, eqs) for c in objectives]
+
+
 @settings(max_examples=200)
 @given(small_lps())
 @example((qv(1), [(qv(1), Q(-1)), (qv(-1), Q(-1))], []))  # infeasible
