@@ -23,9 +23,27 @@ row and the right-hand side.  The v and slack columns are fixed
 multiples of stored ones (v = -u, slack_r = mult_r * art_r) and are
 derived when read; see ``_Tableau``.
 
+Phase 1 runs once per row set.  Phase 1 and ``drive_out_artificials``
+choose every pivot from the phase-1 objective and the rows, never from
+c, so the tableau and basis at the start of phase 2 depend on
+(ineqs, eqs) alone.  ``solve_min`` keeps that start, with the rows
+scaled to integers, for the last ``_SNAPSHOT_CAP`` (16) row sets it
+solved, least recently used out first; for an infeasible row set it
+keeps the Farkas multipliers instead.  Each objective is priced into a
+copy of the start directly,
+
+    obj2 = den * c_int - sum_r w_r * rows[r] * den / scale[r],
+
+where w_r is c_int[j] when u_j is basic in row r, -c_int[j] when v_j
+is, and 0 for a slack or artificial.  These are the integers that
+carrying obj2 through phase 1 would give, so phase 2 makes the same
+pivots on a kept start as on a new one and every result is the same,
+field for field.
+
 Every result carries an exact certificate.  ``solve_min`` builds its
-result and passes it, with the original data, to ``_certify`` -- the one
-place any LP answer is checked -- before returning it:
+result and checks it in ``_certify_scaled`` -- the one place any LP
+answer is checked, kept start or not -- before returning it
+(``_certify`` runs the same check on rows as a caller gives them):
 
 * optimal     -- a feasible point and dual multipliers with sign,
                  complementary slackness, stationarity and equal
@@ -38,14 +56,16 @@ place any LP answer is checked -- before returning it:
 The optimality and Farkas checks share one row combination,
 sum mu_i (g_i, h_i) + sum nu_j (a_j, b_j), taken over the nonzero
 multipliers only.  The checks run in integers on the caller's rows, each
-scaled by the lcm of its denominators, with the point, the ray and the
-multipliers over common denominators; they never read the tableau.  A
-certificate that fails verification raises LPInternalError; it cannot
-be silently wrong.
+scaled by the lcm of its denominators (once per row set, shared with the
+tableau build), with the point, the ray and the multipliers over common
+denominators; they never read the tableau.  A certificate that fails
+verification raises LPInternalError; it cannot be silently wrong.
 """
 from __future__ import annotations
 
 import enum
+from collections import OrderedDict
+from copy import copy
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import lcm
@@ -124,30 +144,27 @@ class _Tableau:
     brought there when a pivot next changes it or pivots on it.  Ratio
     tests and signs read the stale integers unchanged.
 
-    obj2 is carried through every pivot; obj1 only through phase 1,
-    since only the infeasible branch reads it, before any later pivot.
-    Rows marked ``deleted`` are never read again and are no longer
-    updated.
+    obj1 is carried through phase 1 only, since only the infeasible
+    branch reads it, before any later pivot.  obj2 is priced at the
+    phase-2 start (``priced``) and carried through phase 2.  Rows
+    marked ``deleted`` are never read again and are no longer updated.
     """
 
-    def __init__(self, c: Sequence[Fraction], ineqs: Sequence[Row], eqs: Sequence[Row]):
-        n = len(c)
+    def __init__(self, n: int, m1: int, scaled: Sequence[tuple[list[int], int]]):
+        """The all-artificial start; ``scaled`` holds _scale_to_int((*a, b)) per row."""
         self.n = n
-        self.m1 = len(ineqs)
-        m = self.m1 + len(eqs)
+        self.m1 = m1
+        m = len(scaled)
         self.m = m
         self.col_slack = 2 * n
-        self.col_art = 2 * n + self.m1
+        self.col_art = 2 * n + m1
         self.rows: list[list[int]] = []
         self.mult: list[int] = []  # tableau row = mult * original row
         self.deleted = [False] * m
         self.den = 1
         self.scale = [1] * m  # den at which each row was last updated
 
-        for r, (a, b) in enumerate((*ineqs, *eqs)):
-            if len(a) != n:
-                raise DimensionMismatchError("constraint arity mismatch")
-            ints, k = _scale_to_int((*a, b))
+        for r, (ints, k) in enumerate(scaled):
             if ints[-1] < 0:
                 ints = [-t for t in ints]
                 k = -k
@@ -158,14 +175,11 @@ class _Tableau:
 
         self.basis = [self.col_art + r for r in range(m)]
 
-        # phase-2 objective, priced out trivially (artificials cost 0 here)
-        c_ints, self.cost_scale = _scale_to_int(c)
-        self.obj2 = c_ints + [0] * (m + 1)
         # phase-1 objective (sum of artificials), priced out for the
         # all-artificial starting basis
         self.obj1 = [-sum(col) for col in zip(*self.rows)] if m else [0] * (n + 1)
         self.obj1[n : n + m] = [0] * m
-        self.objs = (self.obj1, self.obj2)
+        self.objs = (self.obj1,)
 
     def _column(self, c: int) -> tuple[int, int]:
         """(s, k): column c is k times stored column s (obj1 slacks aside)."""
@@ -258,7 +272,7 @@ class _Tableau:
     def phase1(self) -> Fraction:
         col = self.run_simplex(self.obj1)
         assert col is None, "phase-1 objective is bounded below by zero"
-        self.objs = (self.obj2,)
+        self.objs = ()
         return Fraction(-self.obj1[-1], self.den)
 
     def drive_out_artificials(self) -> None:
@@ -284,6 +298,35 @@ class _Tableau:
                 # dual extraction is anchored to the starting matrix
                 self.rows[r] = [-t for t in row]
             self._pivot(r, pivot_col)
+
+    def priced(self, cost: list[int]) -> "_Tableau":
+        """A copy of this phase-2 start carrying obj2 for the cost row ``cost``.
+
+        obj2 = den * cost - sum_r w_r * rows[r] * den / scale[r], where w_r
+        is cost_j when u_j is basic in row r, -cost_j when v_j is, and 0
+        for a slack or artificial; every term is an exact integer.  The
+        row lists are shared: no pivot changes a row list in place.
+        """
+        tab = copy(self)
+        tab.rows, tab.scale = list(self.rows), list(self.scale)
+        tab.deleted, tab.basis = list(self.deleted), list(self.basis)
+        n, den = self.n, self.den
+        obj2 = [den * t for t in cost] + [0] * (self.m + 1)
+        for r, b in enumerate(self.basis):
+            if b >= self.col_slack:
+                continue
+            w = cost[b] if b < n else -cost[b - n]
+            if not w:
+                continue
+            row, s = self.rows[r], self.scale[r]
+            if s == den:
+                obj2 = [t - w * q for t, q in zip(obj2, row)]
+            else:
+                wd = w * den
+                obj2 = [t - wd * q // s for t, q in zip(obj2, row)]
+        tab.obj2 = obj2
+        tab.objs = (obj2,)
+        return tab
 
     # -- extraction ----------------------------------------------------
 
@@ -356,6 +399,16 @@ def _combine(
     return coef[:n], coef[n], big
 
 
+def _scaled_rows(n: int, ineqs: Sequence[Row], eqs: Sequence[Row]) -> list[tuple[list[int], int]]:
+    """_scale_to_int((*a, b)) for every row, the inequalities first."""
+    rows = []
+    for a, b in (*ineqs, *eqs):
+        if len(a) != n:
+            raise DimensionMismatchError("constraint arity mismatch")
+        rows.append(_scale_to_int((*a, b)))
+    return rows
+
+
 def _certify(res: LPResult, c: Vec, ineqs: Sequence[Row], eqs: Sequence[Row]) -> None:
     """Re-check the certificate res carries against the original data.
 
@@ -364,14 +417,12 @@ def _certify(res: LPResult, c: Vec, ineqs: Sequence[Row], eqs: Sequence[Row]) ->
     the ray and the multipliers are put over common denominators.
     Raises LPInternalError on the first check that fails.
     """
-    n = len(c)
-    rows = []
-    for a, b in (*ineqs, *eqs):
-        if len(a) != n:
-            raise DimensionMismatchError(f"dot: {len(a)} vs {n}")
-        rows.append(_scale_to_int((*a, b)))
-    m1 = len(ineqs)
+    _certify_scaled(res, c, _scaled_rows(len(c), ineqs, eqs), len(ineqs))
 
+
+def _certify_scaled(res: LPResult, c: Vec, rows: Sequence[tuple[list[int], int]], m1: int) -> None:
+    """_certify on the caller's rows already scaled by _scaled_rows."""
+    n = len(c)
     if res.status is LPStatus.INFEASIBLE:
         mu, nu = res.dual_certificate["farkas_mu"], res.dual_certificate["farkas_nu"]
         if any(y < 0 for y in mu):
@@ -422,35 +473,81 @@ def _certify(res: LPResult, c: Vec, ineqs: Sequence[Row], eqs: Sequence[Row]) ->
         raise LPInternalError("primal and dual objectives differ")
 
 
+class _RowSet:
+    """What solve_min keeps of one row set.
+
+    ``scaled`` is the rows scaled by _scaled_rows, read by the tableau
+    and by the certificate check.  ``start`` is the tableau after phase
+    1 and drive_out_artificials, or None when the rows are infeasible;
+    ``farkas`` then holds their Farkas multipliers (mu, nu).
+    """
+
+    __slots__ = ("m1", "scaled", "start", "farkas")
+
+    def __init__(self, n: int, ineqs: Sequence[Row], eqs: Sequence[Row]):
+        self.m1 = len(ineqs)
+        self.scaled = _scaled_rows(n, ineqs, eqs)
+        tab = _Tableau(n, self.m1, self.scaled)
+        self.start = self.farkas = None
+        if tab.phase1() > 0:
+            self.farkas = tab.duals(tab.obj1, art_cost=1, cost_scale=1)
+        else:
+            tab.drive_out_artificials()
+            self.start = tab
+
+
+# the last _SNAPSHOT_CAP row sets solve_min saw, least recently used
+# first, as hash -> (key, row set): a Fraction does not keep its hash,
+# so each call hashes its rows once and compares them once
+_SNAPSHOT_CAP = 16
+_snapshots: OrderedDict[int, tuple[tuple, _RowSet]] = OrderedDict()
+
+
+def _row_set(n: int, ineqs: tuple[Row, ...], eqs: tuple[Row, ...]) -> _RowSet:
+    key = (n, ineqs, eqs)
+    h = hash(key)
+    kept = _snapshots.get(h)
+    if kept is not None and kept[0] == key:
+        _snapshots.move_to_end(h)
+        return kept[1]
+    rs = _RowSet(n, ineqs, eqs)
+    _snapshots[h] = (key, rs)
+    _snapshots.move_to_end(h)  # a colliding key is replaced in place
+    if len(_snapshots) > _SNAPSHOT_CAP:
+        _snapshots.popitem(last=False)
+    return rs
+
+
 def solve_min(c: Sequence[Fraction], ineqs: Sequence[Row] = (), eqs: Sequence[Row] = ()) -> LPResult:
     """Minimize c.x subject to the given rows; all data exact rationals."""
     c = tuple(Fraction(t) for t in c)
-    ineqs = [(tuple(a), Fraction(b)) for a, b in ineqs]
-    eqs = [(tuple(a), Fraction(b)) for a, b in eqs]
+    ineqs = tuple((tuple(a), Fraction(b)) for a, b in ineqs)
+    eqs = tuple((tuple(a), Fraction(b)) for a, b in eqs)
 
-    tab = _Tableau(c, ineqs, eqs)
-    if tab.phase1() > 0:
-        mu, nu = tab.duals(tab.obj1, art_cost=1, cost_scale=1)
+    rs = _row_set(len(c), ineqs, eqs)
+    if rs.start is None:
+        mu, nu = rs.farkas
         res = LPResult(
             LPStatus.INFEASIBLE, POS_INF,
             dual_certificate={"farkas_mu": mu, "farkas_nu": nu},
         )
     else:
-        tab.drive_out_artificials()
+        cost, cost_scale = _scale_to_int(c)
+        tab = rs.start.priced(cost)
         col = tab.run_simplex(tab.obj2)
         x = tab.primal_x()
         if col is not None:
             res = LPResult(LPStatus.UNBOUNDED, NEG_INF, primal_point=x, ray=tab.ray_from(col))
         else:
-            value = Fraction(-tab.obj2[-1], tab.den * tab.cost_scale)
-            mu, nu = tab.duals(tab.obj2, art_cost=0, cost_scale=tab.cost_scale)
+            value = Fraction(-tab.obj2[-1], tab.den * cost_scale)
+            mu, nu = tab.duals(tab.obj2, art_cost=0, cost_scale=cost_scale)
             res = LPResult(
                 LPStatus.OPTIMAL,
                 ExtendedRational.finite(value),
                 primal_point=x,
                 dual_certificate={"mu": mu, "nu": nu},
             )
-    _certify(res, c, ineqs, eqs)
+    _certify_scaled(res, c, rs.scaled, rs.m1)
     return res
 
 

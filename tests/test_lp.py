@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from supcalc import lp as lp_module
 from supcalc.errors import LPInternalError
 from supcalc.lp import LPStatus, _certify, _combine, _scale_to_int, solve_max, solve_min
 from supcalc.oracles import brute_generators
@@ -153,6 +154,7 @@ def small_lps(draw):
 
 def _cold_solve(c, ineqs, eqs):
     """solve_min on a fresh tableau, sharing nothing with earlier solves."""
+    lp_module._snapshots.clear()
     return solve_min(c, ineqs, eqs)
 
 
@@ -312,6 +314,54 @@ def test_fractional_sets_have_the_stated_results():
         assert solve_min(*FRACTIONAL[name]).status is LPStatus.INFEASIBLE
     for name in ("STRIP", "LINE"):
         assert solve_min(*FRACTIONAL[name]).status is LPStatus.UNBOUNDED
+
+
+def test_infeasible_rows_resolved_under_another_objective():
+    _, ineqs, eqs = FRACTIONAL["EMPTY"]
+    first = solve_min(qv(1), ineqs, eqs)
+    again = solve_min(qv("-2/3"), ineqs, eqs)
+    assert first.status is again.status is LPStatus.INFEASIBLE
+    assert again == _cold_solve(qv("-2/3"), ineqs, eqs)
+
+
+def test_unbounded_objective_after_an_optimal_one():
+    # the strip 0 <= y <= 1 is bounded in y and unbounded in x
+    rows = [(qv(0, 1), Q(1)), (qv(0, -1), Q(0))]
+    optimal = solve_min(qv(0, 1), rows)
+    unbounded = solve_min(qv(1, 1), rows)
+    assert optimal.status is LPStatus.OPTIMAL and optimal.optimum == FIN(Q(0))
+    assert unbounded.status is LPStatus.UNBOUNDED
+    assert unbounded == _cold_solve(qv(1, 1), rows, [])
+    kept = dict(lp_module._snapshots)
+    assert solve_min(qv(0, 1), rows) == optimal
+    assert lp_module._snapshots == kept  # the start was reused, not rebuilt
+
+
+def test_snapshot_is_bounded_and_evicted_sets_still_solve():
+    cap = lp_module._SNAPSHOT_CAP
+    boxes = [[(qv(1, 0), Q(k)), (qv(-1, 0), Q(0)), (qv(0, 1), Q(1)), (qv(0, -1), Q(0))]
+             for k in range(1, 2 * cap + 2)]
+    c = qv(-1, -1)
+    first = [solve_min(c, rows) for rows in boxes]
+    assert len(lp_module._snapshots) <= cap
+    assert [r.optimum for r in first] == [FIN(Q(-k - 1)) for k in range(1, 2 * cap + 2)]
+    again = [solve_min(c, rows) for rows in boxes]  # the first sets were evicted
+    assert again == first
+    assert again == [_cold_solve(c, rows, []) for rows in boxes]
+    assert len(lp_module._snapshots) <= cap
+
+
+@pytest.mark.parametrize("name", ["BOX", "EMPTY"])
+def test_results_share_no_state_with_the_snapshot(name):
+    c, ineqs, eqs = FRACTIONAL[name]
+    res = solve_min(c, ineqs, eqs)
+    for key in list(res.dual_certificate):
+        res.dual_certificate[key] = ()
+    res.dual_certificate["tampered"] = True
+    again = solve_min(c, ineqs, eqs)
+    assert again.dual_certificate is not res.dual_certificate
+    assert again == _cold_solve(c, ineqs, eqs)
+    assert "tampered" not in again.dual_certificate
 
 
 @given(st.lists(coeff, max_size=6))
