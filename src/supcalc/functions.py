@@ -90,10 +90,10 @@ class PolyhedralFunction:
             raise DimensionMismatchError("domain dimension mismatch")
         canon = set()
         for a, b in pieces:
-            a = vec(a)
+            *a, b = vec((*a, b))
             if len(a) != dim:
                 raise DimensionMismatchError("piece arity mismatch")
-            canon.add((a, Fraction(b)))
+            canon.add((tuple(a), b))
         if not canon:
             raise InvalidParameterError("a function needs at least one piece")
         return PolyhedralFunction(dim, tuple(sorted(canon)), domain)
@@ -131,8 +131,8 @@ class PolyhedralFunction:
         for a, b in self.pieces:
             rows.append((tuple(a) + (Fraction(-1),), -b))
         for a, b in self.domain.ineqs:
-            rows.append((tuple(a) + (Fraction(0),), b))
-        eqs = [(tuple(a) + (Fraction(0),), b) for a, b in self.domain.eqs]
+            rows.append(((*a, 0), b))
+        eqs = [((*a, 0), b) for a, b in self.domain.eqs]
         return Polyhedron.from_hrep(self.dim + 1, rows, eqs)
 
     # -- conjugacy -----------------------------------------------------

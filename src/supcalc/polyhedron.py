@@ -212,15 +212,18 @@ def _canonical_rows(rows: Iterable[Row], dim: int, equality: bool) -> tuple[tupl
     out = set()
     infeasible = False
     for a, b in rows:
-        a = vec(a)
+        a = tuple(a)
         if len(a) != dim:
             raise DimensionMismatchError("constraint arity mismatch")
-        b = Fraction(b)
-        if all(t == 0 for t in a):
+        integral = type(b) is int and all(type(t) is int for t in a)
+        if not integral:
+            *a, b = vec((*a, b))
+        if not any(a):
             if (equality and b != 0) or (not equality and b < 0):
                 infeasible = True
             continue
-        row = _int_normalize((*a, b))
+        # an integer row, such as another Polyhedron's, skips the Fraction round trip
+        row = _primitive((*a, b)) if integral else _int_normalize((*a, b))
         if equality:
             row = _sign_normalize(row)
         out.add(row)

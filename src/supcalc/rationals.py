@@ -16,7 +16,12 @@ import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatchError, ExtendedArithmeticError, SchemaError
+from .errors import (
+    DimensionMismatchError,
+    ExtendedArithmeticError,
+    InvalidParameterError,
+    SchemaError,
+)
 
 Q = Fraction
 Vec = tuple[Fraction, ...]
@@ -46,11 +51,16 @@ def format_extended(v: "ExtendedRational") -> str:
 
 def qv(*entries) -> Vec:
     """Build a vector of Fractions from ints/strings/Fractions."""
-    return tuple(Fraction(e) for e in entries)
+    return vec(entries)
 
 
 def vec(entries: Iterable) -> Vec:
-    return tuple(Fraction(e) for e in entries)
+    """Entries as exact Fractions; a float is refused, not read at its binary value."""
+    entries = tuple(entries)
+    for e in entries:
+        if isinstance(e, float):
+            raise InvalidParameterError(f"not an exact rational: {e!r}")
+    return tuple(map(Fraction, entries))
 
 
 def zeros(n: int) -> Vec:

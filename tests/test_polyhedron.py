@@ -423,6 +423,29 @@ def rows_and_probes(draw):
 
 
 @given(rows_and_probes())
+def test_integer_rows_take_the_same_canonical_form(data):
+    # integer rows skip the Fraction round trip; a Polyhedron's own rows
+    # fed back, and the same rows scaled by integers, must store the
+    # rows the Fraction path stores
+    dim, ineqs, eqs, _, _ = data
+    p = Polyhedron.from_hrep(dim, ineqs, eqs)
+    again = Polyhedron.from_hrep(dim, p.ineqs, p.eqs)
+    scaled = Polyhedron.from_hrep(
+        dim,
+        [(tuple(3 * t for t in a), 3 * b) for a, b in p.ineqs],
+        [(tuple(-2 * t for t in a), -2 * b) for a, b in p.eqs],
+    )
+    fractions = Polyhedron.from_hrep(
+        dim,
+        [(tuple(map(Q, a)), Q(b)) for a, b in p.ineqs],
+        [(tuple(map(Q, a)), Q(b)) for a, b in p.eqs],
+    )
+    for q in (again, scaled, fractions):
+        assert_canonical_rows(q)
+        assert (q.ineqs, q.eqs) == (p.ineqs, p.eqs)
+
+
+@given(rows_and_probes())
 @example((2, [((Q(1, 2), Q(0)), Q(1, 3)), ((Q(0), Q(0)), Q(0))],
           [((Q(0), Q(0)), Q(0))], (Q(2, 3), Q(1)), (Q(-1), Q(0))))
 @example((2, [((Q(1), Q(0)), Q(-1))], [], (Q(0), Q(0)), (Q(0), Q(1))))

@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 from supcalc.errors import (
     DimensionMismatchError,
     ExtendedArithmeticError,
+    InvalidParameterError,
     SchemaError,
 )
+from supcalc.functions import PolyhedralFunction
+from supcalc.polyhedron import Polyhedron
 from supcalc.rationals import (
     NEG_INF,
     POS_INF,
@@ -110,3 +113,17 @@ class TestVectors:
             dot(qv(1), qv(1, 2))
         with pytest.raises(DimensionMismatchError):
             vadd(qv(1), qv(1, 2))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Polyhedron.from_hrep(1, [((0.1,), 1)]),
+    lambda: Polyhedron.from_hrep(1, [], [((1,), 0.5)]),
+    lambda: PolyhedralFunction.make(1, [((0.1,), 0)]),
+    lambda: PolyhedralFunction.make(1, [((1,), 0.5)]),
+    lambda: qv(1, 0.5),
+], ids=["from_hrep-coefficient", "from_hrep-rhs", "make-slope", "make-offset", "qv"])
+def test_constructors_refuse_floats(build):
+    # 0.1 is 3602879701896397/36028797018963968 in binary; an exact
+    # auditor must not take it as a rational silently
+    with pytest.raises(InvalidParameterError, match="not an exact rational"):
+        build()
