@@ -7,6 +7,8 @@ those cross-checks alive.
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from supcalc.errors import (
     DimensionMismatchError,
@@ -23,7 +25,7 @@ from supcalc.polyhedron import (
     polyhedron_equal,
     recession_cone,
 )
-from supcalc.rationals import POS_INF, ExtendedRational, qv
+from supcalc.rationals import POS_INF, ExtendedRational, dot, qv
 
 PF = PolyhedralFunction.make
 FIN = ExtendedRational.finite
@@ -65,6 +67,37 @@ class TestEvaluation:
         ind = PolyhedralFunction.indicator(Polyhedron.box(qv(0), qv(1)))
         assert ind.eval(qv("1/2")) == FIN(Q(0))
         assert ind.eval(qv(2)) == POS_INF
+
+
+@st.composite
+def pieces_and_points(draw):
+    """(f, x, lo, hi): fractional pieces in dims 1-4 on the box [lo, hi] or on R^n.
+
+    x has denominators and may leave the box.  A piece tied at x with
+    the largest one, and one tied with any piece, are often added.
+    """
+    dim = draw(st.integers(min_value=1, max_value=4))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+    vector = st.tuples(*[entry] * dim)
+    x = draw(vector)
+    pieces = draw(st.lists(st.tuples(vector, entry), min_size=1, max_size=5))
+    top = max(pieces, key=lambda p: dot(p[0], x) + p[1])
+    for a, b in draw(st.lists(st.sampled_from([top, *pieces]), max_size=2)):
+        slope = draw(vector)
+        pieces.append((slope, dot(a, x) + b - dot(slope, x)))
+    if draw(st.booleans()):
+        return PF(dim, pieces), x, None, None
+    lo = draw(st.tuples(*[st.integers(min_value=-2, max_value=0)] * dim))
+    hi = draw(st.tuples(*[st.integers(min_value=0, max_value=2)] * dim))
+    return PF(dim, pieces, Polyhedron.box(lo, hi)), x, lo, hi
+
+
+@given(pieces_and_points())
+def test_eval_is_the_largest_piece_inside_the_domain(data):
+    f, x, lo, hi = data
+    inside = lo is None or all(l <= t <= h for l, t, h in zip(lo, x, hi))
+    want = FIN(max(dot(a, x) + b for a, b in f.pieces)) if inside else POS_INF
+    assert f.eval(x) == want
 
 
 class TestConjugate:

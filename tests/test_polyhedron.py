@@ -3,6 +3,7 @@
 Derived expectations in this file come from a support-function oracle
 built on raw vertex/ray enumeration, never from the operation under test.
 """
+import random
 from fractions import Fraction as Q
 from math import gcd
 
@@ -37,6 +38,7 @@ from supcalc.polyhedron import (
 from supcalc.oracles import _nullspace_basis, brute_generators
 from supcalc.projection import Image
 from supcalc.rationals import NEG_INF, POS_INF, ExtendedRational, dot, qv
+from supcalc.serialize import json_digest
 
 FIN = ExtendedRational.finite
 
@@ -492,3 +494,115 @@ def test_generators_satisfy_their_own_hrep(rows):
         assert p.contains(v)
     for r in rays:
         assert p.contains_ray(r)
+
+
+# ---------------------------------------------------------------------
+# double description pinned on a seeded corpus
+# ---------------------------------------------------------------------
+
+def _pinned_polyhedra():
+    """Seeded inputs for the DD pin: 250 H-forms, 100 V-forms, 100 raw cones.
+
+    Dims 1-5 in turn.  Rows have small integer or fractional entries.
+    Few rows leave lines and unbounded directions.  A third of the
+    H-form draws repeat a row at the scale 2 or 1/3, a quarter add a
+    row's negation with the same right-hand side (an implicit equality),
+    a quarter keep the first row as an explicit equality, and every
+    tenth draw adds a row that contradicts another, so the set is empty.
+    The V-form inputs repeat a point now and then and carry up to two
+    rays.  The raw cones go to ``dd_cone`` as drawn: integer rows that
+    are not reduced, with zero rows, repeats, scaled repeats and
+    negations, which no caller's canonical rows contain.
+    """
+    rng = random.Random(1953)
+
+    def q():
+        return Q(rng.randint(-3, 3), rng.choice((1, 1, 1, 2, 3)))
+
+    hreps = []
+    for k in range(250):
+        dim = 1 + k % 5
+        rows = [(tuple(q() for _ in range(dim)), q()) for _ in range(rng.randint(0, 2 * dim + 3))]
+        if rows and rng.random() < 0.3:
+            a, b = rng.choice(rows)
+            t = rng.choice((Q(2), Q(1, 3)))
+            rows.append((tuple(t * x for x in a), t * b))
+        if rows and rng.random() < 0.25:
+            a, b = rng.choice(rows)
+            rows.append((tuple(-x for x in a), -b))
+        if rows and k % 10 == 9:
+            a, b = rng.choice(rows)
+            rows.append((tuple(-x for x in a), -b - 1))
+        rng.shuffle(rows)
+        split = 1 if rows and rng.random() < 0.25 else 0
+        hreps.append(Polyhedron.from_hrep(dim, rows[split:], rows[:split]))
+
+    vreps = []
+    for k in range(100):
+        dim = 1 + k % 5
+        points = [tuple(q() for _ in range(dim)) for _ in range(rng.randint(1, dim + 2))]
+        if rng.random() < 0.3:
+            points.append(rng.choice(points))
+        rays = [tuple(q() for _ in range(dim)) for _ in range(rng.randint(0, 2))]
+        vreps.append((dim, points, rays))
+
+    cones = []
+    for k in range(100):
+        dim = 2 + k % 5
+        norms = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, dim + 4))]
+        for _ in range(rng.randint(0, 2)):
+            m = rng.choice(norms)
+            t = rng.choice((1, 2, -1))
+            norms.insert(rng.randint(0, len(norms)), tuple(t * x for x in m))
+        cones.append((norms, dim))
+    return hreps, vreps, cones
+
+
+def _recorded_conversions(monkeypatch):
+    """Run every pinned conversion, recording each dd_cone call in order."""
+    calls = []
+    kernel = polyhedron_module.dd_cone
+
+    def recording(norms, dim):
+        rays, lines = kernel(norms, dim)
+        calls.append([list(norms), dim, rays, lines])
+        return rays, lines
+
+    monkeypatch.setattr(polyhedron_module, "dd_cone", recording)
+    hreps, vreps, cones = _pinned_polyhedra()
+    results = []
+    for p in hreps:
+        results.append([p, p.generators, Polyhedron.from_generators(p.dim, *p.generators)])
+    for dim, points, rays in vreps:
+        results.append(Polyhedron.from_generators(dim, points, rays))
+    for norms, dim in cones:
+        recording(norms, dim)
+    return hreps, calls, results
+
+
+# sha256 of the canonical JSON of every dd_cone call above (input rows,
+# then rays and lines in the kernel's order) and of every converted set
+PINNED_DD = "8cd276dea9b13770aa35eef598c26cc332f16f9c4c4c26316145aad8ed44171c"
+
+
+def test_double_description_matches_the_pinned_digest(monkeypatch):
+    # a kernel change must keep each ray list and its order, not only
+    # the canonical generators that the callers sort
+    _, calls, results = _recorded_conversions(monkeypatch)
+    assert json_digest([calls, results]) == PINNED_DD
+
+
+def test_pinned_polyhedra_cover_every_case(monkeypatch):
+    hreps, calls, _ = _recorded_conversions(monkeypatch)
+    assert {p.dim for p in hreps} == {1, 2, 3, 4, 5}
+    assert sum(1 for p in hreps if p.is_empty) >= 25
+    live = [p for p in hreps if not p.is_empty]
+    with_lines = [p for p in live if any(tuple(-t for t in r) in p.rays for r in p.rays)]
+    assert len(with_lines) >= 50
+    assert sum(1 for p in live if p.rays and p not in with_lines) >= 20
+    assert sum(1 for p in live if not p.rays) >= 15
+    assert sum(1 for p in live if p.eqs) >= 20
+    implicit = [p for p in live if any((tuple(-t for t in a), -b) in p.ineqs for a, b in p.ineqs)]
+    assert len(implicit) >= 20
+    assert {dim for _, dim, _, _ in calls} == {2, 3, 4, 5, 6}
+    assert sum(1 for norms, _, _, _ in calls if len(set(norms)) < len(norms)) >= 50
