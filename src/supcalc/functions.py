@@ -29,13 +29,12 @@ from .errors import (
     InvalidParameterError,
     LPInternalError,
 )
-from .lp import LPStatus, Row, solve_max
+from .lp import LPStatus, Row, _idot, _scale_to_int, solve_max
 from .polyhedron import Polyhedron, max_slack, polyhedron_equal
 from .rationals import (
     POS_INF,
     ExtendedRational,
     Vec,
-    dot,
     l1norm,
     vec,
     vsub,
@@ -109,12 +108,25 @@ class PolyhedralFunction:
         return not self.domain.is_empty
 
     def eval(self, x: Sequence) -> ExtendedRational:
+        """The largest piece at x, +oo off the domain, compared in integers.
+
+        With x = X / D and a piece (a, b) = (A, B) / d, the piece's value
+        is (A.X + B D) / (d D); D is shared, so the largest n / d with
+        n = A.X + B D wins, by cross-multiplication.
+        """
         x = vec(x)
         if len(x) != self.dim:
             raise DimensionMismatchError("point arity mismatch")
         if not self.domain.contains(x):
             return POS_INF
-        return ExtendedRational.finite(max(dot(a, x) + b for a, b in self.pieces))
+        ints, den = _scale_to_int(x)
+        best_n, best_d = None, 1
+        for a, b in self.pieces:
+            (*coef, rhs), d = _scale_to_int((*a, b))
+            n = _idot(coef, ints) + rhs * den
+            if best_n is None or n * best_d > best_n * d:
+                best_n, best_d = n, d
+        return ExtendedRational.finite(Fraction(best_n, best_d * den))
 
     def eval_finite(self, x: Sequence) -> Fraction:
         v = self.eval(x)

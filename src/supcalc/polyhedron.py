@@ -34,6 +34,7 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from math import gcd
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
@@ -116,7 +117,17 @@ def dd_cone(norms: Sequence[IVec], dim: int) -> tuple[list[IVec], list[IVec]]:
     so far equals span(L) + cone(R), with R irredundant modulo L.  A new
     constraint either consumes one lineality direction or splits R by
     sign, combining adjacent (positive, negative) pairs.  Adjacency is
-    the standard combinatorial test on zero-sets of processed rows.
+    the standard combinatorial test on zero-sets of processed rows: no
+    third ray is tight at every row both rays are tight at.
+
+    A rank prefilter skips a pair before that O(|R|) scan when the two
+    rays share fewer than dim - |L| - 2 tight rows (Motzkin, Raiffa,
+    Thompson & Thrall 1953; Fukuda & Prodon 1996).  Two adjacent rays
+    span, with L, a face of dimension |L| + 2, and the rows tight on a
+    face have rank dim minus its dimension, so they number at least
+    dim - |L| - 2.  The filter therefore drops only pairs that the
+    combinatorial test would reject, and the output and its order are
+    unchanged.
     """
     lines: list[IVec] = [
         tuple(1 if j == i else 0 for j in range(dim)) for i in range(dim)
@@ -183,17 +194,15 @@ def dd_cone(norms: Sequence[IVec], dim: int) -> tuple[list[IVec], list[IVec]]:
                     keep_z.append(zsets[k] | (1 << idx))
                 keep_rays.append(rays[k])
 
+        need = dim - len(lines) - 2
         for kp in pos:
+            zp = zsets[kp]
             for kn in neg:
-                zc = zsets[kp] & zsets[kn]
-                adjacent = True
-                for ko in range(len(rays)):
-                    if ko in (kp, kn):
-                        continue
-                    if zsets[ko] & zc == zc:
-                        adjacent = False
-                        break
-                if not adjacent:
+                zc = zp & zsets[kn]
+                if zc.bit_count() < need:
+                    continue
+                # the pair's own zero-sets contain zc; a third one rules adjacency out
+                if next(islice((z for z in zsets if z & zc == zc), 2, None), None) is not None:
                     continue
                 w = _icomb(vals_r[kp], rays[kn], -vals_r[kn], rays[kp])
                 keep_rays.append(w)
