@@ -53,6 +53,7 @@ from .rationals import (
     ExtendedRational,
     Vec,
     dot,
+    rational,
     vec,
     zeros,
 )
@@ -191,8 +192,8 @@ class SimplexWeights:
     def make(weights: Mapping[str, Fraction] | Iterable[tuple[str, Fraction]], mass) -> "SimplexWeights":
         if isinstance(weights, Mapping):
             weights = weights.items()
-        items = tuple(sorted((str(t), Fraction(w)) for t, w in weights))
-        mass = Fraction(mass)
+        items = tuple(sorted((str(t), rational(w)) for t, w in weights))
+        mass = rational(mass)
         if any(w < 0 for _, w in items):
             raise InvalidParameterError("weights must be nonnegative")
         if sum(w for _, w in items) != mass:
@@ -245,7 +246,7 @@ class DecompositionWitness:
     def verify(self, family: FunctionFamily, x: Sequence, eps, xstar: Sequence) -> bool:
         """Exact recheck of every certificate inequality."""
         x, xstar = vec(x), vec(xstar)
-        eps = Fraction(eps)
+        eps = rational(eps)
         eps1, eps2 = self.split
         if eps1 < 0 or eps2 < 0 or eps1 + eps2 > eps:
             return False
@@ -465,7 +466,7 @@ def _rhs_basic_system(
 def rhs_basic_image(family: FunctionFamily, x: Sequence, budget) -> Image:
     """The scaled-subgradient set at the given budget, as an LP-backed image."""
     x = vec(x)
-    sys, matrix, _ = _rhs_basic_system(family, x, Fraction(budget))
+    sys, matrix, _ = _rhs_basic_system(family, x, rational(budget))
     ineqs, eqs = sys.rows()
     return Image(sys.nvars, ineqs, eqs, matrix)
 
@@ -482,7 +483,7 @@ def eps_subdiff_rhs_basic(
     inequalities of the source formula are relaxed to non-strict, which
     matches the closure for this polyhedral class.
     """
-    eps, gamma = Fraction(eps), Fraction(gamma)
+    eps, gamma = rational(eps), rational(gamma)
     if eps < 0:
         raise InvalidParameterError("eps must be nonnegative")
     if gamma <= 0:
@@ -497,7 +498,7 @@ def rhs_basic_strict_margin(family: FunctionFamily, x: Sequence, budget) -> Frac
     at this budget, zero when only the relaxed set is nonempty.
     """
     x = vec(x)
-    budget = Fraction(budget)
+    budget = rational(budget)
     if budget < 0:
         raise InvalidParameterError("budget must be nonnegative")
     sys, _, delta = _rhs_basic_system(family, x, budget, margin=True)
@@ -533,7 +534,7 @@ def eps_normal_intersection(
     intersection is an attained inf-convolution, so no closure is
     needed.  Returns the empty set when x misses some C_t.
     """
-    eps, gamma = Fraction(eps), Fraction(gamma)
+    eps, gamma = rational(eps), rational(gamma)
     if eps < 0 or gamma < 0:
         raise InvalidParameterError("budgets must be nonnegative")
     sets = list(sets)
@@ -748,7 +749,7 @@ def decompose(
     if mode not in DECOMPOSE_MODES:
         raise InvalidParameterError(f"unknown decomposition mode {mode!r}")
     x, xstar = vec(x), vec(xstar)
-    eps, gamma = Fraction(eps), Fraction(gamma)
+    eps, gamma = rational(eps), rational(gamma)
     if eps < 0:
         raise InvalidParameterError("eps must be nonnegative")
     if gamma < 0:

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 from .errors import DimensionMismatchError, InvalidParameterError
 from .functions import PolyhedralFunction
 from .polyhedron import Polyhedron, cco_union, included, intersect
-from .rationals import vec
+from .rationals import rational, vec
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ class FunctionFamily:
 
     def active_indices(self, x: Sequence, eps) -> set[str]:
         """Labels with f_t(x) within eps of the supremum value."""
-        eps = Fraction(eps)
+        eps = rational(eps)
         if eps < 0:
             raise InvalidParameterError("eps must be nonnegative")
         fx = self.sup.eval(vec(x))

@@ -36,6 +36,7 @@ from .rationals import (
     ExtendedRational,
     Vec,
     l1norm,
+    rational,
     vec,
     vsub,
     zeros,
@@ -203,7 +204,7 @@ class PolyhedralFunction:
 
     def eps_subdifferential(self, x: Sequence, eps) -> Polyhedron:
         """{x* : f(x) + f*(x*) - <x*, x> <= eps}; empty when f(x) = +oo."""
-        eps = Fraction(eps)
+        eps = rational(eps)
         if eps < 0:
             raise InvalidParameterError("eps must be nonnegative")
         x = vec(x)
@@ -268,7 +269,7 @@ def eps_normal_set(c_set: Polyhedron, x: Sequence, eps) -> Polyhedron:
     outside.  Built from the generator form: one row per vertex, one
     homogeneous row per ray.
     """
-    eps = Fraction(eps)
+    eps = rational(eps)
     if eps < 0:
         raise InvalidParameterError("eps must be nonnegative")
     x = vec(x)

@@ -63,6 +63,7 @@ from .rationals import (
     ExtendedRational,
     Vec,
     format_extended,
+    rational,
     vec,
     zeros,
 )
@@ -134,12 +135,12 @@ def _canon_params(params: Mapping[str, Any] | None) -> dict[str, Any]:
         if key == "x":
             out["x"] = vec(value)
         elif key == "eps":
-            eps = Fraction(value)
+            eps = rational(value)
             if eps < 0:
                 raise InvalidParameterError("eps must be nonnegative")
             out["eps"] = eps
         else:
-            grid = tuple(sorted({Fraction(g) for g in value}, reverse=True))
+            grid = tuple(sorted({rational(g) for g in value}, reverse=True))
             if not grid or grid[-1] <= 0:
                 raise InvalidParameterError("gamma grid entries must be positive")
             out["gamma_grid"] = grid

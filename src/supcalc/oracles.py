@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 from .errors import CapacityError, EmptySetError, InvalidParameterError
 from .functions import PolyhedralFunction
 from .polyhedron import Polyhedron
-from .rationals import Vec, dot, vec, vsub
+from .rationals import Vec, dot, rational, vec, vsub
 from .reports import CheckReport, CheckStatus
 from .serialize import json_digest
 
@@ -39,7 +39,7 @@ class GridSpec:
     @staticmethod
     def make(lower: Sequence, upper: Sequence, step) -> "GridSpec":
         lower, upper = vec(lower), vec(upper)
-        step = Fraction(step)
+        step = rational(step)
         if len(lower) != len(upper):
             raise InvalidParameterError("bound arity mismatch")
         if step <= 0:
@@ -158,7 +158,7 @@ def brute_generators(
     first so the pointed part is enumerable; its basis re-enters as
     paired opposite rays.
     """
-    ineqs, eqs = ([(vec(a), Fraction(b)) for a, b in rows] for rows in (ineqs, eqs))
+    ineqs, eqs = ([(vec(a), rational(b)) for a, b in rows] for rows in (ineqs, eqs))
     normals = [a for a, _ in ineqs] + [a for a, _ in eqs]
     lineality = _nullspace_basis(normals, dim)
     aug_eqs = list(eqs) + [(l, Fraction(0)) for l in lineality]
@@ -282,7 +282,7 @@ def membership_audit(
     verdict is exact, so any disagreement is a genuine fault.
     """
     x = vec(x)
-    eps = Fraction(eps)
+    eps = rational(eps)
     if kind == "subdiff":
         if f is None:
             raise InvalidParameterError("subdiff audits need the function")

@@ -224,14 +224,19 @@ def _canonical_rows(rows: Iterable[Row], dim: int, equality: bool) -> tuple[tupl
         a = tuple(a)
         if len(a) != dim:
             raise DimensionMismatchError("constraint arity mismatch")
-        integral = type(b) is int and all(type(t) is int for t in a)
-        if not integral:
+        # an integer row, such as another Polyhedron's or a generator ray
+        # in Fractions, skips the Fraction round trip
+        integral = all(
+            type(t) is int or (type(t) is Fraction and t.denominator == 1) for t in (*a, b)
+        )
+        if integral:
+            *a, b = (t.numerator for t in (*a, b))
+        else:
             *a, b = vec((*a, b))
         if not any(a):
             if (equality and b != 0) or (not equality and b < 0):
                 infeasible = True
             continue
-        # an integer row, such as another Polyhedron's, skips the Fraction round trip
         row = _primitive((*a, b)) if integral else _int_normalize((*a, b))
         if equality:
             row = _sign_normalize(row)

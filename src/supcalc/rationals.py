@@ -54,13 +54,16 @@ def qv(*entries) -> Vec:
     return vec(entries)
 
 
+def rational(value) -> Fraction:
+    """A scalar as an exact Fraction; a float is refused, not read at its binary value."""
+    if isinstance(value, float):
+        raise InvalidParameterError(f"not an exact rational: {value!r}")
+    return Fraction(value)
+
+
 def vec(entries: Iterable) -> Vec:
-    """Entries as exact Fractions; a float is refused, not read at its binary value."""
-    entries = tuple(entries)
-    for e in entries:
-        if isinstance(e, float):
-            raise InvalidParameterError(f"not an exact rational: {e!r}")
-    return tuple(map(Fraction, entries))
+    """Entries as exact Fractions, each read by :func:`rational`."""
+    return tuple(map(rational, entries))
 
 
 def zeros(n: int) -> Vec:

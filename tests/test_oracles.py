@@ -7,7 +7,7 @@ one-directional (kernel output audited by the oracle, never the reverse).
 from fractions import Fraction as Q
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supcalc.errors import EmptySetError, InvalidParameterError
@@ -69,6 +69,28 @@ class TestGridLegendre:
         assert grid_legendre(f, g, qv(1, 1)) == 0
 
 
+@st.composite
+def small_hreps(draw):
+    """(dim, ineqs, eqs) in dims 2-4 with small integer rows.
+
+    An equality row comes in about half the draws, and in a third no
+    row reads the last coordinate, so the set holds a line.
+    """
+    dim = draw(st.sampled_from((4, 3, 2)))
+    flat = draw(st.integers(min_value=0, max_value=2)) == 0
+    coef = st.integers(min_value=-2, max_value=2)
+
+    def row():
+        a = draw(st.tuples(*[coef] * dim))
+        if flat:
+            a = a[:-1] + (0,)
+        return tuple(map(Q, a)), Q(draw(st.integers(min_value=0, max_value=3)))
+
+    ineqs = [row() for _ in range(draw(st.integers(min_value=1, max_value=2 * dim + 2)))]
+    eqs = [row() for _ in range(draw(st.integers(min_value=0, max_value=1)))]
+    return dim, ineqs, eqs
+
+
 class TestBruteGenerators:
     def test_box(self):
         box = Polyhedron.box(qv(-1, 0), qv(2, 3))
@@ -109,28 +131,20 @@ class TestBruteGenerators:
         assert sorted(pts) == [(Q(0), Q(0)), (Q(1), Q(1))]
         assert rays == []
 
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=-2, max_value=2),
-                st.integers(min_value=-2, max_value=2),
-                st.integers(min_value=0, max_value=3),
-            ),
-            min_size=1,
-            max_size=4,
-        )
-    )
-    def test_agrees_with_kernel_on_random_hreps(self, rows):
-        ineqs = [((Q(a), Q(b)), Q(c)) for a, b, c in rows if (a, b) != (0, 0)]
-        if not ineqs:
-            return
-        p = Polyhedron.from_hrep(2, ineqs)
-        pts, rays = brute_generators(2, p.ineqs, p.eqs)
+    @settings(max_examples=40)
+    @given(small_hreps())
+    def test_agrees_with_kernel_on_random_hreps(self, data):
+        dim, ineqs, eqs = data
+        p = Polyhedron.from_hrep(dim, ineqs, eqs)
+        pts, rays = brute_generators(dim, p.ineqs, p.eqs)
         if not pts:
             assert p.is_empty
             return
-        rebuilt = Polyhedron.from_generators(2, pts, rays)
+        rebuilt = Polyhedron.from_generators(dim, pts, rays)
         assert polyhedron_equal(rebuilt, p)
+        if not any(tuple(-t for t in r) in rays for r in rays):
+            # pointed: the vertices are unique, so both lists agree exactly
+            assert list(p.vertices) == pts
 
 
 class TestMembershipAudit:

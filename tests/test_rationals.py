@@ -11,7 +11,10 @@ from supcalc.errors import (
     InvalidParameterError,
     SchemaError,
 )
-from supcalc.functions import PolyhedralFunction
+from supcalc import calculus
+from supcalc.functions import PolyhedralFunction, eps_normal_set
+from supcalc.identities import check_identity
+from supcalc.oracles import GridSpec, brute_generators, membership_audit
 from supcalc.polyhedron import Polyhedron
 from supcalc.rationals import (
     NEG_INF,
@@ -23,6 +26,7 @@ from supcalc.rationals import (
     l1norm,
     parse_rational,
     qv,
+    rational,
     vadd,
     vsub,
 )
@@ -127,3 +131,53 @@ def test_constructors_refuse_floats(build):
     # auditor must not take it as a rational silently
     with pytest.raises(InvalidParameterError, match="not an exact rational"):
         build()
+
+
+ABS = PolyhedralFunction.make(1, [(qv(1), 0), (qv(-1), 0)])
+UNIT = Polyhedron.box(qv(0), qv(1))
+
+
+def _witness_check(fam, v):
+    witness = calculus.decompose(fam, qv(0), Q(1, 3), qv(Q(1, 2)), "T52")
+    return witness.verify(fam, qv(0), v, qv(Q(1, 2)))
+
+
+# one call per public entry point that reads a scalar parameter
+SCALAR_PARAMETERS = {
+    "eps_subdifferential": lambda fam, v: ABS.eps_subdifferential(qv(1), v),
+    "eps_normal_set": lambda fam, v: eps_normal_set(UNIT, qv(0), v),
+    "active_indices": lambda fam, v: fam.active_indices(qv(1), v),
+    "SimplexWeights-weight": lambda fam, v: calculus.SimplexWeights.make([("a", v)], Q(1, 3)),
+    "SimplexWeights-mass": lambda fam, v: calculus.SimplexWeights.make([("a", Q(1, 3))], v),
+    "DecompositionWitness.verify": _witness_check,
+    "rhs_basic_image": lambda fam, v: calculus.rhs_basic_image(fam, qv(0), v).dim,
+    "eps_subdiff_rhs_basic-eps": lambda fam, v: calculus.eps_subdiff_rhs_basic(fam, qv(0), v, 1),
+    "eps_subdiff_rhs_basic-gamma": lambda fam, v: calculus.eps_subdiff_rhs_basic(fam, qv(0), 0, v),
+    "rhs_basic_strict_margin": lambda fam, v: calculus.rhs_basic_strict_margin(fam, qv(0), v),
+    "eps_normal_intersection-eps": lambda fam, v: calculus.eps_normal_intersection([UNIT], qv(0), v),
+    "eps_normal_intersection-gamma": lambda fam, v: calculus.eps_normal_intersection([UNIT], qv(0), 0, v),
+    "decompose-eps": lambda fam, v: calculus.decompose(fam, qv(0), v, qv(Q(1, 2)), "T52"),
+    "decompose-gamma": lambda fam, v: calculus.decompose(fam, qv(0), 0, qv(Q(1, 2)), "T52", v),
+    "check_identity-eps": lambda fam, v: check_identity("L2D", fam, {"eps": v}).status,
+    "check_identity-gamma_grid": lambda fam, v: check_identity("L2D", fam, {"gamma_grid": [v]}).status,
+    "GridSpec.make": lambda fam, v: GridSpec.make(qv(0), qv(1), v),
+    "membership_audit": lambda fam, v: membership_audit(
+        ABS.eps_subdifferential(qv(0), Q(1, 3)), "subdiff", f=ABS, x=qv(0), eps=v, samples=8
+    ).status,
+    "brute_generators": lambda fam, v: brute_generators(1, [((1,), v)]),
+}
+
+
+def test_rational_reads_exact_scalars_and_refuses_floats():
+    assert rational("1/3") == rational(Q(1, 3)) == Q(1, 3)
+    assert rational(-2) == Q(-2)
+    with pytest.raises(InvalidParameterError, match="not an exact rational"):
+        rational(0.5)
+
+
+@pytest.mark.parametrize("call", SCALAR_PARAMETERS.values(), ids=SCALAR_PARAMETERS.keys())
+def test_scalar_parameters_refuse_floats(call, fam_abs):
+    # 0.1 read at its binary value would shift every row it enters
+    with pytest.raises(InvalidParameterError, match="not an exact rational"):
+        call(fam_abs, 0.1)
+    assert call(fam_abs, "1/3") == call(fam_abs, Q(1, 3))
