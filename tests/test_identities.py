@@ -2,16 +2,20 @@
 from fractions import Fraction as Q
 
 import pytest
+from conftest import abs_family
+from test_acceptance import _c2_plan, _dom_point
 
 import supcalc.family as family_module
 import supcalc.identities as identities
+from supcalc.cli import _fuzz_params
 from supcalc.errors import IdentityFalsified, InvalidParameterError
 from supcalc.family import FunctionFamily
 from supcalc.functions import PolyhedralFunction
+from supcalc.generator import generate
 from supcalc.identities import check_identity, identity_ids
 from supcalc.polyhedron import Polyhedron
 from supcalc.rationals import qv
-from supcalc.serialize import json_digest
+from supcalc.serialize import json_digest, report_to_json
 
 PF = PolyhedralFunction.make
 
@@ -122,6 +126,46 @@ def test_p34_failure_reports(fam_abs, monkeypatch, target, reason, witness):
     assert r.status == "fail"
     assert r.details == {"reason": reason}
     assert r.witness == witness
+
+
+PINNED_P34 = "214247ab32713969234416688cee2a488a46c8b8915aaeefde6cbf4dbae09c18"
+
+# the wrong targets of test_p34_failure_reports, in its order
+P34_WRONG_TARGETS = (
+    Polyhedron.box(qv(-2), qv(2)),
+    Polyhedron.from_generators(1, [qv(0)], [qv(1)]),
+    Polyhedron.box(qv(0), qv(Q(1, 2))),
+)
+
+
+def _p34_corpus(monkeypatch) -> list[dict]:
+    """P34 records over criterion-2 instances on their grid, fuzz instances
+    on the default grid, and the injected-target failures."""
+    records = []
+    for i in range(40):
+        fam = generate(_c2_plan(i))
+        params = {"x": _dom_point(fam), "eps": Q(1, 3), "gamma_grid": (Q(1, 2), Q(1, 8))}
+        records.append(report_to_json(check_identity("P34", fam, params)))
+    for i in range(40):
+        fam = generate(_fuzz_params(7100, i, 3))
+        params = {"eps": (Q(0), Q(1, 2))[i % 2]}
+        if i % 4 < 2:
+            params["x"] = _dom_point(fam)
+        records.append(report_to_json(check_identity("P34", fam, params)))
+    for target in P34_WRONG_TARGETS:
+        fam = abs_family()
+        with monkeypatch.context() as m:
+            _patch_target(m, fam, target)
+            records.append(report_to_json(check_identity("P34", fam, P34_AT_ZERO)))
+    return records
+
+
+def test_p34_reports_match_the_pinned_digest(monkeypatch):
+    # every P34 answer, margin and witness stays byte-identical
+    records = _p34_corpus(monkeypatch)
+    statuses = [r["status"] for r in records]
+    assert statuses.count("pass") >= 60 and statuses[-3:] == ["fail"] * 3
+    assert json_digest(records) == PINNED_P34
 
 
 def test_t41(fam_abs, chain6):
