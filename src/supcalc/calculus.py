@@ -419,7 +419,8 @@ def conjugate_on_interior(family: FunctionFamily, xstar: Sequence) -> ExtendedRa
 # ============================================================
 
 def _rhs_basic_system(
-    family: FunctionFamily, x: Vec, budget: Fraction, margin: bool = False
+    family: FunctionFamily, x: Vec, budget: Fraction, margin: bool = False,
+    graph: bool = False,
 ) -> tuple[_System, list[Vec], int | None]:
     """Lifted system for the scaled-subgradient set at the given budget.
 
@@ -427,7 +428,9 @@ def _rhs_basic_system(
     weight lambda_t, scaled error e_t.  The projection matrix extracts
     sum_t y_t.  With ``margin`` an extra variable delta tightens the
     budget and activity rows uniformly; maximizing it probes whether
-    the strict-inequality form of those two rows is satisfiable.
+    the strict-inequality form of those two rows is satisfiable.  With
+    ``graph`` the budget is a variable beta >= budget instead of a
+    right-hand side, and the matrix extracts (sum_t y_t, beta).
     """
     f = family.sup
     fx = f.eval(x)
@@ -444,31 +447,49 @@ def _rhs_basic_system(
         f_at[t] = _subgradient_row(sys, f_t, x, y_of[t], u, lam_of[t], e_of[t])
         sys.add_ineq({e_of[t]: Fraction(-1)}, 0)
     delta = sys.new_var() if margin else None
+    beta = sys.new_var() if graph else None
+
+    def add_budgeted(row: dict[int, Fraction], rhs: Fraction) -> None:
+        """row <= budget + rhs, the budget as a constant or as beta."""
+        if delta is not None:
+            row[delta] = Fraction(1)
+        if beta is None:
+            sys.add_ineq(row, budget + rhs)
+        else:
+            row[beta] = Fraction(-1)
+            sys.add_ineq(row, rhs)
+
     sys.add_eq({lam_of[t]: Fraction(1) for t in labels}, 1)
-    row = {e_of[t]: Fraction(1) for t in labels}
-    if delta is not None:
-        row[delta] = Fraction(1)
-    sys.add_ineq(row, budget)
+    add_budgeted({e_of[t]: Fraction(1) for t in labels}, Fraction(0))
     # sum lambda_t f_t(x) >= f(x) + sum e_t - budget
     act = {e_of[t]: Fraction(1) for t in labels}
     for t in labels:
         act[lam_of[t]] = -f_at[t]
-    if delta is not None:
-        act[delta] = Fraction(1)
-    sys.add_ineq(act, budget - fx)
+    add_budgeted(act, -fx)
     if delta is not None:
         sys.add_ineq({delta: Fraction(-1)}, 0)
         sys.add_ineq({delta: Fraction(1)}, 1)
-    matrix = [sys.dense(row) for row in _sum_rows(list(y_of.values()), family.dim)]
-    return sys, matrix, delta
+    sums = _sum_rows(list(y_of.values()), family.dim)
+    if beta is not None:
+        sys.add_ineq({beta: Fraction(-1)}, -budget)
+        sums.append({beta: Fraction(1)})
+    return sys, [sys.dense(row) for row in sums], delta
 
 
 def rhs_basic_image(family: FunctionFamily, x: Sequence, budget) -> Image:
     """The scaled-subgradient set at the given budget, as an LP-backed image."""
-    x = vec(x)
-    sys, matrix, _ = _rhs_basic_system(family, x, rational(budget))
-    ineqs, eqs = sys.rows()
-    return Image(sys.nvars, ineqs, eqs, matrix)
+    sys, matrix, _ = _rhs_basic_system(family, vec(x), rational(budget))
+    return Image(sys.nvars, *sys.rows(), matrix)
+
+
+def rhs_basic_graph(family: FunctionFamily, x: Sequence, eps) -> Image:
+    """{(s, beta) : beta >= eps, s in the scaled-subgradient set at budget beta}.
+
+    One image in dimension dim + 1 for every budget from eps up; its
+    slice at beta = b is ``rhs_basic_image(family, x, b)``.
+    """
+    sys, matrix, _ = _rhs_basic_system(family, vec(x), rational(eps), graph=True)
+    return Image(sys.nvars, *sys.rows(), matrix)
 
 
 def eps_subdiff_rhs_basic(

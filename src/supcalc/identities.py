@@ -31,6 +31,7 @@ from .calculus import (
     eps_normal_intersection,
     inf_convolution_value,
     rhs_basic_covers,
+    rhs_basic_graph,
     rhs_basic_image,
     rhs_basic_strict_margin,
     rhs_basic_within,
@@ -410,15 +411,43 @@ def _conjugate_interior_cover(family: FunctionFamily, params: Mapping[str, Any])
     )
 
 
+def _budget_graph_holds(
+    family: FunctionFamily, x: Vec, eps: Fraction,
+    levels: Sequence[tuple[Fraction, Polyhedron]],
+) -> bool:
+    """Does the scaled-subgradient set equal the subdifferential at every budget >= eps?
+
+    The budget becomes the last coordinate: the image of the lifted
+    system with beta >= eps as a variable is sandwiched against the
+    graph of beta -> (beta-subdifferential) by one covers and one within
+    pass.  A slice of a projection is the projection of the slice, so
+    equal graphs give equal sets at every budget.  The answer carries
+    over to the given (budget, target) levels only when each target is
+    the graph's slice at its budget; otherwise this is False.
+    """
+    graph = family.sup.eps_subdifferential_graph(x, eps)
+    n = family.dim
+    lift = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(0,) * n]
+    for budget, target in levels:
+        if not polyhedron_equal(target, affine_preimage(graph, lift, (0,) * n + (budget,))):
+            return False
+    image = rhs_basic_graph(family, x, eps)
+    return rhs_basic_covers(image, graph) is None and rhs_basic_within(image, graph)
+
+
 def _subdiff_grid_representation(family: FunctionFamily, params: Mapping[str, Any]) -> Outcome:
     """Scaled-subgradient set equals the subdifferential budget by budget.
 
-    For each grid value the lifted representation at budget eps + gamma
+    The identity is first decided for every budget >= eps at once on
+    its graph in dimension dim + 1 (``_budget_graph_holds``).  When that
+    fails, each grid value's lifted representation at budget eps + gamma
     is sandwiched against the (eps + gamma)-subdifferential from both
-    sides, the budgets are certified nested, and the gamma = 0 instance
-    pins the represented set to the target exactly.  A positive strict
-    margin certifies that the open form of the budget and activity rows
-    is nonempty, so relaxing them to closed rows only adds the closure.
+    sides, which finds the failing level and its witness.  Either way
+    the budgets are certified nested, and the gamma = 0 instance pins
+    the represented set to the target exactly.  A positive strict
+    margin per level certifies that the open form of the budget and
+    activity rows is nonempty, so relaxing them to closed rows only
+    adds the closure.
     """
     f = _proper_sup(family)
     x = _primal_point(family, params)
@@ -426,24 +455,26 @@ def _subdiff_grid_representation(family: FunctionFamily, params: Mapping[str, An
         raise HypothesesNotMet("x lies outside the domain of the supremum")
     eps = params.get("eps", Fraction(0))
     gammas = (Fraction(0),) + tuple(sorted(_grid(params)))
-    targets: list[Polyhedron] = []
+    targets = [f.eps_subdifferential(x, eps + gamma) for gamma in gammas]
+    every_level = _budget_graph_holds(
+        family, x, eps, [(eps + gamma, t) for gamma, t in zip(gammas, targets)]
+    )
     margins: dict[str, Fraction] = {}
-    for gamma in gammas:
+    for gamma, target in zip(gammas, targets):
         budget = eps + gamma
-        target = f.eps_subdifferential(x, budget)
-        targets.append(target)
-        image = rhs_basic_image(family, x, budget)
-        gap = rhs_basic_covers(image, target)
-        if gap is not None:
-            raise IdentityFalsified(
-                "a subdifferential generator is unreachable at its own budget",
-                certificate={"gamma": gamma, **gap},
-            )
-        if not rhs_basic_within(image, target):
-            raise IdentityFalsified(
-                "the represented set overshoots the subdifferential",
-                certificate={"gamma": gamma, "budget": budget},
-            )
+        if not every_level:
+            image = rhs_basic_image(family, x, budget)
+            gap = rhs_basic_covers(image, target)
+            if gap is not None:
+                raise IdentityFalsified(
+                    "a subdifferential generator is unreachable at its own budget",
+                    certificate={"gamma": gamma, **gap},
+                )
+            if not rhs_basic_within(image, target):
+                raise IdentityFalsified(
+                    "the represented set overshoots the subdifferential",
+                    certificate={"gamma": gamma, "budget": budget},
+                )
         if budget > 0:
             margins[str(gamma)] = rhs_basic_strict_margin(family, x, budget)
     for small, large in zip(targets, targets[1:]):

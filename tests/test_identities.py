@@ -168,6 +168,35 @@ def test_p34_reports_match_the_pinned_digest(monkeypatch):
     assert json_digest(records) == PINNED_P34
 
 
+def _count_covers(monkeypatch) -> list[int]:
+    """The image dimension of each rhs_basic_covers call P34 makes."""
+    dims = []
+    real = identities.rhs_basic_covers
+
+    def counting(image, target):
+        dims.append(image.dim)
+        return real(image, target)
+
+    monkeypatch.setattr(identities, "rhs_basic_covers", counting)
+    return dims
+
+
+def test_a_passing_p34_covers_once_on_the_budget_graph(fam_abs, monkeypatch):
+    dims = _count_covers(monkeypatch)
+    r = check_identity("P34", fam_abs, {"x": [0], "eps": Q(1, 2)})
+    assert r.status == "pass" and r.details["levels"] == 6
+    assert dims == [2]
+
+
+@pytest.mark.parametrize("target", P34_WRONG_TARGETS)
+def test_p34_failures_take_the_per_level_loop(fam_abs, monkeypatch, target):
+    # a wrong target is not the graph's slice, so the graph is never sandwiched
+    dims = _count_covers(monkeypatch)
+    _patch_target(monkeypatch, fam_abs, target)
+    assert check_identity("P34", fam_abs, P34_AT_ZERO).status == "fail"
+    assert dims == [1]
+
+
 def test_t41(fam_abs, chain6):
     assert check_identity("T41", fam_abs).status == "hypotheses-not-met"
     r = check_identity("T41", chain6)

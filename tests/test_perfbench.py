@@ -38,7 +38,8 @@ print(report.status.value, layer.calls, layer.lp_solves)
 def test_p34_goes_through_the_traced_rhs_basic_layer():
     # a refactor that keeps the traced names but routes P34 around them
     # would zero the calculus.rhs_basic metrics without failing install();
-    # covers, within at two budget levels and one strict margin are 5 calls
+    # covers and within once on the budget graph and one strict margin
+    # are 3 calls
     proc = subprocess.run(
         [sys.executable, "-c", P34_TRACE],
         cwd=PERFBENCH, capture_output=True, text=True, timeout=120,
@@ -46,5 +47,5 @@ def test_p34_goes_through_the_traced_rhs_basic_layer():
     assert proc.returncode == 0, proc.stderr
     status, calls, lp_solves = proc.stdout.split()
     assert status == "pass"
-    assert int(calls) == 5
+    assert int(calls) == 3
     assert int(lp_solves) > 0

@@ -6,10 +6,13 @@ these tolerate approximation.
 """
 from fractions import Fraction as Q
 
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from supcalc.calculus import rhs_basic_covers, rhs_basic_image, rhs_basic_within
+from supcalc.family import FunctionFamily
 from supcalc.functions import PolyhedralFunction, eps_normal_set
+from supcalc.identities import _budget_graph_holds
 from supcalc.polyhedron import (
     Polyhedron,
     included,
@@ -140,3 +143,32 @@ def test_eps_normal_sets_grow_with_eps(pair, eps):
     tight = eps_normal_set(c, x, eps)
     loose = eps_normal_set(c, x, eps + Q(1, 2))
     assert included(tight, loose)
+
+
+@st.composite
+def families_with_points(draw):
+    """2-3 members whose domains all hold [0, 1]^dim, and x in that cube."""
+    dim = draw(st.sampled_from((1, 2)))
+    members = draw(st.lists(functions_1d() if dim == 1 else functions_2d(),
+                            min_size=2, max_size=3))
+    fam = FunctionFamily.make([(f"f{i}", f) for i, f in enumerate(members)])
+    x = tuple(draw(st.fractions(min_value=0, max_value=1, max_denominator=4))
+              for _ in range(dim))
+    return fam, x
+
+
+@given(
+    families_with_points(),
+    st.fractions(min_value=0, max_value=1, max_denominator=3),
+    st.integers(min_value=1, max_value=20).filter(lambda k: k % 7),
+)
+def test_budget_graph_pass_holds_at_an_off_grid_budget(pair, eps, k):
+    # the graph decides every budget >= eps at once, so its pass must
+    # survive the per-level sandwich at a budget no grid names
+    fam, x = pair
+    assume(_budget_graph_holds(fam, x, eps, []))
+    budget = eps + Q(k, 7)
+    image = rhs_basic_image(fam, x, budget)
+    target = fam.sup.eps_subdifferential(x, budget)
+    assert rhs_basic_covers(image, target) is None
+    assert rhs_basic_within(image, target)
