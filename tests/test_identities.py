@@ -223,6 +223,56 @@ def test_c46_boxes():
     assert r.status == "pass"
 
 
+PINNED_C46 = "0240e77a386fa3b5373d3e88b07ea5d1ebb6baaa4238763eb881b956246626a0"
+
+C46_BOXES = (
+    Polyhedron.box(qv(-1, -1), qv(1, 1)),
+    Polyhedron.box(qv(0, 0), qv(2, 2)),
+)
+
+# wrong normal sets of the intersection of C46_BOXES: {0} lies inside the
+# split-budget sum and misses its vertices, the big box sticks out of it
+C46_WRONG_NORMALS = (
+    Polyhedron.single_point(qv(0, 0)),
+    Polyhedron.box(qv(-10, -10), qv(10, 10)),
+)
+
+
+def _c46_corpus(monkeypatch) -> list[dict]:
+    """C46 records over criterion-2 member domains, fuzz member domains
+    and the injected wrong normal sets."""
+    records = []
+    for i in range(40):
+        fam = generate(_c2_plan(i))
+        sets = [f.domain for _, f in fam.members]
+        records.append(report_to_json(check_identity("C46", sets, {"eps": Q(1, 4)})))
+    for i in range(40):
+        fam = generate(_fuzz_params(7200, i, 3))
+        sets = [f.domain for _, f in fam.members]
+        params = {"eps": (Q(0), Q(1, 2))[i % 2]}
+        if i % 4 < 2 and not fam.sup.domain.is_empty:
+            params["x"] = _dom_point(fam)
+        records.append(report_to_json(check_identity("C46", sets, params)))
+    for wrong in C46_WRONG_NORMALS:
+        with monkeypatch.context() as m:
+            m.setattr(identities, "eps_normal_set", lambda c_set, x, eps: wrong)
+            records.append(report_to_json(
+                check_identity("C46", list(C46_BOXES), {"eps": Q(1, 4)})))
+    return records
+
+
+def test_c46_reports_match_the_pinned_digest(monkeypatch):
+    # every C46 answer and witness stays byte-identical
+    records = _c46_corpus(monkeypatch)
+    statuses = [r["status"] for r in records]
+    assert statuses.count("pass") >= 60 and statuses[-2:] == ["fail"] * 2
+    assert [r["details"]["reason"] for r in records[-2:]] == [
+        "the split-budget sum is not contained in the normal set of the intersection",
+        "the normal set of the intersection is not contained in the split-budget sum",
+    ]
+    assert json_digest(records) == PINNED_C46
+
+
 @pytest.mark.parametrize("ident", ["T52", "T53", "R54"])
 def test_decomposition_identities_attach_witnesses(fam_abs, ident):
     r = check_identity(ident, fam_abs, {"x": [0], "eps": Q(1, 3)})
