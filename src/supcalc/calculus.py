@@ -42,6 +42,7 @@ from .lp import LPStatus, Row, solve_min
 from .polyhedron import (
     Polyhedron,
     cone_is_trivial,
+    included,
     intersect,
     interior_point,
     missing_generator,
@@ -529,16 +530,24 @@ def rhs_basic_strict_margin(family: FunctionFamily, x: Sequence, budget) -> Frac
     return -res.optimum.finite_value()
 
 
-def rhs_basic_covers(image: Image, target: Polyhedron) -> dict[str, Vec] | None:
+def rhs_basic_covers(image: Image | Polyhedron, target: Polyhedron) -> dict[str, Vec] | None:
     """The first target generator outside the image, or None when all lie in it.
 
-    One pinned feasibility LP per generator avoids materializing the image.
+    On an ``Image``, one pinned feasibility LP per generator avoids
+    materializing it; an image already projected to a ``Polyhedron``
+    answers each generator from its rows.
     """
     return missing_generator(target, image)
 
 
-def rhs_basic_within(image: Image, target: Polyhedron) -> bool:
-    """Is the image contained in the target?  One support LP per target row."""
+def rhs_basic_within(image: Image | Polyhedron, target: Polyhedron) -> bool:
+    """Is the image contained in the target?
+
+    On an ``Image``, one support LP per target row; an image already
+    projected to a ``Polyhedron`` is compared by its generators.
+    """
+    if isinstance(image, Polyhedron):
+        return included(image, target)
     return image.crossing_row(target) is None
 
 
@@ -547,13 +556,19 @@ def rhs_basic_within(image: Image, target: Polyhedron) -> bool:
 # ============================================================
 
 def eps_normal_intersection(
-    sets: Sequence[Polyhedron], x: Sequence, eps, gamma=0
+    sets: Sequence[Polyhedron], x: Sequence, eps, gamma=0, graph: bool = False
 ) -> Polyhedron:
     """{ sum_t z_t : z_t eta_t-normal to C_t at x, sum eta_t = eps+gamma }.
 
     Exact at gamma = 0 for polyhedral data: the support function of the
     intersection is an attained inf-convolution, so no closure is
     needed.  Returns the empty set when x misses some C_t.
+
+    With ``graph`` the budget is a variable beta >= eps+gamma with
+    sum eta_t = beta, and one projection gives {(sum_t z_t, beta)} in
+    dimension dim + 1: every budget from eps+gamma up at once.  A slice
+    of a projection is the projection of the slice, so its slice at
+    beta = b is the set at budget b.
     """
     eps, gamma = rational(eps), rational(gamma)
     if eps < 0 or gamma < 0:
@@ -567,7 +582,7 @@ def eps_normal_intersection(
         if c.dim != n:
             raise DimensionMismatchError("set dimension mismatch")
         if not c.contains(x):
-            return Polyhedron.empty(n)
+            return Polyhedron.empty(n + graph)
     sys = _System()
     z_of, eta_of = [], []
     for c in sets:
@@ -576,8 +591,16 @@ def eps_normal_intersection(
         z_of.append(z)
         eta_of.append(eta)
         _normal_block(sys, c, x, z, eta)
-    sys.add_eq({eta: Fraction(1) for eta in eta_of}, eps + gamma)
-    matrix = [sys.dense(row) for row in _sum_rows(z_of, n)]
+    total = {eta: Fraction(1) for eta in eta_of}
+    sums = _sum_rows(z_of, n)
+    if graph:
+        beta = sys.new_var()
+        sys.add_eq({**total, beta: Fraction(-1)}, 0)
+        sys.add_ineq({beta: Fraction(-1)}, -(eps + gamma))
+        sums.append({beta: Fraction(1)})
+    else:
+        sys.add_eq(total, eps + gamma)
+    matrix = [sys.dense(row) for row in sums]
     ineqs, eqs = sys.rows()
     return project(Image(sys.nvars, ineqs, eqs, matrix))
 

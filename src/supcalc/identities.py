@@ -52,6 +52,7 @@ from .polyhedron import (
     affine_preimage,
     cco_union,
     cone_is_trivial,
+    dd_dimension_cap,
     included,
     interior_point,
     intersect,
@@ -60,6 +61,7 @@ from .polyhedron import (
     polyhedron_equal,
     recession_cone,
 )
+from .projection import project
 from .rationals import (
     ExtendedRational,
     Vec,
@@ -411,6 +413,13 @@ def _conjugate_interior_cover(family: FunctionFamily, params: Mapping[str, Any])
     )
 
 
+def _budget_slice(graph: Polyhedron, budget: Fraction) -> Polyhedron:
+    """{s : (s, budget) in graph}, the slice of a budget graph in dim + 1."""
+    n = graph.dim - 1
+    lift = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(0,) * n]
+    return affine_preimage(graph, lift, (0,) * n + (budget,))
+
+
 def _budget_graph_holds(
     family: FunctionFamily, x: Vec, eps: Fraction,
     levels: Sequence[tuple[Fraction, Polyhedron]],
@@ -418,20 +427,21 @@ def _budget_graph_holds(
     """Does the scaled-subgradient set equal the subdifferential at every budget >= eps?
 
     The budget becomes the last coordinate: the image of the lifted
-    system with beta >= eps as a variable is sandwiched against the
-    graph of beta -> (beta-subdifferential) by one covers and one within
-    pass.  A slice of a projection is the projection of the slice, so
-    equal graphs give equal sets at every budget.  The answer carries
-    over to the given (budget, target) levels only when each target is
-    the graph's slice at its budget; otherwise this is False.
+    system with beta >= eps as a variable is projected once and
+    sandwiched against the graph of beta -> (beta-subdifferential) by
+    one covers and one within pass.  A slice of a projection is the
+    projection of the slice, so equal graphs give equal sets at every
+    budget.  The answer carries over to the given (budget, target)
+    levels only when each target is the graph's slice at its budget;
+    otherwise this is False.
     """
     graph = family.sup.eps_subdifferential_graph(x, eps)
-    n = family.dim
-    lift = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(0,) * n]
     for budget, target in levels:
-        if not polyhedron_equal(target, affine_preimage(graph, lift, (0,) * n + (budget,))):
+        cut = _budget_slice(graph, budget)
+        # equal canonical rows are equal sets; only a mismatch needs the exact test
+        if (cut.ineqs, cut.eqs) != (target.ineqs, target.eqs) and not polyhedron_equal(target, cut):
             return False
-    image = rhs_basic_graph(family, x, eps)
+    image = project(rhs_basic_graph(family, x, eps))
     return rhs_basic_covers(image, graph) is None and rhs_basic_within(image, graph)
 
 
@@ -610,6 +620,20 @@ def _truncated_chain_subdiff(family: FunctionFamily, params: Mapping[str, Any]) 
     )
 
 
+def _split_budget_sums(
+    sets: Sequence[Polyhedron], x: Vec, eps: Fraction
+) -> Callable[[Fraction], Polyhedron]:
+    """budget -> the split-budget normal sum at that budget, for budgets >= eps.
+
+    Every level is a slice of one graph in dimension dim + 1, projected
+    once.  When dim + 1 exceeds the double description cap, each level
+    is projected on its own in dimension dim instead.
+    """
+    if sets[0].dim + 1 > dd_dimension_cap():
+        return lambda budget: eps_normal_intersection(sets, x, eps, budget - eps)
+    return partial(_budget_slice, eps_normal_intersection(sets, x, eps, graph=True))
+
+
 def _intersection_normal_split(
     sets: tuple[Polyhedron, ...], params: Mapping[str, Any]
 ) -> Outcome:
@@ -626,12 +650,12 @@ def _intersection_normal_split(
         raise HypothesesNotMet("x lies outside the intersection")
     eps = params.get("eps", Fraction(0))
     lhs = eps_normal_set(common, x, eps)
-    rhs = eps_normal_intersection(sets, x, eps, 0)
-    _require_equal(lhs, rhs, "the normal set of the intersection",
+    level = _split_budget_sums(sets, x, eps)
+    _require_equal(lhs, level(eps), "the normal set of the intersection",
                    "the split-budget sum")
     previous = lhs
     for gamma in sorted(_grid(params)):
-        relaxed = eps_normal_intersection(sets, x, eps, gamma)
+        relaxed = level(eps + gamma)
         _require_included(previous, relaxed, "a tighter-budget normal sum",
                           "the next budget level")
         previous = relaxed

@@ -273,6 +273,37 @@ def test_c46_reports_match_the_pinned_digest(monkeypatch):
     assert json_digest(records) == PINNED_C46
 
 
+def _count_normal_sums(monkeypatch) -> list[bool]:
+    """The graph flag of each eps_normal_intersection call C46 makes."""
+    calls = []
+    real = identities.eps_normal_intersection
+
+    def counting(sets, x, eps, gamma=0, graph=False):
+        calls.append(graph)
+        return real(sets, x, eps, gamma, graph=graph)
+
+    monkeypatch.setattr(identities, "eps_normal_intersection", counting)
+    return calls
+
+
+def test_c46_projects_once_on_the_budget_graph(monkeypatch):
+    calls = _count_normal_sums(monkeypatch)
+    assert check_identity("C46", list(C46_BOXES), {"eps": Q(1, 4)}).status == "pass"
+    assert calls == [True]
+
+
+def test_c46_above_the_dd_cap_projects_each_level(monkeypatch):
+    # the boxes' budget graph lives in dimension 3; under a cap of 2 each
+    # of the six levels is projected on its own and the report is unchanged
+    params = {"eps": Q(1, 4)}
+    want = report_to_json(check_identity("C46", list(C46_BOXES), params))
+    calls = _count_normal_sums(monkeypatch)
+    monkeypatch.setenv("SUPCALC_DD_CAP", "2")
+    got = check_identity("C46", list(C46_BOXES), params)
+    assert got.status == "pass" and report_to_json(got) == want
+    assert calls == [False] * 6
+
+
 @pytest.mark.parametrize("ident", ["T52", "T53", "R54"])
 def test_decomposition_identities_attach_witnesses(fam_abs, ident):
     r = check_identity(ident, fam_abs, {"x": [0], "eps": Q(1, 3)})

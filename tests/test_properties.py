@@ -9,10 +9,15 @@ from fractions import Fraction as Q
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from supcalc.calculus import rhs_basic_covers, rhs_basic_image, rhs_basic_within
+from supcalc.calculus import (
+    eps_normal_intersection,
+    rhs_basic_covers,
+    rhs_basic_image,
+    rhs_basic_within,
+)
 from supcalc.family import FunctionFamily
 from supcalc.functions import PolyhedralFunction, eps_normal_set
-from supcalc.identities import _budget_graph_holds
+from supcalc.identities import _budget_graph_holds, _budget_slice
 from supcalc.polyhedron import (
     Polyhedron,
     included,
@@ -172,3 +177,42 @@ def test_budget_graph_pass_holds_at_an_off_grid_budget(pair, eps, k):
     target = fam.sup.eps_subdifferential(x, budget)
     assert rhs_basic_covers(image, target) is None
     assert rhs_basic_within(image, target)
+
+
+@st.composite
+def set_families_with_points(draw):
+    """2-3 polyhedra in dimension 1-3, each holding x: boxes around the
+    unit cube with some sides dropped, cut by a row through or near x."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    x = tuple(draw(st.fractions(min_value=0, max_value=1, max_denominator=4))
+              for _ in range(dim))
+    sets = []
+    for _ in range(draw(st.integers(min_value=2, max_value=3))):
+        rows = []
+        for i in range(dim):
+            e = tuple(Q(int(j == i)) for j in range(dim))
+            if draw(st.booleans()):
+                rows.append((e, Q(draw(st.integers(1, 2)))))
+            if draw(st.booleans()):
+                rows.append((tuple(-t for t in e), Q(draw(st.integers(0, 2)))))
+        if draw(st.booleans()):
+            a = tuple(Q(draw(small)) for _ in range(dim))
+            rows.append((a, dot(a, x) + Q(draw(st.integers(0, 2)), 2)))
+        sets.append(Polyhedron.from_hrep(dim, rows))
+    return sets, x
+
+
+@given(
+    set_families_with_points(),
+    st.fractions(min_value=0, max_value=1, max_denominator=3),
+    st.integers(min_value=1, max_value=20).filter(lambda k: k % 7),
+)
+def test_normal_sum_graph_slices_match_per_level_projections(pair, eps, k):
+    # one projection in dim + 1 gives every budget from eps up; its slice
+    # at a budget no grid names is the per-level projection there
+    sets, x = pair
+    budget = eps + Q(k, 7)
+    graph = eps_normal_intersection(sets, x, eps, graph=True)
+    assert graph.dim == len(x) + 1
+    level = eps_normal_intersection(sets, x, eps, budget - eps)
+    assert _budget_slice(graph, budget).generators == level.generators
