@@ -92,6 +92,9 @@ def project(image: Image) -> Polyhedron:
     n = image.dim
     points: set[Vec] = set()
     rays: set[Vec] = set()
+    # the image is fixed, so a direction probed once (a facet kept from
+    # an earlier round, or an axis) answers from its first LP
+    probed: dict[Vec, LPResult] = {}
 
     def exceeds(a: Vec, b: Fraction | None) -> bool | None:
         """Does sup over S of <a, Cy> exceed b?  None when S is empty.
@@ -99,7 +102,9 @@ def project(image: Image) -> Polyhedron:
         With b None any bounded maximum counts.  Whenever the answer is
         yes, the maximizer's image (and the unbounded ray's) joins the pool.
         """
-        res = image.support(a)
+        res = probed.get(a)
+        if res is None:
+            res = probed[a] = image.support(a)
         if res.status is LPStatus.INFEASIBLE:
             return None
         if res.status is LPStatus.OPTIMAL and b is not None:
