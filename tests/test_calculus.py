@@ -5,6 +5,8 @@ import pytest
 
 import supcalc.calculus as calculus_module
 from supcalc.calculus import (
+    CoHullValue,
+    SimplexWeights,
     check_qc1,
     check_qc2,
     co_hull_conjugates,
@@ -43,6 +45,30 @@ class TestCoHull:
         h = co_hull_conjugates(fam_abs, qv("1/2"), support_cap=2)
         assert h.value == FIN(Q(0))
         assert len(h.weights.support) <= 2
+
+    def test_a_wide_optimum_falls_back_to_subset_enumeration(self, monkeypatch):
+        # sup{x, -x, 0} = |x|; the conjugates sit at 1, -1 and 0, so any
+        # two members that straddle 1/2 reach the hull value 0
+        fam = FunctionFamily.make(
+            [(t, PF(1, [(qv(a), Q(0))])) for t, a in (("p", 1), ("m", -1), ("z", 0))]
+        )
+        real = calculus_module._co_hull_lp
+        sizes = []
+
+        def widened(family, xstar, allowed):
+            sizes.append(len(allowed))
+            res = real(family, xstar, allowed)
+            if len(allowed) < len(family.labels):
+                return res
+            # an optimum that weights every member, wider than the cap
+            spread = SimplexWeights.make({t: Q(1, len(allowed)) for t in allowed}, 1)
+            return CoHullValue(res.value, spread, res.points, res.directions)
+
+        monkeypatch.setattr(calculus_module, "_co_hull_lp", widened)
+        h = co_hull_conjugates(fam, qv("1/2"), support_cap=2)
+        assert h.value == FIN(Q(0))
+        assert len(h.weights.support) <= 2
+        assert sorted(sizes) == [1, 1, 1, 2, 2, 2, 3]
 
 
 class TestConjugateOnInterior:

@@ -5,19 +5,24 @@ functions, so a single counterexample is a genuine engine fault; none of
 these tolerate approximation.
 """
 from fractions import Fraction as Q
+from itertools import combinations
 
+import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from supcalc.calculus import (
+    _co_hull_lp,
+    co_hull_conjugates,
     eps_normal_intersection,
     rhs_basic_covers,
     rhs_basic_image,
     rhs_basic_within,
 )
+from supcalc.errors import IdentityFalsified
 from supcalc.family import FunctionFamily
 from supcalc.functions import PolyhedralFunction, eps_normal_set
-from supcalc.identities import _budget_graph_holds, _budget_slice
+from supcalc.identities import _budget_graph_holds, _budget_slice, _dual_samples
 from supcalc.polyhedron import (
     Polyhedron,
     included,
@@ -216,3 +221,43 @@ def test_normal_sum_graph_slices_match_per_level_projections(pair, eps, k):
     assert graph.dim == len(x) + 1
     level = eps_normal_intersection(sets, x, eps, budget - eps)
     assert _budget_slice(graph, budget).generators == level.generators
+
+
+@st.composite
+def hull_families(draw):
+    """2-6 max-affine members in dimension 1-3, each on the whole space or
+    on a box around the unit cube, so the supremum is proper."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    members = []
+    for i in range(draw(st.integers(min_value=2, max_value=6))):
+        pieces = draw(st.lists(st.tuples(st.tuples(*[small] * dim), offsets),
+                               min_size=1, max_size=3))
+        domain = None
+        if draw(st.booleans()):
+            lo = [Q(draw(st.integers(-2, 0))) for _ in range(dim)]
+            hi = [Q(draw(st.integers(1, 2))) for _ in range(dim)]
+            domain = Polyhedron.box(lo, hi)
+        members.append((f"f{i}", PF(dim, [(a, Q(b)) for a, b in pieces], domain)))
+    return FunctionFamily.make(members)
+
+
+@given(hull_families(), st.data())
+def test_capped_hull_value_is_the_least_subset_value(fam, data):
+    # the oracle enumerates every label subset of at most cap members;
+    # the capped value must be its minimum, or the call must refuse the
+    # cap when that minimum misses the unrestricted value
+    xs = data.draw(st.sampled_from(_dual_samples(fam)))
+    cap = data.draw(st.integers(min_value=1, max_value=len(fam.labels)))
+    full = _co_hull_lp(fam, xs, fam.labels).value
+    oracle = min(
+        (_co_hull_lp(fam, xs, subset).value
+         for size in range(1, cap + 1) for subset in combinations(fam.labels, size))
+    )
+    if oracle != full:
+        with pytest.raises(IdentityFalsified):
+            co_hull_conjugates(fam, xs, support_cap=cap)
+        return
+    capped = co_hull_conjugates(fam, xs, support_cap=cap)
+    assert capped.value == oracle
+    if capped.weights is not None:
+        assert len(capped.weights.support) <= cap
