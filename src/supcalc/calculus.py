@@ -50,7 +50,6 @@ from .polyhedron import (
 )
 from .projection import Image, project
 from .rationals import (
-    NEG_INF,
     ExtendedRational,
     Vec,
     dot,
@@ -344,11 +343,18 @@ def co_hull_conjugates(
     """Value of the convex hull of the member conjugates at x*.
 
     inf { sum lambda_t f*_t(x*_t) : lambda in the simplex,
-          sum lambda_t x*_t = x* }, one LP over perspective variables.
-    -oo is reported exactly when the program is unbounded and +oo when
-    no combination reaches x*.  With ``support_cap`` the infimum is
-    recomputed over label subsets of at most that size and certified to
-    agree with the unrestricted value.
+          sum lambda_t x*_t = x* }, one LP over perspective variables,
+    solved once per point and kept on the family.  -oo is reported
+    exactly when the program is unbounded and +oo when no combination
+    reaches x*.
+
+    With ``support_cap`` the infimum is taken over label subsets of at
+    most that size and certified to agree with the unrestricted value.
+    Each subset program is a restriction of the full one, so none is
+    lower.  When the full optimum's support (the labels with positive
+    weight or a nonzero direction) fits the cap, the one program on that
+    support attains the full value and decides the cap; only a wider
+    optimum falls back to enumerating the subsets.
     """
     xstar = vec(xstar)
     if len(xstar) != family.dim:
@@ -356,23 +362,31 @@ def co_hull_conjugates(
     for _, f_t in family.members:
         if not f_t.is_proper:
             raise InvalidParameterError("the hull needs proper members")
-    full = _co_hull_lp(family, xstar, family.labels)
+    known = family.co_hull_values
+    full = known.get(xstar)
+    if full is None:
+        full = known[xstar] = _co_hull_lp(family, xstar, family.labels)
     if support_cap is None:
         return full
     if support_cap < 1:
         raise InvalidParameterError("support cap must be positive")
-    if full.value == NEG_INF:
-        # no common affine minorant; the hull is unbounded below and the
-        # support bound carries no equality claim in that regime
-        return full
-    best: CoHullValue | None = None
     labels = family.labels
-    for size in range(1, min(support_cap, len(labels)) + 1):
-        for subset in combinations(labels, size):
-            cand = _co_hull_lp(family, xstar, subset)
-            if best is None or cand.value < best.value:
-                best = cand
-    assert best is not None
+    if not full.value.is_finite or len(labels) <= support_cap:
+        # -oo: no common affine minorant, and the support bound carries no
+        # equality claim in that regime; +oo: every restriction of an
+        # infeasible program is infeasible; few members: the full program
+        # is itself one of the capped ones
+        return full
+    support = set(full.weights.support).union(t for t, _ in full.directions)
+    if len(support) <= support_cap:
+        best = _co_hull_lp(family, xstar, [t for t in labels if t in support])
+    else:
+        best = None
+        for size in range(1, support_cap + 1):
+            for subset in combinations(labels, size):
+                cand = _co_hull_lp(family, xstar, subset)
+                if best is None or cand.value < best.value:
+                    best = cand
     if best.value != full.value:
         raise IdentityFalsified(
             f"support-restricted hull value {best.value} differs from {full.value}",

@@ -78,6 +78,12 @@ class FunctionFamily:
         """Closed convex hull of the member conjugate epigraphs."""
         return cco_union([f.conjugate().epigraph for _, f in self.members])
 
+    @cached_property
+    def co_hull_values(self) -> dict:
+        """Hull-program results over every label by dual point, kept by
+        ``calculus.co_hull_conjugates`` so each point's LP is solved once."""
+        return {}
+
     def active_indices(self, x: Sequence, eps) -> set[str]:
         """Labels with f_t(x) within eps of the supremum value."""
         eps = rational(eps)

@@ -266,14 +266,8 @@ def _hull_support_cap(family: FunctionFamily, params: Mapping[str, Any]) -> Outc
     cap = min(family.dim + 1, len(family.labels))
     finite = infinite = 0
     for xs in _dual_samples(family):
-        capped = co_hull_conjugates(family, xs, support_cap=cap)
-        if capped.value.is_finite:
+        if co_hull_conjugates(family, xs, support_cap=cap).value.is_finite:
             finite += 1
-            if capped.weights is not None and len(capped.weights.support) > cap:
-                raise IdentityFalsified(
-                    "optimal weights exceed the support cap",
-                    certificate={"point": xs, "weights": capped.weights.weights},
-                )
         else:
             infinite += 1
     if finite == 0:

@@ -279,9 +279,12 @@ class Polyhedron:
         _check_cap(dim)
         norms = [_int_normalize((*v, 1)) for v in vs] + [_int_normalize((*r, 0)) for r in rs]
         polar_rays, polar_lines = dd_cone(norms, dim + 1)
-        return Polyhedron.from_hrep(
+        hull = Polyhedron.from_hrep(
             dim, [(g[:-1], -g[-1]) for g in polar_rays], [(g[:-1], -g[-1]) for g in polar_lines]
         )
+        if hull != Polyhedron.empty(dim):
+            vars(hull)["is_empty"] = False  # it holds the given vertices
+        return hull
 
     @staticmethod
     def empty(dim: int) -> "Polyhedron":

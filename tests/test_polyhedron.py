@@ -98,6 +98,17 @@ class TestRepresentations:
         assert e.is_empty and not e.contains(qv(0, 0))
         assert e.generators == ((), ())
 
+    def test_a_hull_of_generators_knows_it_is_nonempty(self, monkeypatch):
+        solves = []
+        real = lp_module.solve_min
+        for module in (lp_module, polyhedron_module):
+            monkeypatch.setattr(module, "solve_min",
+                                lambda *args: solves.append(args) or real(*args))
+        beam = Polyhedron.from_generators(2, [qv(0, 0), qv(1, 2)], [qv(1, 0)])
+        assert not beam.is_empty and solves == []
+        # rays alone generate no point, so that hull stays the empty set
+        assert Polyhedron.from_generators(2, [], [qv(1, 0)]).is_empty
+
     def test_contains_interior_and_ray(self):
         box = Polyhedron.box(qv(0), qv(1))
         assert box.contains_in_interior(qv("1/2"))
