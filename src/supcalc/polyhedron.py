@@ -547,19 +547,23 @@ def interior_point(p: Polyhedron) -> Vec | None:
     The max-slack LP also decides emptiness: its optimum is below zero
     exactly when P is empty.  So unless ``p.is_empty`` is already known,
     that one LP settles it too, and a later ``is_empty`` solves nothing.
+    The answer is kept on p next to it, so the LP runs once per set.
     """
     if p.eqs:
         return None
-    known = vars(p).get("is_empty")  # the cached_property's value, if computed
-    if known:
+    kept = vars(p)  # where the cached_property values sit
+    if kept.get("is_empty"):
         return None
-    res = max_slack(p, lambda a: Fraction(1))
-    if res.status is not LPStatus.OPTIMAL:
-        return None
-    slack = res.optimum.finite_value()
-    if known is None:
-        vars(p)["is_empty"] = slack < 0
-    return res.primal_point[: p.dim] if slack > 0 else None
+    if "interior_point" not in kept:
+        res = max_slack(p, lambda a: Fraction(1))
+        point = None
+        if res.status is LPStatus.OPTIMAL:
+            slack = res.optimum.finite_value()
+            kept.setdefault("is_empty", slack < 0)
+            if slack > 0:
+                point = res.primal_point[: p.dim]
+        kept["interior_point"] = point
+    return kept["interior_point"]
 
 
 def affine_preimage(p: Polyhedron, matrix: Sequence[Vec], offset: Vec) -> Polyhedron:

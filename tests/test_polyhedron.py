@@ -346,6 +346,10 @@ class TestInteriorPoint:
         empty_first, n_known = counted(lambda p: (p.is_empty, interior_point(p)))
         assert empty_first == (empty, point_first[0])
         assert n_known == (1 if empty else 2)
+        # the answer is kept on the set, so asking again solves nothing
+        twice, n_twice = counted(lambda p: (interior_point(p), interior_point(p)))
+        assert twice == (point_first[0],) * 2
+        assert n_twice == 1
 
 
 class TestAffinePreimage:
