@@ -544,25 +544,14 @@ def rhs_basic_strict_margin(family: FunctionFamily, x: Sequence, budget) -> Frac
     return -res.optimum.finite_value()
 
 
-def rhs_basic_covers(image: Image | Polyhedron, target: Polyhedron) -> dict[str, Vec] | None:
-    """The first target generator outside the image, or None when all lie in it.
-
-    On an ``Image``, one pinned feasibility LP per generator avoids
-    materializing it; an image already projected to a ``Polyhedron``
-    answers each generator from its rows.
-    """
+def rhs_basic_covers(image: Polyhedron, target: Polyhedron) -> dict[str, Vec] | None:
+    """The first target generator outside the projected image, or None."""
     return missing_generator(target, image)
 
 
-def rhs_basic_within(image: Image | Polyhedron, target: Polyhedron) -> bool:
-    """Is the image contained in the target?
-
-    On an ``Image``, one support LP per target row; an image already
-    projected to a ``Polyhedron`` is compared by its generators.
-    """
-    if isinstance(image, Polyhedron):
-        return included(image, target)
-    return image.crossing_row(target) is None
+def rhs_basic_within(image: Polyhedron, target: Polyhedron) -> bool:
+    """Is the projected image contained in the target?"""
+    return included(image, target)
 
 
 # ============================================================

@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import gcd
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
     CapacityError,
@@ -55,9 +55,6 @@ from .rationals import (
     vec,
     zeros,
 )
-
-if TYPE_CHECKING:
-    from .projection import Image
 
 DEFAULT_DD_CAP = 6
 
@@ -504,14 +501,12 @@ def included(p: Polyhedron, q: Polyhedron) -> bool:
     return not q.is_empty and missing_generator(p, q) is None
 
 
-def missing_generator(p: Polyhedron, q: Polyhedron | Image) -> dict[str, Vec] | None:
+def missing_generator(p: Polyhedron, q: Polyhedron) -> dict[str, Vec] | None:
     """A generator of P outside Q, or None when P is a subset of Q.
 
     The witness is ``{"point": v}`` for a point of P outside Q, else
     ``{"ray": r}`` for a ray of P outside the recession cone of Q.  An
-    empty Q contains no point, so then it is P's first point.  Q is a
-    Polyhedron or a ``projection.Image``; only its ``contains`` and
-    ``contains_ray`` are asked.
+    empty Q contains no point, so then it is P's first point.
     """
     if p.is_empty:
         return None

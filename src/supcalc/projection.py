@@ -19,9 +19,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatchError, LPInternalError
-from .lp import LPResult, LPStatus, Row, solve_max, solve_min
+from .lp import LPResult, LPStatus, Row, solve_max
 from .polyhedron import Polyhedron
-from .rationals import ExtendedRational, Vec, dot, vec, zeros
+from .rationals import Vec, dot, vec
 
 _MAX_ROUNDS = 10_000
 
@@ -43,7 +43,10 @@ def _two_sided(q: Polyhedron) -> list[Row]:
 
 
 class Image:
-    """{C y : y satisfies the rows}; ``matrix`` holds the rows of C."""
+    """{C y : y satisfies the rows}; ``matrix`` holds the rows of C.
+
+    It is known through ``support`` alone; ``project`` materializes it.
+    """
 
     def __init__(
         self, src_dim: int, ineqs: Sequence[Row], eqs: Sequence[Row], matrix: Sequence[Vec]
@@ -51,7 +54,6 @@ class Image:
         self.matrix = [vec(r) for r in matrix]
         if any(len(r) != src_dim for r in self.matrix):
             raise DimensionMismatchError("projection matrix arity mismatch")
-        self.src_dim = src_dim
         self.dim = len(self.matrix)
         self.ineqs = list(ineqs)
         self.eqs = list(eqs)
@@ -62,29 +64,6 @@ class Image:
     def support(self, a: Vec) -> LPResult:
         """The LP maximizing <a, C y> over the rows."""
         return solve_max(_pullback(self.matrix, a), self.ineqs, self.eqs)
-
-    def _pinned(self, ineqs: Sequence[Row], eqs: Sequence[Row], v: Sequence) -> bool:
-        v = vec(v)
-        if len(v) != self.dim:
-            raise DimensionMismatchError("point arity mismatch")
-        pinned = eqs + [(self.matrix[j], v[j]) for j in range(self.dim)]
-        return solve_min(zeros(self.src_dim), ineqs, pinned).status is not LPStatus.INFEASIBLE
-
-    def contains(self, v: Sequence) -> bool:
-        """Is v = C y for some y satisfying the rows?"""
-        return self._pinned(self.ineqs, self.eqs, v)
-
-    def contains_ray(self, r: Sequence) -> bool:
-        """Is r = C d for some d in the recession cone of the rows?"""
-        hom = [[(a, Fraction(0)) for a, _ in rows] for rows in (self.ineqs, self.eqs)]
-        return self._pinned(*hom, r)
-
-    def crossing_row(self, q: Polyhedron) -> Row | None:
-        """The first row of q the image crosses; None when it lies inside q."""
-        for a, b in _two_sided(q):
-            if not (self.support(a).optimum <= ExtendedRational.finite(b)):
-                return (a, b)
-        return None
 
 
 def project(image: Image) -> Polyhedron:

@@ -25,6 +25,7 @@ from supcalc.errors import CapacityError, HypothesesNotMet, InvalidParameterErro
 from supcalc.family import FunctionFamily
 from supcalc.functions import PolyhedralFunction, eps_normal_set
 from supcalc.polyhedron import Polyhedron, intersect, polyhedron_equal
+from supcalc.projection import project
 from supcalc.rationals import POS_INF, ExtendedRational, qv
 
 PF = PolyhedralFunction.make
@@ -110,7 +111,7 @@ class TestRhsBasic:
 
     def test_sandwich_helpers(self, fam_abs):
         sub0 = fam_abs.sup.eps_subdifferential(qv(0), Q(0))
-        image = rhs_basic_image(fam_abs, qv(0), Q(0))
+        image = project(rhs_basic_image(fam_abs, qv(0), Q(0)))
         assert rhs_basic_covers(image, sub0) is None
         assert rhs_basic_within(image, sub0)
         big = Polyhedron.box(qv(-2), qv(2))

@@ -190,10 +190,16 @@ def test_a_passing_p34_covers_once_on_the_budget_graph(fam_abs, monkeypatch):
 
 @pytest.mark.parametrize("target", P34_WRONG_TARGETS)
 def test_p34_failures_take_the_per_level_loop(fam_abs, monkeypatch, target):
-    # a wrong target is not the graph's slice, so the graph is never sandwiched
+    # a wrong target is not the graph's slice, so the graph is never
+    # sandwiched; the failing level is read off the one projected graph
     dims = _count_covers(monkeypatch)
+    projected = []
+    real_project = identities.project
+    monkeypatch.setattr(identities, "project",
+                        lambda image: projected.append(image.dim) or real_project(image))
     _patch_target(monkeypatch, fam_abs, target)
     assert check_identity("P34", fam_abs, P34_AT_ZERO).status == "fail"
+    assert projected == [2]
     assert dims == [1]
 
 

@@ -16,6 +16,7 @@ from supcalc.calculus import (
     co_hull_conjugates,
     eps_normal_intersection,
     rhs_basic_covers,
+    rhs_basic_graph,
     rhs_basic_image,
     rhs_basic_within,
 )
@@ -30,6 +31,7 @@ from supcalc.polyhedron import (
     polyhedron_equal,
     recession_cone,
 )
+from supcalc.projection import project
 from supcalc.rationals import ExtendedRational, dot, qv
 
 PF = PolyhedralFunction.make
@@ -173,15 +175,19 @@ def families_with_points(draw):
     st.integers(min_value=1, max_value=20).filter(lambda k: k % 7),
 )
 def test_budget_graph_pass_holds_at_an_off_grid_budget(pair, eps, k):
+    # a slice of the projected graph is the projection of that level's
+    # lifted system, which is what P34's per-level replay relies on
+    fam, x = pair
+    graph = project(rhs_basic_graph(fam, x, eps))
+    budget = eps + Q(k, 7)
+    level = _budget_slice(graph, budget)
+    assert polyhedron_equal(level, project(rhs_basic_image(fam, x, budget)))
     # the graph decides every budget >= eps at once, so its pass must
     # survive the per-level sandwich at a budget no grid names
-    fam, x = pair
-    assume(_budget_graph_holds(fam, x, eps, []))
-    budget = eps + Q(k, 7)
-    image = rhs_basic_image(fam, x, budget)
+    assume(_budget_graph_holds(fam, x, eps, graph, []))
     target = fam.sup.eps_subdifferential(x, budget)
-    assert rhs_basic_covers(image, target) is None
-    assert rhs_basic_within(image, target)
+    assert rhs_basic_covers(level, target) is None
+    assert rhs_basic_within(level, target)
 
 
 @st.composite
