@@ -13,15 +13,21 @@ from hypothesis import strategies as st
 
 from supcalc.calculus import (
     _co_hull_lp,
+    _perspective_vars,
+    _subgradient_row,
+    _sum_rows,
+    _System,
     co_hull_conjugates,
     eps_normal_intersection,
     rhs_basic_covers,
     rhs_basic_graph,
     rhs_basic_image,
+    rhs_basic_strict_margin,
     rhs_basic_within,
 )
 from supcalc.errors import IdentityFalsified
 from supcalc.family import FunctionFamily
+from supcalc.lp import LPStatus
 from supcalc.functions import PolyhedralFunction, eps_normal_set
 from supcalc.identities import _budget_graph_holds, _budget_slice, _dual_samples
 from supcalc.polyhedron import (
@@ -31,7 +37,7 @@ from supcalc.polyhedron import (
     polyhedron_equal,
     recession_cone,
 )
-from supcalc.projection import project
+from supcalc.projection import Image, project
 from supcalc.rationals import ExtendedRational, dot, qv
 
 PF = PolyhedralFunction.make
@@ -230,12 +236,12 @@ def test_normal_sum_graph_slices_match_per_level_projections(pair, eps, k):
 
 
 @st.composite
-def hull_families(draw):
-    """2-6 max-affine members in dimension 1-3, each on the whole space or
-    on a box around the unit cube, so the supremum is proper."""
+def hull_families(draw, max_members=6):
+    """2-max_members max-affine members in dimension 1-3, each on the whole
+    space or on a box around the unit cube, so the supremum is proper."""
     dim = draw(st.integers(min_value=1, max_value=3))
     members = []
-    for i in range(draw(st.integers(min_value=2, max_value=6))):
+    for i in range(draw(st.integers(min_value=2, max_value=max_members))):
         pieces = draw(st.lists(st.tuples(st.tuples(*[small] * dim), offsets),
                                min_size=1, max_size=3))
         domain = None
@@ -267,3 +273,70 @@ def test_capped_hull_value_is_the_least_subset_value(fam, data):
     assert capped.value == oracle
     if capped.weights is not None:
         assert len(capped.weights.support) <= cap
+
+
+def _reference_rhs_basic_system(fam, x, budget, margin=False, graph=False):
+    """The lifted system with a scaled error e_t >= 0 per member, bounded
+    below by the member's subgradient row, and an optional margin delta
+    in [0, 1] that tightens the budget and activity rows uniformly."""
+    fx = fam.sup.eval_finite(x)
+    sys = _System()
+    y_of, lam_of, e_of, f_at = {}, {}, {}, {}
+    for t in fam.labels:
+        f_t = fam.member(t)
+        y_of[t], u, lam_of[t] = _perspective_vars(sys, f_t)
+        e_of[t] = sys.new_var()
+        f_at[t] = _subgradient_row(sys, f_t, x, y_of[t], u, lam_of[t], e_of[t])
+        sys.add_ineq({e_of[t]: Q(-1)}, 0)
+    delta = sys.new_var() if margin else None
+    beta = sys.new_var() if graph else None
+
+    def add_budgeted(row, rhs):
+        if delta is not None:
+            row[delta] = Q(1)
+        if beta is None:
+            sys.add_ineq(row, budget + rhs)
+        else:
+            row[beta] = Q(-1)
+            sys.add_ineq(row, rhs)
+
+    sys.add_eq({lam_of[t]: Q(1) for t in fam.labels}, 1)
+    add_budgeted({e_of[t]: Q(1) for t in fam.labels}, Q(0))
+    act = {e_of[t]: Q(1) for t in fam.labels}
+    for t in fam.labels:
+        act[lam_of[t]] = -f_at[t]
+    add_budgeted(act, -fx)
+    if delta is not None:
+        sys.add_ineq({delta: Q(-1)}, 0)
+        sys.add_ineq({delta: Q(1)}, 1)
+    sums = _sum_rows(list(y_of.values()), fam.dim)
+    if beta is not None:
+        sys.add_ineq({beta: Q(-1)}, -budget)
+        sums.append({beta: Q(1)})
+    return sys, [sys.dense(row) for row in sums], delta
+
+
+def _reference_projection(fam, x, budget, graph):
+    sys, matrix, _ = _reference_rhs_basic_system(fam, x, budget, graph=graph)
+    return project(Image(sys.nvars, *sys.rows(), matrix))
+
+
+@given(
+    hull_families(max_members=4),
+    st.data(),
+    st.integers(min_value=0, max_value=20).map(lambda k: Q(k, 7)),
+)
+def test_rhs_basic_sets_and_margin_match_the_error_variable_reference(fam, data, budget):
+    # budgets 0, off the grid and above 1; x in [0, 1]^dim lies in every
+    # member's domain.  The projections are compared by canonical rows,
+    # and the margin against the delta LP of the reference system
+    x = tuple(data.draw(st.fractions(min_value=0, max_value=1, max_denominator=4))
+              for _ in range(fam.dim))
+    for graph, mine in ((True, rhs_basic_graph), (False, rhs_basic_image)):
+        got = project(mine(fam, x, budget))
+        want = _reference_projection(fam, x, budget, graph)
+        assert (got.ineqs, got.eqs) == (want.ineqs, want.eqs)
+    sys, _, delta = _reference_rhs_basic_system(fam, x, budget, margin=True)
+    res = sys.solve_min({delta: Q(-1)})
+    assert res.status is LPStatus.OPTIMAL
+    assert rhs_basic_strict_margin(fam, x, budget) == -res.optimum.finite_value()
