@@ -434,18 +434,17 @@ def conjugate_on_interior(family: FunctionFamily, xstar: Sequence) -> ExtendedRa
 # ============================================================
 
 def _rhs_basic_system(
-    family: FunctionFamily, x: Vec, budget: Fraction, margin: bool = False,
-    graph: bool = False,
+    family: FunctionFamily, x: Vec, budget: Fraction, graph: bool = False,
 ) -> tuple[_System, list[Vec], int | None]:
     """Lifted system for the scaled-subgradient set at the given budget.
 
-    Variables per member: scaled point y_t, perspective value u_t,
-    weight lambda_t, scaled error e_t.  The projection matrix extracts
-    sum_t y_t.  With ``margin`` an extra variable delta tightens the
-    budget and activity rows uniformly; maximizing it probes whether
-    the strict-inequality form of those two rows is satisfiable.  With
-    ``graph`` the budget is a variable beta >= budget instead of a
-    right-hand side, and the matrix extracts (sum_t y_t, beta).
+    Variables per member: scaled point y_t, perspective value u_t and
+    weight lambda_t.  x lies in every dom f_t, so by Fenchel-Young the
+    scaled error g_t = u_t + lambda_t f_t(x) - <y_t, x> is nonnegative
+    and enters the budget and activity rows with no variable of its own.
+    The projection matrix extracts sum_t y_t.  With ``graph`` the budget
+    is a variable beta >= budget instead of a right-hand side, the
+    matrix extracts (sum_t y_t, beta), and beta's index is returned.
     """
     f = family.sup
     fx = f.eval(x)
@@ -453,42 +452,26 @@ def _rhs_basic_system(
         raise InvalidParameterError("the supremum must be finite at x")
     fx = fx.finite_value()
     sys = _System()
-    y_of, lam_of, e_of, f_at = {}, {}, {}, {}
-    labels = family.labels
-    for t in labels:
+    y_of, weight, act = {}, {}, {}
+    for t in family.labels:
         f_t = family.member(t)
-        y_of[t], u, lam_of[t] = _perspective_vars(sys, f_t)
-        e_of[t] = sys.new_var()
-        f_at[t] = _subgradient_row(sys, f_t, x, y_of[t], u, lam_of[t], e_of[t])
-        sys.add_ineq({e_of[t]: Fraction(-1)}, 0)
-    delta = sys.new_var() if margin else None
+        y_of[t], u, lam = _perspective_vars(sys, f_t)
+        weight[lam] = f_t.eval_finite(x)
+        act[u] = Fraction(1)
+        act.update((y_of[t][j], -xj) for j, xj in enumerate(x) if xj)
     beta = sys.new_var() if graph else None
-
-    def add_budgeted(row: dict[int, Fraction], rhs: Fraction) -> None:
-        """row <= budget + rhs, the budget as a constant or as beta."""
-        if delta is not None:
-            row[delta] = Fraction(1)
-        if beta is None:
-            sys.add_ineq(row, budget + rhs)
-        else:
-            row[beta] = Fraction(-1)
-            sys.add_ineq(row, rhs)
-
-    sys.add_eq({lam_of[t]: Fraction(1) for t in labels}, 1)
-    add_budgeted({e_of[t]: Fraction(1) for t in labels}, Fraction(0))
-    # sum lambda_t f_t(x) >= f(x) + sum e_t - budget
-    act = {e_of[t]: Fraction(1) for t in labels}
-    for t in labels:
-        act[lam_of[t]] = -f_at[t]
-    add_budgeted(act, -fx)
-    if delta is not None:
-        sys.add_ineq({delta: Fraction(-1)}, 0)
-        sys.add_ineq({delta: Fraction(1)}, 1)
+    sys.add_eq(dict.fromkeys(weight, Fraction(1)), 1)
+    # sum_t g_t <= budget; sum_t (u_t - <y_t, x>) <= budget - f(x), the
+    # activity row, where the lambda_t f_t(x) terms of the g_t cancel
+    for row, rhs in (({**act, **weight}, budget), (act, budget - fx)):
+        if beta is not None:
+            row, rhs = {**row, beta: Fraction(-1)}, rhs - budget
+        sys.add_ineq(row, rhs)
     sums = _sum_rows(list(y_of.values()), family.dim)
     if beta is not None:
         sys.add_ineq({beta: Fraction(-1)}, -budget)
         sums.append({beta: Fraction(1)})
-    return sys, [sys.dense(row) for row in sums], delta
+    return sys, [sys.dense(row) for row in sums], beta
 
 
 def rhs_basic_image(family: FunctionFamily, x: Sequence, budget) -> Image:
@@ -512,10 +495,11 @@ def eps_subdiff_rhs_basic(
 ) -> Polyhedron:
     """Materialize the scaled-subgradient representation at budget eps+gamma.
 
-    The set { sum_t y_t } over weights in the simplex, scaled errors
-    e_t >= 0 with sum e_t <= eps+gamma, perspective subgradient
-    certificates, and the activity constraint
-    sum lambda_t f_t(x) >= f(x) + sum e_t - (eps+gamma).  Strict
+    The set { sum_t y_t } over weights in the simplex and perspective
+    points (y_t, u_t, lambda_t) whose scaled errors
+    g_t = u_t + lambda_t f_t(x) - <y_t, x> (nonnegative by Fenchel-Young)
+    satisfy sum g_t <= eps+gamma and the activity constraint
+    sum lambda_t f_t(x) >= f(x) + sum g_t - (eps+gamma).  Strict
     inequalities of the source formula are relaxed to non-strict, which
     matches the closure for this polyhedral class.
     """
@@ -528,20 +512,26 @@ def eps_subdiff_rhs_basic(
 
 
 def rhs_basic_strict_margin(family: FunctionFamily, x: Sequence, budget) -> Fraction:
-    """Largest uniform tightening of the budget and activity rows.
+    """Largest uniform tightening delta in [0, 1] of the budget and activity rows.
 
     Positive exactly when the strict form of those rows is satisfiable
     at this budget, zero when only the relaxed set is nonempty.
+    Tightening both rows by delta is the system at budget - delta, which
+    is feasible exactly from the least budget b_min up, so the margin is
+    min(1, budget - b_min); b_min is one LP, kept per point on the family.
     """
     x = vec(x)
     budget = rational(budget)
     if budget < 0:
         raise InvalidParameterError("budget must be nonnegative")
-    sys, _, delta = _rhs_basic_system(family, x, budget, margin=True)
-    res = sys.solve_min({delta: Fraction(-1)})
-    if res.status is not LPStatus.OPTIMAL:
+    known = family.least_budgets
+    if x not in known:
+        sys, _, beta = _rhs_basic_system(family, x, Fraction(0), graph=True)
+        known[x] = sys.solve_min({beta: Fraction(1)}).optimum
+    least = known[x]
+    if not least.is_finite or budget < least.finite_value():
         raise LPInternalError("margin probe must be bounded and feasible")
-    return -res.optimum.finite_value()
+    return min(Fraction(1), budget - least.finite_value())
 
 
 def rhs_basic_covers(image: Polyhedron, target: Polyhedron) -> dict[str, Vec] | None:

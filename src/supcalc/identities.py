@@ -451,7 +451,9 @@ def _subdiff_grid_representation(family: FunctionFamily, params: Mapping[str, An
     nested, and the gamma = 0 instance pins the represented set to the
     target exactly.  A positive strict margin per level certifies that
     the open form of the budget and activity rows is nonempty, so
-    relaxing them to closed rows only adds the closure.
+    relaxing them to closed rows only adds the closure.  Every level's
+    margin is min(1, budget - b_min), read off one least-budget LP per
+    point (``rhs_basic_strict_margin``).
     """
     f = _proper_sup(family)
     x = _primal_point(family, params)

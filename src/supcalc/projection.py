@@ -21,17 +21,9 @@ from typing import Sequence
 from .errors import DimensionMismatchError, LPInternalError
 from .lp import LPResult, LPStatus, Row, solve_max
 from .polyhedron import Polyhedron
-from .rationals import Vec, dot, vec
+from .rationals import Vec, vec
 
 _MAX_ROUNDS = 10_000
-
-
-def _pullback(matrix: Sequence[Vec], a: Vec) -> Vec:
-    """The objective <a, C y> as a vector over the source coordinates."""
-    src = len(matrix[0])
-    return tuple(
-        sum(a[i] * matrix[i][j] for i in range(len(matrix))) for j in range(src)
-    )
 
 
 def _two_sided(q: Polyhedron) -> list[Row]:
@@ -46,24 +38,29 @@ class Image:
     """{C y : y satisfies the rows}; ``matrix`` holds the rows of C.
 
     It is known through ``support`` alone; ``project`` materializes it.
+    C's nonzero entries are kept by row for ``map`` and by column for
+    ``support``.
     """
 
     def __init__(
         self, src_dim: int, ineqs: Sequence[Row], eqs: Sequence[Row], matrix: Sequence[Vec]
     ) -> None:
-        self.matrix = [vec(r) for r in matrix]
-        if any(len(r) != src_dim for r in self.matrix):
+        rows = [vec(r) for r in matrix]
+        if any(len(r) != src_dim for r in rows):
             raise DimensionMismatchError("projection matrix arity mismatch")
-        self.dim = len(self.matrix)
+        self.dim = len(rows)
         self.ineqs = list(ineqs)
         self.eqs = list(eqs)
+        self._by_row = [[(j, c) for j, c in enumerate(r) if c] for r in rows]
+        self._by_col = [[(i, r[j]) for i, r in enumerate(rows) if r[j]] for j in range(src_dim)]
 
     def map(self, y: Vec) -> Vec:
-        return tuple(dot(row, y) for row in self.matrix)
+        return tuple(sum((c * y[j] for j, c in r), Fraction(0)) for r in self._by_row)
 
     def support(self, a: Vec) -> LPResult:
         """The LP maximizing <a, C y> over the rows."""
-        return solve_max(_pullback(self.matrix, a), self.ineqs, self.eqs)
+        c = [sum((a[i] * m for i, m in col), Fraction(0)) for col in self._by_col]
+        return solve_max(c, self.ineqs, self.eqs)
 
 
 def project(image: Image) -> Polyhedron:

@@ -5,6 +5,7 @@ import pytest
 from conftest import abs_family
 from test_acceptance import _c2_plan, _dom_point
 
+import supcalc.calculus as calculus
 import supcalc.family as family_module
 import supcalc.identities as identities
 from supcalc.cli import _fuzz_params
@@ -88,6 +89,33 @@ def test_p34_custom_gamma_grid(fam_abs):
         "P34", fam_abs, {"x": [0], "eps": 0, "gamma_grid": [Q(1, 2), Q(1, 16)]}
     )
     assert r.status == "pass"
+
+
+def test_p34_margins_solve_one_lp_per_point(fam_abs, monkeypatch):
+    # every level's margin is read off one least-budget LP, kept on the
+    # family, so a second check at the same point solves none
+    inside, solves = [], []
+    margin, solve_min = identities.rhs_basic_strict_margin, calculus.solve_min
+
+    def counted_margin(*args):
+        inside.append(True)
+        try:
+            return margin(*args)
+        finally:
+            inside.pop()
+
+    def counted_solve(*args):
+        solves.extend(inside[:1])
+        return solve_min(*args)
+
+    monkeypatch.setattr(identities, "rhs_basic_strict_margin", counted_margin)
+    monkeypatch.setattr(calculus, "solve_min", counted_solve)
+    params = {"x": [0], "eps": 0, "gamma_grid": [Q(1, 2), Q(1, 4), Q(1, 8)]}
+    r = check_identity("P34", fam_abs, params)
+    assert r.status == "pass" and len(r.details["strict_margins"]) == 3
+    assert len(solves) == 1
+    assert check_identity("P34", fam_abs, params).status == "pass"
+    assert len(solves) == 1
 
 
 def _patch_target(monkeypatch, family, target):
