@@ -27,9 +27,9 @@ from supcalc.calculus import (
 )
 from supcalc.errors import IdentityFalsified
 from supcalc.family import FunctionFamily
-from supcalc.lp import LPStatus
 from supcalc.functions import PolyhedralFunction, eps_normal_set
 from supcalc.identities import _budget_graph_holds, _budget_slice, _dual_samples
+from supcalc.lp import LPStatus
 from supcalc.polyhedron import (
     Polyhedron,
     included,
