@@ -351,10 +351,11 @@ def co_hull_conjugates(
     With ``support_cap`` the infimum is taken over label subsets of at
     most that size and certified to agree with the unrestricted value.
     Each subset program is a restriction of the full one, so none is
-    lower.  When the full optimum's support (the labels with positive
-    weight or a nonzero direction) fits the cap, the one program on that
-    support attains the full value and decides the cap; only a wider
-    optimum falls back to enumerating the subsets.
+    lower.  A full optimum whose support (the labels with positive weight
+    or a nonzero direction) fits the cap is returned as it is: off its
+    support lambda_t = 0, y_t = 0 and u_t >= 0, so it is feasible for the
+    program on its support at no higher value.  Only a wider optimum
+    falls back to enumerating the subsets.
     """
     xstar = vec(xstar)
     if len(xstar) != family.dim:
@@ -370,23 +371,21 @@ def co_hull_conjugates(
         return full
     if support_cap < 1:
         raise InvalidParameterError("support cap must be positive")
-    labels = family.labels
-    if not full.value.is_finite or len(labels) <= support_cap:
+    if not full.value.is_finite:
         # -oo: no common affine minorant, and the support bound carries no
         # equality claim in that regime; +oo: every restriction of an
-        # infeasible program is infeasible; few members: the full program
-        # is itself one of the capped ones
+        # infeasible program is infeasible
         return full
     support = set(full.weights.support).union(t for t, _ in full.directions)
     if len(support) <= support_cap:
-        best = _co_hull_lp(family, xstar, [t for t in labels if t in support])
-    else:
-        best = None
-        for size in range(1, support_cap + 1):
-            for subset in combinations(labels, size):
-                cand = _co_hull_lp(family, xstar, subset)
-                if best is None or cand.value < best.value:
-                    best = cand
+        # a capped optimum itself, as with no more members than the cap
+        return full
+    best = None
+    for size in range(1, support_cap + 1):
+        for subset in combinations(family.labels, size):
+            cand = _co_hull_lp(family, xstar, subset)
+            if best is None or cand.value < best.value:
+                best = cand
     if best.value != full.value:
         raise IdentityFalsified(
             f"support-restricted hull value {best.value} differs from {full.value}",
@@ -435,7 +434,7 @@ def conjugate_on_interior(family: FunctionFamily, xstar: Sequence) -> ExtendedRa
 
 def _rhs_basic_system(
     family: FunctionFamily, x: Vec, budget: Fraction, graph: bool = False,
-) -> tuple[_System, list[Vec], int | None]:
+) -> tuple[_System, list[Vec]]:
     """Lifted system for the scaled-subgradient set at the given budget.
 
     Variables per member: scaled point y_t, perspective value u_t and
@@ -443,8 +442,8 @@ def _rhs_basic_system(
     scaled error g_t = u_t + lambda_t f_t(x) - <y_t, x> is nonnegative
     and enters the budget and activity rows with no variable of its own.
     The projection matrix extracts sum_t y_t.  With ``graph`` the budget
-    is a variable beta >= budget instead of a right-hand side, the
-    matrix extracts (sum_t y_t, beta), and beta's index is returned.
+    is a variable beta >= budget instead of a right-hand side and the
+    matrix extracts (sum_t y_t, beta).
     """
     f = family.sup
     fx = f.eval(x)
@@ -471,12 +470,12 @@ def _rhs_basic_system(
     if beta is not None:
         sys.add_ineq({beta: Fraction(-1)}, -budget)
         sums.append({beta: Fraction(1)})
-    return sys, [sys.dense(row) for row in sums], beta
+    return sys, [sys.dense(row) for row in sums]
 
 
 def rhs_basic_image(family: FunctionFamily, x: Sequence, budget) -> Image:
     """The scaled-subgradient set at the given budget, as an LP-backed image."""
-    sys, matrix, _ = _rhs_basic_system(family, vec(x), rational(budget))
+    sys, matrix = _rhs_basic_system(family, vec(x), rational(budget))
     return Image(sys.nvars, *sys.rows(), matrix)
 
 
@@ -486,7 +485,7 @@ def rhs_basic_graph(family: FunctionFamily, x: Sequence, eps) -> Image:
     One image in dimension dim + 1 for every budget from eps up; its
     slice at beta = b is ``rhs_basic_image(family, x, b)``.
     """
-    sys, matrix, _ = _rhs_basic_system(family, vec(x), rational(eps), graph=True)
+    sys, matrix = _rhs_basic_system(family, vec(x), rational(eps), graph=True)
     return Image(sys.nvars, *sys.rows(), matrix)
 
 
@@ -514,24 +513,21 @@ def eps_subdiff_rhs_basic(
 def rhs_basic_strict_margin(family: FunctionFamily, x: Sequence, budget) -> Fraction:
     """Largest uniform tightening delta in [0, 1] of the budget and activity rows.
 
-    Positive exactly when the strict form of those rows is satisfiable
-    at this budget, zero when only the relaxed set is nonempty.
     Tightening both rows by delta is the system at budget - delta, which
     is feasible exactly from the least budget b_min up, so the margin is
-    min(1, budget - b_min); b_min is one LP, kept per point on the family.
+    min(1, budget - b_min).  No budget below 0 is feasible, as each g_t
+    is nonnegative, and 0 is: give an active member t (f_t(x) = f(x))
+    weight 1, a subgradient y_t of f_t at x (a polyhedral f_t has one on
+    its domain) and u_t = f*_t(y_t), so g_t = 0 by Fenchel-Young, and
+    every other member 0.  So b_min = 0, with no LP.
     """
     x = vec(x)
     budget = rational(budget)
     if budget < 0:
         raise InvalidParameterError("budget must be nonnegative")
-    known = family.least_budgets
-    if x not in known:
-        sys, _, beta = _rhs_basic_system(family, x, Fraction(0), graph=True)
-        known[x] = sys.solve_min({beta: Fraction(1)}).optimum
-    least = known[x]
-    if not least.is_finite or budget < least.finite_value():
-        raise LPInternalError("margin probe must be bounded and feasible")
-    return min(Fraction(1), budget - least.finite_value())
+    if not family.sup.eval(x).is_finite:
+        raise InvalidParameterError("the supremum must be finite at x")
+    return min(Fraction(1), budget)
 
 
 def rhs_basic_covers(image: Polyhedron, target: Polyhedron) -> dict[str, Vec] | None:

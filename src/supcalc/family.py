@@ -84,12 +84,6 @@ class FunctionFamily:
         ``calculus.co_hull_conjugates`` so each point's LP is solved once."""
         return {}
 
-    @cached_property
-    def least_budgets(self) -> dict:
-        """P34's least feasible budget by point, kept by
-        ``calculus.rhs_basic_strict_margin``."""
-        return {}
-
     def active_indices(self, x: Sequence, eps) -> set[str]:
         """Labels with f_t(x) within eps of the supremum value."""
         eps = rational(eps)

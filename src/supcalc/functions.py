@@ -261,12 +261,14 @@ class PolyhedralFunction:
 
     @cached_property
     def _epi_pointed(self) -> EpiPointedCertificate | None:
-        dom_star = self.conjugate().domain
-        if dom_star.eqs:
+        """The largest cube y + alpha*[-1, 1]^n inside dom f*, alpha <= 1.  Its
+        slack rows bound a.y + alpha*||a||_1, so every corner lies in dom f*
+        and is valued on the built conjugate; ``verify`` re-solves each by LP."""
+        fstar = self.conjugate()
+        if fstar.domain.eqs:
             return None
         n = self.dim
-        # the largest cube y + alpha*[-1, 1]^n inside dom f*, alpha <= 1
-        res = max_slack(dom_star, l1norm)
+        res = max_slack(fstar.domain, l1norm)
         if res.status is not LPStatus.OPTIMAL:
             raise LPInternalError("ball LP must be bounded by the cap row")
         alpha = res.optimum.finite_value()
@@ -274,9 +276,7 @@ class PolyhedralFunction:
             return None
         center = res.primal_point[:n]
         worst = max(
-            self.conjugate_eval(
-                tuple(c + alpha * s for c, s in zip(center, signs))
-            ).finite_value()
+            fstar.eval(tuple(c + alpha * s for c, s in zip(center, signs))).finite_value()
             for signs in product((1, -1), repeat=n)
         )
         cert = EpiPointedCertificate(center, alpha, -worst)

@@ -452,8 +452,9 @@ def _subdiff_grid_representation(family: FunctionFamily, params: Mapping[str, An
     target exactly.  A positive strict margin per level certifies that
     the open form of the budget and activity rows is nonempty, so
     relaxing them to closed rows only adds the closure.  Every level's
-    margin is min(1, budget - b_min), read off one least-budget LP per
-    point (``rhs_basic_strict_margin``).
+    margin is min(1, budget), with no LP: the least feasible budget is 0,
+    since an active member's subgradient meets both rows at budget 0
+    (``rhs_basic_strict_margin``).
     """
     f = _proper_sup(family)
     x = _primal_point(family, params)
@@ -638,9 +639,11 @@ def _intersection_normal_split(
     common = sets[0]
     for c in sets[1:]:
         common = intersect(common, c)
+    x = params.get("x")
+    if x is None:
+        interior_point(common)  # its max-slack LP settles is_empty as well
     if common.is_empty:
         raise HypothesesNotMet("the sets have empty intersection")
-    x = params.get("x")
     if x is None:
         x = _point_of(common)
     if not common.contains(x):
@@ -674,10 +677,8 @@ def _decomposition_check(
     if not f.domain.contains(x):
         raise HypothesesNotMet("x lies outside the domain of the supremum")
     eps = params.get("eps", Fraction(0))
-    target = f.eps_subdifferential(x, eps)
-    if target.is_empty:
-        return (CheckStatus.TRIVIAL_PASS, None, {"reason": "empty subdifferential"})
-    points = _decomposition_targets(target)
+    # x lies in dom f, so the target holds the subdifferential there: never empty
+    points = _decomposition_targets(f.eps_subdifferential(x, eps))
     first = None
     sizes: list[int] = []
     zero_gamma_hits = 0

@@ -71,6 +71,23 @@ class TestCoHull:
         assert len(h.weights.support) <= 2
         assert sorted(sizes) == [1, 1, 1, 2, 2, 2, 3]
 
+    def test_a_narrow_optimum_is_the_capped_one(self, monkeypatch):
+        # the full optimum at 1/2 weights two of the three members, so it
+        # is itself a capped optimum and no subset program is solved
+        fam = FunctionFamily.make(
+            [(t, PF(1, [(qv(a), Q(0))])) for t, a in (("p", 1), ("m", -1), ("z", 0))]
+        )
+        real = calculus_module._co_hull_lp
+        sizes = []
+        monkeypatch.setattr(
+            calculus_module, "_co_hull_lp",
+            lambda family, xstar, allowed: sizes.append(len(allowed)) or real(family, xstar, allowed),
+        )
+        h = co_hull_conjugates(fam, qv("1/2"), support_cap=2)
+        assert sizes == [3]
+        assert h is fam.co_hull_values[qv("1/2")]
+        assert h.value == FIN(Q(0)) and len(h.weights.support) <= 2
+
 
 class TestConjugateOnInterior:
     def test_truncated_chain(self, chain6):

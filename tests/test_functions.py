@@ -5,11 +5,13 @@ raw generator enumeration before being inlined here; test_oracles keeps
 those cross-checks alive.
 """
 from fractions import Fraction as Q
+from itertools import product
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import supcalc.lp as lp_module
 from supcalc.errors import (
     DimensionMismatchError,
     ImproperFunctionError,
@@ -231,3 +233,20 @@ class TestEpiPointed:
     def test_certificate_is_built_once(self, f_kink):
         cert = f_kink.is_epi_pointed()
         assert cert is not None and f_kink.is_epi_pointed() is cert
+
+    def test_corners_are_read_off_the_built_conjugate(self, monkeypatch):
+        # one max-slack LP, then only verify's one LP per corner; the
+        # offset is minus the largest LP conjugate value at the corners
+        f = PF(2, [(qv(1, 1), Q(1)), (qv(-1, 0), Q(0)), (qv(0, -1), Q(2)), (qv(1, -1), Q(-3))])
+        f.conjugate()
+        solves = []
+        real = lp_module._certify_scaled
+        monkeypatch.setattr(lp_module, "_certify_scaled",
+                            lambda *args: solves.append(args) or real(*args))
+        cert = f.is_epi_pointed()
+        assert cert is not None and len(solves) == 1 + 2 ** 2
+        corners = [
+            tuple(c + cert.margin * s for c, s in zip(cert.minorant_slope, signs))
+            for signs in product((1, -1), repeat=2)
+        ]
+        assert cert.offset == -max(f.conjugate_eval(y).finite_value() for y in corners)

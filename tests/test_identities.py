@@ -5,16 +5,17 @@ import pytest
 from conftest import abs_family
 from test_acceptance import _c2_plan, _dom_point
 
-import supcalc.calculus as calculus
 import supcalc.family as family_module
 import supcalc.identities as identities
+import supcalc.lp as lp_module
+import supcalc.polyhedron as polyhedron_module
 from supcalc.cli import _fuzz_params
 from supcalc.errors import IdentityFalsified, InvalidParameterError
 from supcalc.family import FunctionFamily
 from supcalc.functions import PolyhedralFunction
 from supcalc.generator import generate
 from supcalc.identities import check_identity, identity_ids
-from supcalc.polyhedron import Polyhedron
+from supcalc.polyhedron import Polyhedron, intersect
 from supcalc.rationals import qv
 from supcalc.serialize import json_digest, report_to_json
 
@@ -91,11 +92,12 @@ def test_p34_custom_gamma_grid(fam_abs):
     assert r.status == "pass"
 
 
-def test_p34_margins_solve_one_lp_per_point(fam_abs, monkeypatch):
-    # every level's margin is read off one least-budget LP, kept on the
-    # family, so a second check at the same point solves none
+def test_p34_margins_solve_no_lp(fam_abs, monkeypatch):
+    # the least feasible budget is 0 (an active member's subgradient meets
+    # both budgeted rows there), so every level's margin is min(1, budget)
+    # and no LP is solved for it
     inside, solves = [], []
-    margin, solve_min = identities.rhs_basic_strict_margin, calculus.solve_min
+    margin, certify = identities.rhs_basic_strict_margin, lp_module._certify_scaled
 
     def counted_margin(*args):
         inside.append(True)
@@ -104,19 +106,18 @@ def test_p34_margins_solve_one_lp_per_point(fam_abs, monkeypatch):
         finally:
             inside.pop()
 
-    def counted_solve(*args):
+    def counted_certify(*args):
         if inside:
             solves.append(args)
-        return solve_min(*args)
+        return certify(*args)
 
     monkeypatch.setattr(identities, "rhs_basic_strict_margin", counted_margin)
-    monkeypatch.setattr(calculus, "solve_min", counted_solve)
-    params = {"x": [0], "eps": 0, "gamma_grid": [Q(1, 2), Q(1, 4), Q(1, 8)]}
-    r = check_identity("P34", fam_abs, params)
-    assert r.status == "pass" and len(r.details["strict_margins"]) == 3
-    assert len(solves) == 1
-    assert check_identity("P34", fam_abs, params).status == "pass"
-    assert len(solves) == 1
+    monkeypatch.setattr(lp_module, "_certify_scaled", counted_certify)
+    grid = [Q(1, 2), Q(1, 4), Q(1, 8)]
+    r = check_identity("P34", fam_abs, {"x": [0], "eps": 0, "gamma_grid": grid})
+    assert r.status == "pass"
+    assert r.details["strict_margins"] == {str(g): g for g in grid}
+    assert solves == []
 
 
 def _patch_target(monkeypatch, family, target):
@@ -344,6 +345,38 @@ def test_decomposition_identities_attach_witnesses(fam_abs, ident):
     r = check_identity(ident, fam_abs, {"x": [0], "eps": Q(1, 3)})
     assert r.status == "pass"
     assert r.witness is not None
+
+
+def _emptiness_lps(monkeypatch) -> list[tuple]:
+    """The (ineqs, eqs) of each zero-objective LP a Polyhedron solves."""
+    rows = []
+    real = polyhedron_module.solve_min
+
+    def recording(c, ineqs=(), eqs=()):
+        if not any(c):
+            rows.append((tuple(ineqs), tuple(eqs)))
+        return real(c, ineqs, eqs)
+
+    monkeypatch.setattr(polyhedron_module, "solve_min", recording)
+    return rows
+
+
+@pytest.mark.parametrize("ident", ["T52", "T53", "R54"])
+def test_decomposition_targets_solve_no_emptiness_lp(fam_abs, monkeypatch, ident):
+    # x lies in dom f, so its eps-subdifferential holds the subdifferential
+    # there and is never empty; here it is [2/3, 1]
+    target = fam_abs.sup.eps_subdifferential(qv(1), Q(1, 3))
+    emptiness = _emptiness_lps(monkeypatch)
+    assert check_identity(ident, fam_abs, {"x": [1], "eps": Q(1, 3)}).status == "pass"
+    assert (target.ineqs, target.eqs) not in emptiness
+
+
+def test_c46_settles_emptiness_with_its_point(monkeypatch):
+    # with no x given, the max-slack LP that picks x decides is_empty too
+    common = intersect(*C46_BOXES)
+    emptiness = _emptiness_lps(monkeypatch)
+    assert check_identity("C46", list(C46_BOXES), {"eps": Q(1, 4)}).status == "pass"
+    assert (common.ineqs, common.eqs) not in emptiness
 
 
 def test_t54a_variants(fam_abs):
