@@ -108,12 +108,20 @@ class PolyhedralFunction:
     def is_proper(self) -> bool:
         return not self.domain.is_empty
 
+    @cached_property
+    def _int_pieces(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """((A, B), d) per piece (a, b) = (A, B) / d, scaled once per function."""
+        return tuple(
+            (tuple(row), d) for row, d in (_scale_to_int((*a, b)) for a, b in self.pieces)
+        )
+
     def eval(self, x: Sequence) -> ExtendedRational:
         """The largest piece at x, +oo off the domain, compared in integers.
 
         With x = X / D and a piece (a, b) = (A, B) / d, the piece's value
         is (A.X + B D) / (d D); D is shared, so the largest n / d with
-        n = A.X + B D wins, by cross-multiplication.
+        n = A.X + B D wins, by cross-multiplication.  Each piece's (A, B)
+        and d are kept on the function, so a call scales only x.
         """
         x = vec(x)
         if len(x) != self.dim:
@@ -122,9 +130,8 @@ class PolyhedralFunction:
             return POS_INF
         ints, den = _scale_to_int(x)
         best_n, best_d = None, 1
-        for a, b in self.pieces:
-            (*coef, rhs), d = _scale_to_int((*a, b))
-            n = _idot(coef, ints) + rhs * den
+        for row, d in self._int_pieces:
+            n = _idot(row, ints) + row[-1] * den
             if best_n is None or n * best_d > best_n * d:
                 best_n, best_d = n, d
         return ExtendedRational.finite(Fraction(best_n, best_d * den))

@@ -344,13 +344,12 @@ class _Tableau:
 
     def duals(self, obj: list[int], art_cost: int, cost_scale: int) -> tuple[Vec, Vec]:
         """Multipliers (mu, nu) of the original rows, read off the artificial columns."""
-        ys = []
-        for r in range(self.m):
-            if self.deleted[r]:
-                ys.append(Fraction(0))
-                continue
-            red = Fraction(obj[self.n + r], self.den * cost_scale)
-            ys.append(self.mult[r] * (red - Fraction(art_cost, cost_scale)))
+        n, den = self.n, self.den
+        ys = [
+            Fraction(0) if self.deleted[r]
+            else Fraction(self.mult[r] * (obj[n + r] - art_cost * den), den * cost_scale)
+            for r in range(self.m)
+        ]
         return tuple(ys[: self.m1]), tuple(ys[self.m1 :])
 
     def ray_from(self, col: int) -> Vec:

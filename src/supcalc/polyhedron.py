@@ -314,6 +314,14 @@ class Polyhedron:
 
     @cached_property
     def is_empty(self) -> bool:
+        """Does P contain no point?
+
+        Read off the generators when they are already built: P is empty
+        exactly when its homogenization cone has no ray with t > 0, that
+        is, when the conversion yields no point.  Otherwise one phase-1 LP.
+        """
+        if "generators" in vars(self):
+            return not self.generators[0]
         res = solve_min(zeros(self.dim), self.ineqs, self.eqs)
         return res.status is LPStatus.INFEASIBLE
 
@@ -401,6 +409,19 @@ def _check_cap(dim: int) -> None:
 # Operations
 # ============================================================
 
+def _empty_by_conversion(p: Polyhedron) -> bool:
+    """``p.is_empty`` for a caller that converts p to generators next.
+
+    Within ``dd_dimension_cap()`` the conversion runs now and its points
+    answer (none means empty), so no LP is solved.  Above the cap the LP
+    decides, and an empty set is told apart before any conversion could
+    raise ``CapacityError``.
+    """
+    if "is_empty" not in vars(p) and p.dim <= dd_dimension_cap():
+        return not p.generators[0]
+    return p.is_empty
+
+
 def recession_cone(p: Polyhedron) -> Polyhedron:
     """{d : x + t d in P for all x in P, t >= 0}; undefined on empty sets."""
     if p.is_empty:
@@ -441,7 +462,12 @@ def cone_is_trivial(dim: int, ineqs: Sequence[Row], eqs: Sequence[Row]) -> bool:
 
 
 def cco_union(parts: Sequence[Polyhedron]) -> Polyhedron:
-    """Closed convex hull of a finite union (generator union)."""
+    """Closed convex hull of a finite union (generator union).
+
+    Empty parts are skipped; within the DD cap each part's emptiness is
+    read off the generators its union needs anyway, so no LP is solved.
+    Raises ``EmptySetError`` when every part is empty.
+    """
     parts = list(parts)
     if not parts:
         raise InvalidParameterError("cco_union of no sets")
@@ -452,7 +478,7 @@ def cco_union(parts: Sequence[Polyhedron]) -> Polyhedron:
     for p in parts:
         if p.dim != dim:
             raise DimensionMismatchError("cco_union arity mismatch")
-        if p.is_empty:
+        if _empty_by_conversion(p):
             continue
         nonempty = True
         vs, rs = p.generators
@@ -464,9 +490,14 @@ def cco_union(parts: Sequence[Polyhedron]) -> Polyhedron:
 
 
 def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
+    """P + Q from the pairwise sums of points and the union of rays.
+
+    Raises ``EmptySetError`` when either set is empty; within the DD cap
+    that is read off the generators the sum is built from, with no LP.
+    """
     if p.dim != q.dim:
         raise DimensionMismatchError("minkowski_sum arity mismatch")
-    if p.is_empty or q.is_empty:
+    if _empty_by_conversion(p) or _empty_by_conversion(q):
         raise EmptySetError("minkowski_sum of an empty polyhedron")
     pv, pr = p.generators
     qv, qr = q.generators
@@ -506,9 +537,12 @@ def missing_generator(p: Polyhedron, q: Polyhedron) -> dict[str, Vec] | None:
 
     The witness is ``{"point": v}`` for a point of P outside Q, else
     ``{"ray": r}`` for a ray of P outside the recession cone of Q.  An
-    empty Q contains no point, so then it is P's first point.
+    empty Q contains no point, so then it is P's first point.  Within the
+    DD cap an empty P is told by its generators, which yield no point,
+    so no LP is solved; above the cap an LP tells it, and then the answer
+    is None rather than ``CapacityError``.
     """
-    if p.is_empty:
+    if _empty_by_conversion(p):
         return None
     for v in p.vertices:
         if not q.contains(v):

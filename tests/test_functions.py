@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import supcalc.functions as functions_module
 import supcalc.lp as lp_module
 from supcalc.errors import (
     DimensionMismatchError,
@@ -69,6 +70,21 @@ class TestEvaluation:
         ind = PolyhedralFunction.indicator(Polyhedron.box(qv(0), qv(1)))
         assert ind.eval(qv("1/2")) == FIN(Q(0))
         assert ind.eval(qv(2)) == POS_INF
+
+    def test_pieces_are_scaled_once(self, monkeypatch):
+        # the pieces' integer form is kept on the function, so a second
+        # eval scales only its point
+        f = PF(2, [(qv("1/2", "-1/3"), Q(1, 6)), (qv(2, "3/4"), Q(-1)), (qv(0, 1), Q(5, 7))])
+        scaled = []
+        real = lp_module._scale_to_int
+        monkeypatch.setattr(functions_module, "_scale_to_int",
+                            lambda v: scaled.append(tuple(v)) or real(v))
+        x = qv("2/3", "-1/5")
+        first = f.eval(x)
+        assert first == FIN(max(dot(a, x) + b for a, b in f.pieces))
+        del scaled[:]
+        assert f.eval(x) == first
+        assert scaled == [x]
 
 
 @st.composite

@@ -228,6 +228,74 @@ class TestSetAlgebra:
         assert missing_generator(quad, half) is None
 
 
+def _counting_solves(monkeypatch):
+    solves = []
+    real = lp_module.solve_min
+    for module in (lp_module, polyhedron_module):
+        monkeypatch.setattr(module, "solve_min",
+                            lambda *args: solves.append(args) or real(*args))
+    return solves
+
+
+# x <= 0 and x >= 1 in the first coordinate: empty, though no single row says so
+def _hidden_empty(dim):
+    e = (Q(1),) + (Q(0),) * (dim - 1)
+    return Polyhedron.from_hrep(dim, [(e, Q(0)), (tuple(-t for t in e), Q(-1))])
+
+
+class TestEmptinessFromGenerators:
+    """The set operations that convert a set anyway read its emptiness there."""
+
+    def test_cco_union_solves_no_lp(self, monkeypatch):
+        solves = _counting_solves(monkeypatch)
+        square = Polyhedron.from_hrep(2, [(qv(1, 0), Q(1)), (qv(-1, 0), Q(0)),
+                                          (qv(0, 1), Q(1)), (qv(0, -1), Q(0))])
+        beam = Polyhedron.from_hrep(2, [(qv(0, 1), Q(2)), (qv(0, -1), Q(-2)),
+                                        (qv(-1, 0), Q(-3))])
+        u = cco_union([square, _hidden_empty(2), beam])
+        assert solves == []
+        assert u.vertices == (qv(0, 0), qv(0, 1), qv(3, 2))
+        assert u.rays == (qv(1, 0),)
+
+    def test_minkowski_sum_solves_no_lp(self, monkeypatch):
+        solves = _counting_solves(monkeypatch)
+        seg = Polyhedron.from_hrep(1, [(qv(1), Q(1)), (qv(-1), Q(0))])
+        half = Polyhedron.from_hrep(1, [(qv(-1), Q(-2))])
+        s = minkowski_sum(seg, half)
+        assert solves == []
+        assert s.generators == ((qv(2),), (qv(1),))
+        with pytest.raises(EmptySetError):
+            minkowski_sum(seg, _hidden_empty(1))
+        assert solves == []
+
+    def test_missing_generator_solves_no_lp(self, monkeypatch):
+        solves = _counting_solves(monkeypatch)
+        big = Polyhedron.from_hrep(2, [(qv(1, 0), Q(4)), (qv(-1, 0), Q(0)),
+                                       (qv(0, 1), Q(4)), (qv(0, -1), Q(0))])
+        small = Polyhedron.box(qv(1, 1), qv(2, 2))
+        assert missing_generator(big, small) == {"point": qv(0, 0)}
+        assert missing_generator(_hidden_empty(2), small) is None
+        assert solves == []
+        # the built generators answer is_empty later as well
+        assert not big.is_empty and _hidden_empty(2).generators == ((), ())
+        assert solves == []
+
+    def test_above_the_cap_empty_sets_keep_their_answers(self, monkeypatch):
+        # no conversion may run, so an LP tells the empty sets apart and
+        # they never reach CapacityError
+        monkeypatch.setenv("SUPCALC_DD_CAP", "1")
+        box = Polyhedron.box(qv(0, 0), qv(1, 1))
+        assert missing_generator(_hidden_empty(2), box) is None
+        with pytest.raises(EmptySetError):
+            cco_union([_hidden_empty(2), _hidden_empty(2)])
+        with pytest.raises(EmptySetError):
+            minkowski_sum(_hidden_empty(2), box)
+        with pytest.raises(EmptySetError):
+            minkowski_sum(Polyhedron.box(qv(0, 0), qv(1, 1)), _hidden_empty(2))
+        with pytest.raises(CapacityError):
+            cco_union([_hidden_empty(2), Polyhedron.box(qv(0, 0), qv(1, 1))])
+
+
 class TestRecession:
     def test_recession_cone_of_wedge(self):
         wedge = Polyhedron.from_hrep(
@@ -486,6 +554,30 @@ def test_predicates_agree_with_the_callers_rows(data):
         assert p.contains_ray(d) == (
             all(dot(a, d) <= 0 for a, _ in ineqs) and all(dot(a, d) == 0 for a, _ in eqs)
         )
+
+
+@given(rows_and_probes(), st.booleans())
+# empty; unbounded with an equality; empty by its equalities alone
+@example((1, [((Q(1),), Q(0)), ((Q(-1),), Q(-1))], [], (Q(0),), (Q(0),)), False)
+@example((2, [((Q(1), Q(1)), Q(1))], [((Q(1), Q(-1)), Q(0))], (Q(0), Q(0)), (Q(1), Q(1))), False)
+@example((3, [], [((Q(1), Q(0), Q(0)), Q(1)), ((Q(2), Q(0), Q(0)), Q(3))],
+          (Q(0),) * 3, (Q(0),) * 3), False)
+def test_no_generated_point_means_an_infeasible_lp(data, contradict):
+    # the LP is the independent oracle: phase 1 on the caller's rows
+    dim, ineqs, eqs, x, _ = data
+    if contradict:
+        # a.y <= b - 1 next to a.y >= b makes the set empty
+        a = (ineqs + eqs)[-1][0] if ineqs + eqs else (Q(1),) * dim
+        b = dot(a, x)
+        ineqs = ineqs + [(a, b - 1), (tuple(-t for t in a), -b)]
+    lp_status = lp_module.solve_min((Q(0),) * dim, ineqs, eqs).status
+    lp_empty = lp_status is lp_module.LPStatus.INFEASIBLE
+    p = Polyhedron.from_hrep(dim, ineqs, eqs)
+    verts, rays = p.generators
+    assert (not verts) == lp_empty
+    assert p.is_empty == lp_empty  # read off the generators just built
+    if lp_empty:
+        assert rays == ()
 
 
 @given(
