@@ -474,17 +474,15 @@ def cco_union(parts: Sequence[Polyhedron]) -> Polyhedron:
     dim = parts[0].dim
     verts: list[Vec] = []
     rays: list[Vec] = []
-    nonempty = False
     for p in parts:
         if p.dim != dim:
             raise DimensionMismatchError("cco_union arity mismatch")
         if _empty_by_conversion(p):
             continue
-        nonempty = True
         vs, rs = p.generators
         verts.extend(vs)
         rays.extend(rs)
-    if not nonempty:
+    if not verts:  # a nonempty part has a point
         raise EmptySetError("cco_union of empty sets only")
     return Polyhedron.from_generators(dim, verts, rays)
 

@@ -273,11 +273,11 @@ class TestEmptinessFromGenerators:
         big = Polyhedron.from_hrep(2, [(qv(1, 0), Q(4)), (qv(-1, 0), Q(0)),
                                        (qv(0, 1), Q(4)), (qv(0, -1), Q(0))])
         small = Polyhedron.box(qv(1, 1), qv(2, 2))
+        hole = _hidden_empty(2)
         assert missing_generator(big, small) == {"point": qv(0, 0)}
-        assert missing_generator(_hidden_empty(2), small) is None
-        assert solves == []
+        assert missing_generator(hole, small) is None
         # the built generators answer is_empty later as well
-        assert not big.is_empty and _hidden_empty(2).generators == ((), ())
+        assert not big.is_empty and hole.is_empty
         assert solves == []
 
     def test_above_the_cap_empty_sets_keep_their_answers(self, monkeypatch):
@@ -291,9 +291,9 @@ class TestEmptinessFromGenerators:
         with pytest.raises(EmptySetError):
             minkowski_sum(_hidden_empty(2), box)
         with pytest.raises(EmptySetError):
-            minkowski_sum(Polyhedron.box(qv(0, 0), qv(1, 1)), _hidden_empty(2))
+            minkowski_sum(box, _hidden_empty(2))
         with pytest.raises(CapacityError):
-            cco_union([_hidden_empty(2), Polyhedron.box(qv(0, 0), qv(1, 1))])
+            cco_union([_hidden_empty(2), box])
 
 
 class TestRecession:
