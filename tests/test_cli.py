@@ -1,4 +1,5 @@
 """End-to-end command-line behavior through main(), including exit codes."""
+import hashlib
 import json
 import sys
 from fractions import Fraction as Q
@@ -210,6 +211,19 @@ class TestFuzz:
         assert a.read_bytes() == b.read_bytes()
         summary = capsys.readouterr().err
         assert "identity" in summary and "L2A" in summary
+
+    def test_wide_corpus_matches_the_pinned_digest(self, tmp_path, capsys):
+        # every identity up to dim 3, the T52/T53/R54 witnesses included:
+        # any change to an answer or a witness in the JSONL shows here
+        out = tmp_path / "wide.jsonl"
+        assert main(["fuzz", "--seed", "2029", "--count", "40", "--identity", "ALL",
+                     "--dim-max", "3", "--out", str(out)]) == 0
+        capsys.readouterr()
+        blob = out.read_bytes()
+        assert len(blob) == 171446
+        assert hashlib.sha256(blob).hexdigest() == (
+            "1e5e24b996d8009fde789300f830613b24729b9e00fd00dca5ae2de40b6c3eab"
+        )
 
     def test_reports_carry_seed(self, capsys):
         main(["fuzz", "--seed", "7", "--count", "2", "--identity", "L2A"])
