@@ -610,14 +610,21 @@ def check_qc1(family: FunctionFamily, x: Sequence) -> bool:
 
 
 def check_qc2(family: FunctionFamily, x: Sequence) -> bool:
-    """Only the zero tuple of member-domain normals can sum to zero."""
+    """Only the zero tuple of member-domain normals can sum to zero.
+
+    The answer depends on the family and x alone, so it is kept on the
+    family and solved once per point.
+    """
     x = vec(x)
     for t, f_t in family.members:
         if not f_t.domain.contains(x):
             raise InvalidParameterError(f"x must lie in dom of member {t!r}")
-    return cones_sum_to_zero_trivially(
-        [normal_cone(f_t.domain, x) for _, f_t in family.members]
-    )
+    known = family.qc2_answers
+    if x not in known:
+        known[x] = cones_sum_to_zero_trivially(
+            [normal_cone(f_t.domain, x) for _, f_t in family.members]
+        )
+    return known[x]
 
 
 def cones_sum_to_zero_trivially(cones: Sequence[Polyhedron]) -> bool:

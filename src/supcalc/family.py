@@ -84,6 +84,12 @@ class FunctionFamily:
         ``calculus.co_hull_conjugates`` so each point's LP is solved once."""
         return {}
 
+    @cached_property
+    def qc2_answers(self) -> dict:
+        """QC2 answers by primal point, kept by ``calculus.check_qc2`` so
+        each point's triviality test is solved once."""
+        return {}
+
     def active_indices(self, x: Sequence, eps) -> set[str]:
         """Labels with f_t(x) within eps of the supremum value."""
         eps = rational(eps)

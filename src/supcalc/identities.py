@@ -24,6 +24,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 from .calculus import (
     SUM_MEMBER_CAP,
+    DecompositionWitness,
     co_hull_conjugates,
     cones_sum_to_zero_trivially,
     conjugate_on_interior,
@@ -669,9 +670,37 @@ def _decomposition_targets(target: Polyhedron) -> list[Vec]:
     return points
 
 
+def _relaxed_decomposition(
+    family: FunctionFamily, x: Vec, eps: Fraction, point: Vec, gamma: Fraction
+) -> DecompositionWitness:
+    witness = decompose(family, x, eps, point, "T52", gamma=gamma)
+    if witness is None:
+        raise IdentityFalsified(
+            "no relaxed decomposition reaches a subgradient",
+            certificate={"point": point, "gamma": gamma},
+        )
+    return witness
+
+
 def _decomposition_check(
     family: FunctionFamily, params: Mapping[str, Any], mode: str
 ) -> Outcome:
+    """Decompose every target point: a vertex of the eps-subdifferential
+    of the supremum, or its first vertex plus a ray.
+
+    T52 must decompose each point at every grid gamma and counts the
+    points that decompose at gamma = 0 as well.  With lambda_t >= 0,
+    gamma enters only two rows of the decomposition LP and loosens both:
+    u_t + lambda_t f_t(x) - <y_t, x> <= e_t + lambda_t gamma, and
+    lambda_t (f(x) - f_t(x) - gamma) <= e_t.  So a decomposition at
+    gamma = 0 is one at every gamma > 0, and a point that decomposes at
+    gamma = 0 needs no grid value solved.  Only the first point solves
+    the largest gamma first, because its witness is the report's; a
+    point that fails at gamma = 0 runs the rest of the grid from the
+    largest value down and fails at the first infeasible one.  The
+    report is the one a full-grid loop gives: the witness, the zero-gamma
+    count, and the point and gamma of any falsification.
+    """
     f = _proper_sup(family)
     x = _primal_point(family, params)
     if not f.domain.contains(x):
@@ -684,17 +713,14 @@ def _decomposition_check(
     zero_gamma_hits = 0
     for point in points:
         if mode == "T52":
-            for gamma in sorted(_grid(params), reverse=True):
-                witness = decompose(family, x, eps, point, mode, gamma=gamma)
-                if witness is None:
-                    raise IdentityFalsified(
-                        "no relaxed decomposition reaches a subgradient",
-                        certificate={"point": point, "gamma": gamma},
-                    )
-                if first is None:
-                    first = witness
+            grid = sorted(_grid(params), reverse=True)
+            if first is None:
+                first = _relaxed_decomposition(family, x, eps, point, grid.pop(0))
             if decompose(family, x, eps, point, mode, gamma=0) is not None:
                 zero_gamma_hits += 1
+                continue
+            for gamma in grid:
+                _relaxed_decomposition(family, x, eps, point, gamma)
             continue
         witness = decompose(family, x, eps, point, mode)
         if witness is None:
@@ -887,6 +913,7 @@ def _robust_infimum(
     feasible = intersect(b_set, f.domain)
     x = params.get("x")
     if x is None:
+        interior_point(feasible)  # its max-slack LP settles is_empty as well
         if feasible.is_empty:
             raise HypothesesNotMet("the constraint set misses the domain")
         x = _point_of(feasible)

@@ -4,6 +4,7 @@ from fractions import Fraction as Q
 import pytest
 
 import supcalc.calculus as calculus_module
+import supcalc.lp as lp_module
 from supcalc.calculus import (
     CoHullValue,
     SimplexWeights,
@@ -204,6 +205,31 @@ class TestQualification:
              ("r", PolyhedralFunction.indicator(pos))]
         )
         assert not check_qc2(fam, qv(0))
+
+    def test_qc2_is_solved_once_per_point(self, monkeypatch):
+        # the answer depends on the family and x alone, so it is kept
+        neg = Polyhedron.from_hrep(1, [(qv(1), Q(0))])
+        pos = Polyhedron.from_hrep(1, [(qv(-1), Q(0))])
+        fam = FunctionFamily.make(
+            [("l", PolyhedralFunction.indicator(neg)),
+             ("r", PolyhedralFunction.indicator(pos))]
+        )
+        solves = []
+        certify = lp_module._certify_scaled
+
+        def counting(*args):
+            solves.append(args)
+            return certify(*args)
+
+        monkeypatch.setattr(lp_module, "_certify_scaled", counting)
+        assert not check_qc2(fam, qv(0))
+        assert solves
+        solves.clear()
+        assert not check_qc2(fam, [0])
+        assert solves == []
+        # x is still checked against every member domain first
+        with pytest.raises(InvalidParameterError, match="'l'"):
+            check_qc2(fam, qv(1))
 
     def test_qc2_box_with_norm_holds(self):
         square = Polyhedron.box(qv(0, 0), qv(1, 1))

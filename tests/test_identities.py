@@ -2,21 +2,25 @@
 from fractions import Fraction as Q
 
 import pytest
-from conftest import abs_family
+from conftest import abs_family, kink_function
+from hypothesis import given
+from hypothesis import strategies as st
 from test_acceptance import _c2_plan, _dom_point
 
+import supcalc.calculus as calculus_module
 import supcalc.family as family_module
 import supcalc.identities as identities
 import supcalc.lp as lp_module
 import supcalc.polyhedron as polyhedron_module
 from supcalc.cli import _fuzz_params
-from supcalc.errors import IdentityFalsified, InvalidParameterError
+from supcalc.errors import HypothesesNotMet, IdentityFalsified, InvalidParameterError
 from supcalc.family import FunctionFamily
 from supcalc.functions import PolyhedralFunction
-from supcalc.generator import generate
+from supcalc.generator import DOMAIN_KINDS, GeneratorParams, generate
 from supcalc.identities import check_identity, identity_ids
 from supcalc.polyhedron import Polyhedron, intersect
 from supcalc.rationals import qv
+from supcalc.reports import CheckStatus
 from supcalc.serialize import json_digest, report_to_json
 
 PF = PolyhedralFunction.make
@@ -347,6 +351,137 @@ def test_decomposition_identities_attach_witnesses(fam_abs, ident):
     assert r.witness is not None
 
 
+def _full_grid_t52(family, params):
+    """T52 with every grid gamma solved at every target point, then gamma = 0:
+    the reference the checker's report must equal."""
+    f = identities._proper_sup(family)
+    x = identities._primal_point(family, params)
+    if not f.domain.contains(x):
+        raise HypothesesNotMet("x lies outside the domain of the supremum")
+    eps = params.get("eps", Q(0))
+    points = identities._decomposition_targets(f.eps_subdifferential(x, eps))
+    first = None
+    zero_gamma_hits = 0
+    for point in points:
+        for gamma in sorted(identities._grid(params), reverse=True):
+            witness = identities.decompose(family, x, eps, point, "T52", gamma=gamma)
+            if witness is None:
+                raise IdentityFalsified(
+                    "no relaxed decomposition reaches a subgradient",
+                    certificate={"point": point, "gamma": gamma},
+                )
+            if first is None:
+                first = witness
+        if identities.decompose(family, x, eps, point, "T52", gamma=0) is not None:
+            zero_gamma_hits += 1
+    details = {"eps": eps, "targets": len(points), "zero_gamma_hits": zero_gamma_hits}
+    return (CheckStatus.PASS, first, details)
+
+
+def _t52_and_reference(family, params) -> tuple[dict, dict]:
+    got = report_to_json(check_identity("T52", family, params))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(identities._CHECKERS, "T52", _full_grid_t52)
+        want = report_to_json(check_identity("T52", family, params))
+    return got, want
+
+
+@st.composite
+def _t52_instances(draw):
+    dim = draw(st.integers(1, 3))
+    family = generate(GeneratorParams(
+        dim=dim,
+        member_count=draw(st.integers(2, 3)),
+        pieces_per_member=draw(st.integers(1, 2)),
+        domain_kind=draw(st.sampled_from(DOMAIN_KINDS)),
+        seed=draw(st.integers(0, 10_000)),
+    ))
+    params = {"eps": draw(st.sampled_from([Q(0), Q(1, 4), Q(1)]))}
+    dom = family.sup.domain
+    if not dom.is_empty and draw(st.booleans()):
+        # a point of the least face of dom f, where the pooled normal can
+        # be nonzero
+        params["x"] = dom.vertices[0]
+    if draw(st.booleans()):
+        params["gamma_grid"] = draw(st.lists(
+            st.sampled_from([Q(1, 16), Q(1, 3), Q(1, 2), Q(2)]),
+            min_size=1, max_size=3,
+        ))
+    return family, params
+
+
+def _infeasible_below(mp, point, below):
+    """Decompositions of ``point`` at every gamma < ``below`` find no witness."""
+    real = identities.decompose
+
+    def infeasible_below(family, x, eps, xstar, mode, gamma=0):
+        if tuple(xstar) == point and gamma < below:
+            return None
+        return real(family, x, eps, xstar, mode, gamma=gamma)
+
+    mp.setattr(identities, "decompose", infeasible_below)
+
+
+@given(_t52_instances(), st.sampled_from([None, Q(1, 20), Q(1, 3), Q(3)]),
+       st.integers(0, 7))
+def test_t52_reports_match_the_full_grid_loop(instance, below, at):
+    # drawn families decompose at gamma = 0; a drawn target point made
+    # infeasible below some gamma takes the grid path and its failures
+    family, params = instance
+    f = family.sup
+    with pytest.MonkeyPatch.context() as mp:
+        if below is not None and f.is_proper:
+            x = params["x"] if "x" in params else identities._primal_point(family, {})
+            points = identities._decomposition_targets(
+                f.eps_subdifferential(x, params["eps"])
+            )
+            _infeasible_below(mp, points[at % len(points)], below)
+        got, want = _t52_and_reference(family, params)
+    assert got == want
+
+
+@pytest.mark.parametrize("x, below, raised", [
+    ([0], Q(3), Q(1)),          # every gamma fails: raised at the largest
+    ([0], Q(1, 3), Q(1, 4)),    # the grid fails part-way down
+    ([0], Q(1, 16), None),      # only gamma = 0 fails: no zero-gamma hit there
+    ([1], Q(1, 5), Q(1, 8)),
+])
+@pytest.mark.parametrize("at", [0, -1])
+def test_t52_falsifies_at_the_full_grid_loops_point_and_gamma(
+    fam_abs, monkeypatch, x, below, raised, at
+):
+    target = fam_abs.sup.eps_subdifferential(qv(*x), Q(1, 3))
+    failing = identities._decomposition_targets(target)[at]
+    _infeasible_below(monkeypatch, failing, below)
+    got, want = _t52_and_reference(fam_abs, {"x": x, "eps": Q(1, 3)})
+    assert got == want
+    if raised is None:
+        assert got["status"] == "pass" and got["details"]["zero_gamma_hits"] == 1
+    else:
+        assert got["status"] == "fail"
+        assert got["witness"] == {"gamma": str(raised),
+                                  "point": [str(c) for c in failing]}
+
+
+def test_t52_decides_the_grid_from_gamma_zero(fam_abs, monkeypatch):
+    # gamma = 0 decomposes every target point, so each point solves one
+    # decomposition LP, plus one at the largest gamma for the witness
+    solved = []
+    real = calculus_module._solve_decomposition
+
+    def counting(family, x, eps, xstar, gamma, *args, **kwargs):
+        solved.append(gamma)
+        return real(family, x, eps, xstar, gamma, *args, **kwargs)
+
+    monkeypatch.setattr(calculus_module, "_solve_decomposition", counting)
+    r = check_identity("T52", fam_abs, {"x": [0], "eps": Q(1, 3)})
+    assert r.status == "pass"
+    points = r.details["targets"]
+    assert r.details["zero_gamma_hits"] == points
+    assert r.witness.gamma == max(identities.GAMMA_GRID_DEFAULT)
+    assert sorted(solved) == [0] * points + [max(identities.GAMMA_GRID_DEFAULT)]
+
+
 def _emptiness_lps(monkeypatch) -> list[tuple]:
     """The (ineqs, eqs) of each zero-objective LP a Polyhedron solves."""
     rows = []
@@ -377,6 +512,16 @@ def test_c46_settles_emptiness_with_its_point(monkeypatch):
     emptiness = _emptiness_lps(monkeypatch)
     assert check_identity("C46", list(C46_BOXES), {"eps": Q(1, 4)}).status == "pass"
     assert (common.ineqs, common.eqs) not in emptiness
+
+
+def test_rinf_settles_emptiness_with_its_point(monkeypatch):
+    # with no x given, the max-slack LP that picks x decides is_empty too
+    fam = FunctionFamily.make([("kink", kink_function()), ("id", PF(1, [(qv(1), Q(0))]))])
+    box = Polyhedron.box(qv(-1), qv(1))
+    feasible = intersect(box, fam.sup.domain)  # [0, 1]
+    emptiness = _emptiness_lps(monkeypatch)
+    assert check_identity("RINF", (fam, box), {"eps": 1}).status == "pass"
+    assert (feasible.ineqs, feasible.eqs) not in emptiness
 
 
 def test_t54a_variants(fam_abs):
