@@ -3,9 +3,11 @@
 Derived expectations in this file come from a support-function oracle
 built on raw vertex/ray enumeration, never from the operation under test.
 """
+import os
 import random
 from fractions import Fraction as Q
 from math import gcd
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -294,6 +296,89 @@ class TestEmptinessFromGenerators:
             minkowski_sum(box, _hidden_empty(2))
         with pytest.raises(CapacityError):
             cco_union([_hidden_empty(2), box])
+
+
+def _reference_equal(p, q):
+    """``polyhedron_equal``'s body when every emptiness was an LP."""
+    if p.dim != q.dim:
+        raise DimensionMismatchError("polyhedron_equal arity mismatch")
+    if p.is_empty or q.is_empty:
+        return p.is_empty and q.is_empty
+    return missing_generator(p, q) is None and missing_generator(q, p) is None
+
+
+def _reference_included(p, q):
+    """``included``'s body when P's emptiness was an LP."""
+    if p.dim != q.dim:
+        raise DimensionMismatchError("included arity mismatch")
+    if p.is_empty:
+        return True
+    # an empty Q needs no witness, so P's generators are never converted
+    return not q.is_empty and missing_generator(p, q) is None
+
+
+@st.composite
+def set_pairs(draw):
+    """(cap, p, q): two sets in one dimension 1-3 and a DD cap (None for
+    the default), below the dimension in some draws.
+
+    Each set is drawn rows, drawn rows with a contradicting pair added
+    (empty, though no single row says so) or ``Polyhedron.empty``; p is
+    often cut from q or equal to it, so inclusions and equalities hold.
+    """
+    dim = draw(st.integers(min_value=1, max_value=3))
+    cap = draw(st.sampled_from([None, *range(1, dim)]))
+    entry = st.integers(min_value=-2, max_value=2)
+
+    def rows(most):
+        return [(tuple(draw(entry) for _ in range(dim)), draw(entry))
+                for _ in range(draw(st.integers(min_value=0, max_value=most)))]
+
+    def drawn():
+        kind = draw(st.sampled_from(["rows", "rows", "infeasible", "empty"]))
+        if kind == "empty":
+            return Polyhedron.empty(dim)
+        ineqs, eqs = rows(4), rows(1)
+        if kind == "infeasible":
+            a = (1,) + tuple(draw(entry) for _ in range(dim - 1))
+            b = draw(entry)
+            ineqs += [(a, b - 1), (tuple(-t for t in a), -b)]
+        return Polyhedron.from_hrep(dim, ineqs, eqs)
+
+    q = drawn()
+    relation = draw(st.sampled_from(["apart", "inside", "equal"]))
+    if relation == "apart":
+        p = drawn()
+    elif relation == "inside":
+        p = intersect(q, drawn())
+    else:
+        p = q
+    return cap, p, q
+
+
+def _outcome(relation, p, q):
+    """The answer, or the error type, on copies that know nothing yet."""
+    fresh = [Polyhedron(s.dim, s.ineqs, s.eqs) for s in (p, q)]
+    try:
+        return relation(*fresh)
+    except CapacityError:
+        return CapacityError
+
+
+@given(set_pairs())
+@example((1, Polyhedron.box(qv(0, 0), qv(1, 1)), Polyhedron.empty(2)))
+@example((1, Polyhedron.empty(2), Polyhedron.box(qv(0, 0), qv(1, 1))))
+@example((1, _hidden_empty(2), Polyhedron.box(qv(0, 0), qv(1, 1))))
+@example((2, _hidden_empty(3), _hidden_empty(3)))
+def test_set_relations_match_their_reference_bodies(data):
+    # above the cap too, an empty side answers; only two nonempty sets
+    # that need a conversion raise CapacityError
+    cap, p, q = data
+    env = {} if cap is None else {"SUPCALC_DD_CAP": str(cap)}
+    with mock.patch.dict(os.environ, env):
+        for a, b in ((p, q), (q, p)):
+            assert _outcome(included, a, b) == _outcome(_reference_included, a, b)
+            assert _outcome(polyhedron_equal, a, b) == _outcome(_reference_equal, a, b)
 
 
 class TestRecession:
