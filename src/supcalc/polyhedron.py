@@ -512,22 +512,33 @@ def intersect(p: Polyhedron, q: Polyhedron) -> Polyhedron:
 
 
 def polyhedron_equal(p: Polyhedron, q: Polyhedron) -> bool:
-    """Set equality via mutual generator containment (exact)."""
+    """Set equality via mutual generator containment (exact).
+
+    Both sets are converted, so within the DD cap their emptiness is
+    read off those conversions with no LP; above the cap an LP tells an
+    empty set apart before any conversion could raise ``CapacityError``.
+    """
     if p.dim != q.dim:
         raise DimensionMismatchError("polyhedron_equal arity mismatch")
-    if p.is_empty or q.is_empty:
-        return p.is_empty and q.is_empty
+    p_empty, q_empty = _empty_by_conversion(p), _empty_by_conversion(q)
+    if p_empty or q_empty:
+        return p_empty and q_empty
     return missing_generator(p, q) is None and missing_generator(q, p) is None
 
 
 def included(p: Polyhedron, q: Polyhedron) -> bool:
-    """Is P a subset of Q?  Empty P is included in anything."""
+    """Is P a subset of Q?  Empty P is included in anything.
+
+    Q is only probed by membership, so its emptiness is an LP unless
+    already known; an empty Q holds only an empty P and needs no
+    witness, so P is then never converted.  Otherwise P's emptiness is
+    read off the conversion ``missing_generator`` makes anyway.
+    """
     if p.dim != q.dim:
         raise DimensionMismatchError("included arity mismatch")
-    if p.is_empty:
-        return True
-    # an empty Q needs no witness, so P's generators are never converted
-    return not q.is_empty and missing_generator(p, q) is None
+    if q.is_empty:
+        return p.is_empty
+    return missing_generator(p, q) is None
 
 
 def missing_generator(p: Polyhedron, q: Polyhedron) -> dict[str, Vec] | None:

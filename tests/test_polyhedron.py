@@ -282,6 +282,21 @@ class TestEmptinessFromGenerators:
         assert not big.is_empty and hole.is_empty
         assert solves == []
 
+    def test_set_relations_read_converted_emptiness(self, monkeypatch):
+        # included asks only its right-hand set, which it never converts;
+        # polyhedron_equal converts both sides, so it asks neither
+        solves = _counting_solves(monkeypatch)
+        box = Polyhedron.box(qv(0, 0), qv(1, 1))
+        hole = _hidden_empty(2)
+        assert polyhedron_equal(hole, _hidden_empty(2))
+        assert not polyhedron_equal(box, _hidden_empty(2))
+        assert polyhedron_equal(box, Polyhedron.box(qv(0, 0), qv(1, 1)))
+        assert solves == []
+        unit = Polyhedron.box(qv(0, 0), qv(1, 1))
+        assert included(_hidden_empty(2), unit) and included(box, unit)
+        assert not included(Polyhedron.box(qv(0, 0), qv(2, 2)), unit)
+        assert len(solves) == 1  # unit.is_empty, kept on unit after
+
     def test_above_the_cap_empty_sets_keep_their_answers(self, monkeypatch):
         # no conversion may run, so an LP tells the empty sets apart and
         # they never reach CapacityError
@@ -296,6 +311,10 @@ class TestEmptinessFromGenerators:
             minkowski_sum(box, _hidden_empty(2))
         with pytest.raises(CapacityError):
             cco_union([_hidden_empty(2), box])
+        for relation in (included, polyhedron_equal):
+            assert not relation(Polyhedron.box(qv(0, 0), qv(1, 1)), Polyhedron.empty(2))
+            assert relation(_hidden_empty(2), _hidden_empty(2))
+        assert included(_hidden_empty(2), Polyhedron.box(qv(0, 0), qv(1, 1)))
 
 
 def _reference_equal(p, q):
