@@ -209,46 +209,20 @@ class PolyhedralFunction:
 
     # -- approximate subdifferentials ----------------------------------
 
-    def _gap_rows(self, x: Sequence) -> list[Row] | None:
-        """(v - x, -f(x) - c) per conjugate piece (v, c), the rows of
-        f(x) + f*(x*) - <x*, x> <= 0 over dom f*; None when f(x) = +oo."""
-        x = vec(x)
-        if len(x) != self.dim:
-            raise DimensionMismatchError("point arity mismatch")
-        if not self.domain.contains(x):
-            return None
-        fx = self.eval_finite(x)
-        return [(vsub(v, x), -fx - c) for v, c in self.conjugate().pieces]
-
     def eps_subdifferential(self, x: Sequence, eps) -> Polyhedron:
         """{x* : f(x) + f*(x*) - <x*, x> <= eps}; empty when f(x) = +oo."""
         eps = rational(eps)
         if eps < 0:
             raise InvalidParameterError("eps must be nonnegative")
-        gap = self._gap_rows(x)
-        if gap is None:
+        x = vec(x)
+        if len(x) != self.dim:
+            raise DimensionMismatchError("point arity mismatch")
+        if not self.domain.contains(x):
             return Polyhedron.empty(self.dim)
+        fx = self.eval_finite(x)
         dom = self.conjugate().domain
-        rows = [(a, b + eps) for a, b in gap] + list(dom.ineqs)
-        return Polyhedron.from_hrep(self.dim, rows, dom.eqs)
-
-    def eps_subdifferential_graph(self, x: Sequence, eps) -> Polyhedron:
-        """{(x*, beta) : beta >= eps, f(x) + f*(x*) - <x*, x> <= beta}.
-
-        Every budget from eps up in one set in dimension dim + 1; its
-        slice at beta = b is ``eps_subdifferential(x, b)``.  Empty when
-        f(x) = +oo.
-        """
-        eps = rational(eps)
-        if eps < 0:
-            raise InvalidParameterError("eps must be nonnegative")
-        gap = self._gap_rows(x)
-        if gap is None:
-            return Polyhedron.empty(self.dim + 1)
-        dom = self.conjugate().domain
-        rows = [((*a, -1), b) for a, b in gap] + [((*a, 0), b) for a, b in dom.ineqs]
-        rows.append(((0,) * self.dim + (-1,), -eps))
-        return Polyhedron.from_hrep(self.dim + 1, rows, [((*a, 0), b) for a, b in dom.eqs])
+        rows = [(vsub(v, x), eps - fx - c) for v, c in self.conjugate().pieces]
+        return Polyhedron.from_hrep(self.dim, rows + list(dom.ineqs), dom.eqs)
 
     def recession_function(self) -> "PolyhedralFunction":
         """f-at-infinity, realized as the support function of dom f*."""

@@ -414,47 +414,21 @@ def _budget_slice(graph: Polyhedron, budget: Fraction) -> Polyhedron:
     return affine_preimage(graph, lift, (0,) * n + (budget,))
 
 
-def _budget_graph_holds(
-    family: FunctionFamily, x: Vec, eps: Fraction, image: Polyhedron,
-    levels: Sequence[tuple[Fraction, Polyhedron]],
-) -> bool:
-    """Does the scaled-subgradient set equal the subdifferential at every budget >= eps?
-
-    The budget is the last coordinate: ``image`` is the projected graph
-    {(s, beta) : beta >= eps, s in the scaled-subgradient set at budget
-    beta}, and it is sandwiched against the graph of
-    beta -> (beta-subdifferential) by one covers and one within pass.  A
-    slice of a projection is the projection of the slice, so equal
-    graphs give equal sets at every budget.  The answer carries over to
-    the given (budget, target) levels only when each target is the
-    graph's slice at its budget; otherwise this is False.
-    """
-    graph = family.sup.eps_subdifferential_graph(x, eps)
-    for budget, target in levels:
-        cut = _budget_slice(graph, budget)
-        # equal canonical rows are equal sets; only a mismatch needs the exact test
-        if (cut.ineqs, cut.eqs) != (target.ineqs, target.eqs) and not polyhedron_equal(target, cut):
-            return False
-    return rhs_basic_covers(image, graph) is None and rhs_basic_within(image, graph)
-
-
 def _subdiff_grid_representation(family: FunctionFamily, params: Mapping[str, Any]) -> Outcome:
     """Scaled-subgradient set equals the subdifferential budget by budget.
 
     The lifted representation is projected once, onto its graph over
-    every budget >= eps in dimension dim + 1, and the identity is first
-    decided for all those budgets at once (``_budget_graph_holds``).
-    When that fails, each grid value's level at budget eps + gamma is
-    read off the same projected graph as its slice (the projection of
-    the level's lifted system) and sandwiched against the
+    every budget >= eps in dimension dim + 1.  Each grid value's level
+    at budget eps + gamma is that graph's slice (a slice of a projection
+    is the projection of the slice), and it is sandwiched against the
     (eps + gamma)-subdifferential from both sides, which finds the
-    failing level and its witness.  Either way the budgets are certified
-    nested, and the gamma = 0 instance pins the represented set to the
-    target exactly.  A positive strict margin per level certifies that
-    the open form of the budget and activity rows is nonempty, so
-    relaxing them to closed rows only adds the closure.  Every level's
-    margin is min(1, budget), with no LP: the least feasible budget is 0,
-    since an active member's subgradient meets both rows at budget 0
+    failing level and its witness.  The budgets are certified nested,
+    and the gamma = 0 instance pins the represented set to the target
+    exactly.  A positive strict margin per level certifies that the
+    open form of the budget and activity rows is nonempty, so relaxing
+    them to closed rows only adds the closure.  Every level's margin is
+    min(1, budget), with no LP: the least feasible budget is 0, since an
+    active member's subgradient meets both rows at budget 0
     (``rhs_basic_strict_margin``).
     """
     f = _proper_sup(family)
@@ -465,25 +439,21 @@ def _subdiff_grid_representation(family: FunctionFamily, params: Mapping[str, An
     gammas = (Fraction(0),) + tuple(sorted(_grid(params)))
     targets = [f.eps_subdifferential(x, eps + gamma) for gamma in gammas]
     image = project(rhs_basic_graph(family, x, eps))
-    every_level = _budget_graph_holds(
-        family, x, eps, image, [(eps + gamma, t) for gamma, t in zip(gammas, targets)]
-    )
     margins: dict[str, Fraction] = {}
     for gamma, target in zip(gammas, targets):
         budget = eps + gamma
-        if not every_level:
-            level = _budget_slice(image, budget)
-            gap = rhs_basic_covers(level, target)
-            if gap is not None:
-                raise IdentityFalsified(
-                    "a subdifferential generator is unreachable at its own budget",
-                    certificate={"gamma": gamma, **gap},
-                )
-            if not rhs_basic_within(level, target):
-                raise IdentityFalsified(
-                    "the represented set overshoots the subdifferential",
-                    certificate={"gamma": gamma, "budget": budget},
-                )
+        level = _budget_slice(image, budget)
+        gap = rhs_basic_covers(level, target)
+        if gap is not None:
+            raise IdentityFalsified(
+                "a subdifferential generator is unreachable at its own budget",
+                certificate={"gamma": gamma, **gap},
+            )
+        if not rhs_basic_within(level, target):
+            raise IdentityFalsified(
+                "the represented set overshoots the subdifferential",
+                certificate={"gamma": gamma, "budget": budget},
+            )
         if budget > 0:
             margins[str(gamma)] = rhs_basic_strict_margin(family, x, budget)
     for small, large in zip(targets, targets[1:]):

@@ -215,11 +215,35 @@ def _count_covers(monkeypatch) -> list[int]:
     return dims
 
 
-def test_a_passing_p34_covers_once_on_the_budget_graph(fam_abs, monkeypatch):
+def test_a_passing_p34_covers_once_per_level(fam_abs, monkeypatch):
+    # each level is its slice of the one projected graph, in dimension
+    # dim; covers converts the target and within converts the slice, and
+    # both read emptiness off those conversions, so neither solves an LP
     dims = _count_covers(monkeypatch)
+    inside, solves = [], []
+    certify = lp_module._certify_scaled
+
+    def entered(real):
+        def counted(*args):
+            inside.append(True)
+            try:
+                return real(*args)
+            finally:
+                inside.pop()
+        return counted
+
+    def counted_certify(*args):
+        if inside:
+            solves.append(args)
+        return certify(*args)
+
+    for name in ("rhs_basic_covers", "rhs_basic_within"):
+        monkeypatch.setattr(identities, name, entered(getattr(identities, name)))
+    monkeypatch.setattr(lp_module, "_certify_scaled", counted_certify)
     r = check_identity("P34", fam_abs, {"x": [0], "eps": Q(1, 2)})
     assert r.status == "pass" and r.details["levels"] == 6
-    assert dims == [2]
+    assert dims == [1] * 6
+    assert solves == []
 
 
 @pytest.mark.parametrize("target", P34_WRONG_TARGETS)

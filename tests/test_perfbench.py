@@ -39,10 +39,10 @@ print(report.status.value, layer.calls, layer.lp_solves, p34.lp_solves)
 def test_p34_goes_through_the_traced_rhs_basic_layer():
     # a refactor that keeps the traced names but routes P34 around them
     # would zero the calculus.rhs_basic metrics without failing install();
-    # covers and within once on the budget graph and one strict margin
-    # are 3 calls; the sandwich reads emptiness off the generators it
-    # converts anyway, so it solves no LP, while P34 around it still does
-    # and keeps the tracer's LP counting exercised
+    # covers and within on each of the 2 levels and one strict margin at
+    # the positive budget are 5 calls; the sandwich reads emptiness off
+    # the generators it converts anyway, so it solves no LP, while P34
+    # around it still does and keeps the tracer's LP counting exercised
     proc = subprocess.run(
         [sys.executable, "-c", P34_TRACE],
         cwd=PERFBENCH, capture_output=True, text=True, timeout=120,
@@ -50,6 +50,6 @@ def test_p34_goes_through_the_traced_rhs_basic_layer():
     assert proc.returncode == 0, proc.stderr
     status, calls, lp_solves, p34_lp_solves = proc.stdout.split()
     assert status == "pass"
-    assert int(calls) == 3
+    assert int(calls) == 5
     assert int(lp_solves) == 0
     assert int(p34_lp_solves) > 0

@@ -8,7 +8,7 @@ from fractions import Fraction as Q
 from itertools import combinations
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import given
 from hypothesis import strategies as st
 
 from supcalc.calculus import (
@@ -19,16 +19,14 @@ from supcalc.calculus import (
     _System,
     co_hull_conjugates,
     eps_normal_intersection,
-    rhs_basic_covers,
     rhs_basic_graph,
     rhs_basic_image,
     rhs_basic_strict_margin,
-    rhs_basic_within,
 )
 from supcalc.errors import IdentityFalsified
 from supcalc.family import FunctionFamily
 from supcalc.functions import PolyhedralFunction, eps_normal_set
-from supcalc.identities import _budget_graph_holds, _budget_slice, _dual_samples
+from supcalc.identities import _budget_slice, _dual_samples
 from supcalc.lp import LPStatus
 from supcalc.polyhedron import (
     Polyhedron,
@@ -180,20 +178,14 @@ def families_with_points(draw):
     st.fractions(min_value=0, max_value=1, max_denominator=3),
     st.integers(min_value=1, max_value=20).filter(lambda k: k % 7),
 )
-def test_budget_graph_pass_holds_at_an_off_grid_budget(pair, eps, k):
+def test_rhs_basic_graph_slices_match_per_level_projections(pair, eps, k):
     # a slice of the projected graph is the projection of that level's
-    # lifted system, which is what P34's per-level replay relies on
+    # lifted system, which is what P34's per-level sandwich relies on
     fam, x = pair
     graph = project(rhs_basic_graph(fam, x, eps))
     budget = eps + Q(k, 7)
     level = _budget_slice(graph, budget)
     assert polyhedron_equal(level, project(rhs_basic_image(fam, x, budget)))
-    # the graph decides every budget >= eps at once, so its pass must
-    # survive the per-level sandwich at a budget no grid names
-    assume(_budget_graph_holds(fam, x, eps, graph, []))
-    target = fam.sup.eps_subdifferential(x, budget)
-    assert rhs_basic_covers(level, target) is None
-    assert rhs_basic_within(level, target)
 
 
 @st.composite
