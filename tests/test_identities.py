@@ -96,27 +96,37 @@ def test_p34_custom_gamma_grid(fam_abs):
     assert r.status == "pass"
 
 
-def test_p34_margins_solve_no_lp(fam_abs, monkeypatch):
-    # the least feasible budget is 0 (an active member's subgradient meets
-    # both budgeted rows there), so every level's margin is min(1, budget)
-    # and no LP is solved for it
+def _count_lps_inside(monkeypatch, *names) -> list:
+    """The certified LPs solved while one of the named identities-module
+    functions runs."""
     inside, solves = [], []
-    margin, certify = identities.rhs_basic_strict_margin, lp_module._certify_scaled
+    certify = lp_module._certify_scaled
 
-    def counted_margin(*args):
-        inside.append(True)
-        try:
-            return margin(*args)
-        finally:
-            inside.pop()
+    def entered(real):
+        def counted(*args):
+            inside.append(True)
+            try:
+                return real(*args)
+            finally:
+                inside.pop()
+        return counted
 
     def counted_certify(*args):
         if inside:
             solves.append(args)
         return certify(*args)
 
-    monkeypatch.setattr(identities, "rhs_basic_strict_margin", counted_margin)
+    for name in names:
+        monkeypatch.setattr(identities, name, entered(getattr(identities, name)))
     monkeypatch.setattr(lp_module, "_certify_scaled", counted_certify)
+    return solves
+
+
+def test_p34_margins_solve_no_lp(fam_abs, monkeypatch):
+    # the least feasible budget is 0 (an active member's subgradient meets
+    # both budgeted rows there), so every level's margin is min(1, budget)
+    # and no LP is solved for it
+    solves = _count_lps_inside(monkeypatch, "rhs_basic_strict_margin")
     grid = [Q(1, 2), Q(1, 4), Q(1, 8)]
     r = check_identity("P34", fam_abs, {"x": [0], "eps": 0, "gamma_grid": grid})
     assert r.status == "pass"
@@ -220,26 +230,7 @@ def test_a_passing_p34_covers_once_per_level(fam_abs, monkeypatch):
     # dim; covers converts the target and within converts the slice, and
     # both read emptiness off those conversions, so neither solves an LP
     dims = _count_covers(monkeypatch)
-    inside, solves = [], []
-    certify = lp_module._certify_scaled
-
-    def entered(real):
-        def counted(*args):
-            inside.append(True)
-            try:
-                return real(*args)
-            finally:
-                inside.pop()
-        return counted
-
-    def counted_certify(*args):
-        if inside:
-            solves.append(args)
-        return certify(*args)
-
-    for name in ("rhs_basic_covers", "rhs_basic_within"):
-        monkeypatch.setattr(identities, name, entered(getattr(identities, name)))
-    monkeypatch.setattr(lp_module, "_certify_scaled", counted_certify)
+    solves = _count_lps_inside(monkeypatch, "rhs_basic_covers", "rhs_basic_within")
     r = check_identity("P34", fam_abs, {"x": [0], "eps": Q(1, 2)})
     assert r.status == "pass" and r.details["levels"] == 6
     assert dims == [1] * 6
