@@ -517,7 +517,9 @@ def _row_set(n: int, ineqs: tuple[Row, ...], eqs: tuple[Row, ...]) -> _RowSet:
     return rs
 
 
-def solve_min(c: Sequence[Fraction], ineqs: Sequence[Row] = (), eqs: Sequence[Row] = ()) -> LPResult:
+def solve_min(
+    c: Sequence[Fraction], ineqs: Sequence[Row] = (), eqs: Sequence[Row] = (), *, warm: bool = False
+) -> LPResult:
     """Minimize c.x subject to the given rows; all data exact rationals."""
     c = tuple(Fraction(t) for t in c)
     ineqs = tuple((tuple(a), Fraction(b)) for a, b in ineqs)
@@ -550,7 +552,10 @@ def solve_min(c: Sequence[Fraction], ineqs: Sequence[Row] = (), eqs: Sequence[Ro
     return res
 
 
-def solve_max(c: Sequence[Fraction], ineqs: Sequence[Row] = (), eqs: Sequence[Row] = ()) -> LPResult:
+def solve_max(
+    c: Sequence[Fraction], ineqs: Sequence[Row] = (), eqs: Sequence[Row] = (), *, warm: bool = False
+) -> LPResult:
     """Maximize c.x; certificates are those of the minimized negation."""
-    res = solve_min(tuple(-Fraction(t) for t in c), ineqs, eqs)
+    neg = tuple(-Fraction(t) for t in c)
+    res = solve_min(neg, ineqs, eqs, warm=True) if warm else solve_min(neg, ineqs, eqs)
     return replace(res, optimum=-res.optimum)

@@ -188,6 +188,26 @@ def test_objectives_on_one_row_set_match_cold_solves(data):
     assert results == [_cold_solve(c, ineqs, eqs) for c in objectives]
 
 
+@settings(max_examples=150)
+@given(objectives_on_one_row_set(), st.lists(st.booleans(), min_size=6, max_size=6))
+def test_warm_solves_match_cold_solves(data, warm):
+    # a warm solve may end on another optimal basis than a fresh tableau,
+    # so only its status and optimum must agree; a cold solve between warm
+    # ones on the same row set must still agree field for field
+    objectives, ineqs, eqs = data
+    cold = [_cold_solve(c, ineqs, eqs) for c in objectives]
+    lp_module._snapshots.clear()
+    for c, want, w in zip(objectives, cold, warm):
+        res = solve_min(c, ineqs, eqs, warm=w)
+        if w:
+            assert (res.status, res.optimum) == (want.status, want.optimum)
+        else:
+            assert res == want
+    top = solve_max(objectives[0], ineqs, eqs, warm=True)
+    want = solve_max(objectives[0], ineqs, eqs)
+    assert (top.status, top.optimum) == (want.status, want.optimum)
+
+
 @settings(max_examples=200)
 @given(small_lps())
 @example((qv(1), [(qv(1), Q(-1)), (qv(-1), Q(-1))], []))  # infeasible
