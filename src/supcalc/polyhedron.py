@@ -511,15 +511,29 @@ def intersect(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     )
 
 
+def _same_rows_within_cap(p: Polyhedron, q: Polyhedron) -> bool:
+    """Do p and q store the same canonical rows, within the DD cap?
+
+    Equal rows are the same set, empty or not, so the set relations need
+    no conversion then.  Above the cap they keep their answers: an empty
+    set is told by an LP, and two nonempty sets raise ``CapacityError``.
+    """
+    return p == q and p.dim <= dd_dimension_cap()
+
+
 def polyhedron_equal(p: Polyhedron, q: Polyhedron) -> bool:
     """Set equality via mutual generator containment (exact).
 
-    Both sets are converted, so within the DD cap their emptiness is
-    read off those conversions with no LP; above the cap an LP tells an
-    empty set apart before any conversion could raise ``CapacityError``.
+    Equal canonical rows are the same set, so within the DD cap ``p ==
+    q`` answers with no conversion.  Otherwise both sets are converted,
+    so within the cap their emptiness is read off those conversions with
+    no LP; above the cap an LP tells an empty set apart before any
+    conversion could raise ``CapacityError``.
     """
     if p.dim != q.dim:
         raise DimensionMismatchError("polyhedron_equal arity mismatch")
+    if _same_rows_within_cap(p, q):
+        return True
     p_empty, q_empty = _empty_by_conversion(p), _empty_by_conversion(q)
     if p_empty or q_empty:
         return p_empty and q_empty
@@ -529,13 +543,17 @@ def polyhedron_equal(p: Polyhedron, q: Polyhedron) -> bool:
 def included(p: Polyhedron, q: Polyhedron) -> bool:
     """Is P a subset of Q?  Empty P is included in anything.
 
-    Q is only probed by membership, so its emptiness is an LP unless
-    already known; an empty Q holds only an empty P and needs no
-    witness, so P is then never converted.  Otherwise P's emptiness is
-    read off the conversion ``missing_generator`` makes anyway.
+    Within the DD cap, equal canonical rows answer at once, as in
+    ``polyhedron_equal``.  Q is only probed by membership, so its
+    emptiness is an LP unless already known; an empty Q holds only an
+    empty P and needs no witness, so P is then never converted.
+    Otherwise P's emptiness is read off the conversion
+    ``missing_generator`` makes anyway.
     """
     if p.dim != q.dim:
         raise DimensionMismatchError("included arity mismatch")
+    if _same_rows_within_cap(p, q):
+        return True
     if q.is_empty:
         return p.is_empty
     return missing_generator(p, q) is None

@@ -297,6 +297,22 @@ class TestEmptinessFromGenerators:
         assert not included(Polyhedron.box(qv(0, 0), qv(2, 2)), unit)
         assert len(solves) == 1  # unit.is_empty, kept on unit after
 
+    def test_equal_rows_need_no_conversion(self, monkeypatch):
+        # equal canonical rows are one set, empty or not, so within the
+        # DD cap neither relation converts a set or solves an LP
+        solves = _counting_solves(monkeypatch)
+        conversions = []
+        real = polyhedron_module.dd_cone
+        monkeypatch.setattr(polyhedron_module, "dd_cone",
+                            lambda *args: conversions.append(args) or real(*args))
+        for make in (lambda: Polyhedron.box(qv(0, 0), qv(1, 1)), lambda: _hidden_empty(2)):
+            p, q = make(), make()
+            assert p == q and p is not q
+            assert included(p, q) and polyhedron_equal(p, q)
+        assert solves == [] and conversions == []
+        assert not included(Polyhedron.box(qv(0, 0), qv(2, 2)), Polyhedron.box(qv(0, 0), qv(1, 1)))
+        assert conversions
+
     def test_above_the_cap_empty_sets_keep_their_answers(self, monkeypatch):
         # no conversion may run, so an LP tells the empty sets apart and
         # they never reach CapacityError
