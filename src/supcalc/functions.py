@@ -166,7 +166,7 @@ class PolyhedralFunction:
             raise DimensionMismatchError("point arity mismatch")
         epi = self.epigraph
         obj = tuple(y) + (Fraction(-1),)
-        res = solve_max(obj, list(epi.ineqs), list(epi.eqs))
+        res = solve_max(obj, list(epi.ineqs), list(epi.eqs), warm=True)
         if res.status is LPStatus.UNBOUNDED:
             return POS_INF
         if res.status is not LPStatus.OPTIMAL:

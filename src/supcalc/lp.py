@@ -40,6 +40,18 @@ carrying obj2 through phase 1 would give, so phase 2 makes the same
 pivots on a kept start as on a new one and every result is the same,
 field for field.
 
+A warm solve (``warm=True``, for callers that read only the optimum)
+prices its objective into the tableau the last warm solve on the same
+row set ended on, or into the start before there is one, and keeps the
+tableau its phase 2 ends on in its place.  An optimal or unbounded end
+is a primal-feasible basis of the same rows, so it is a valid phase-2
+start for any objective, and Bland's rule still terminates from it.
+The basis a warm solve ends on, and so its point, multipliers and ray,
+depends on the solves before it; its status and optimum do not.  A
+warm result is certified like any other and then returned with its
+status and optimum only.  Cold solves never read or write that tableau,
+so they give the same results whatever warm solves ran before them.
+
 Every result carries an exact certificate.  ``solve_min`` builds its
 result and checks it in ``_certify_scaled`` -- the one place any LP
 answer is checked, kept start or not -- before returning it
@@ -478,16 +490,17 @@ class _RowSet:
     ``scaled`` is the rows scaled by _scaled_rows, read by the tableau
     and by the certificate check.  ``start`` is the tableau after phase
     1 and drive_out_artificials, or None when the rows are infeasible;
-    ``farkas`` then holds their Farkas multipliers (mu, nu).
+    ``farkas`` then holds their Farkas multipliers (mu, nu).  ``last``
+    is the tableau the last warm solve ended on, or None before one.
     """
 
-    __slots__ = ("m1", "scaled", "start", "farkas")
+    __slots__ = ("m1", "scaled", "start", "farkas", "last")
 
     def __init__(self, n: int, ineqs: Sequence[Row], eqs: Sequence[Row]):
         self.m1 = len(ineqs)
         self.scaled = _scaled_rows(n, ineqs, eqs)
         tab = _Tableau(n, self.m1, self.scaled)
-        self.start = self.farkas = None
+        self.start = self.farkas = self.last = None
         if tab.phase1() > 0:
             self.farkas = tab.duals(tab.obj1, art_cost=1, cost_scale=1)
         else:
@@ -497,7 +510,9 @@ class _RowSet:
 
 # the last _SNAPSHOT_CAP row sets solve_min saw, least recently used
 # first, as hash -> (key, row set): a Fraction does not keep its hash,
-# so each call hashes its rows once and compares them once
+# so each call hashes its rows once and compares them once; an int
+# right-hand side stays an int, which hashes and compares in C and
+# equals the Fraction it would become, so both share one row set
 _SNAPSHOT_CAP = 16
 _snapshots: OrderedDict[int, tuple[tuple, _RowSet]] = OrderedDict()
 
@@ -520,10 +535,15 @@ def _row_set(n: int, ineqs: tuple[Row, ...], eqs: tuple[Row, ...]) -> _RowSet:
 def solve_min(
     c: Sequence[Fraction], ineqs: Sequence[Row] = (), eqs: Sequence[Row] = (), *, warm: bool = False
 ) -> LPResult:
-    """Minimize c.x subject to the given rows; all data exact rationals."""
+    """Minimize c.x subject to the given rows; all data exact rationals.
+
+    With ``warm`` set, phase 2 starts from the tableau the last warm
+    solve on these rows ended on, and the result carries only its status
+    and optimum (see the module docstring).
+    """
     c = tuple(Fraction(t) for t in c)
-    ineqs = tuple((tuple(a), Fraction(b)) for a, b in ineqs)
-    eqs = tuple((tuple(a), Fraction(b)) for a, b in eqs)
+    ineqs = tuple((tuple(a), b if type(b) is int else Fraction(b)) for a, b in ineqs)
+    eqs = tuple((tuple(a), b if type(b) is int else Fraction(b)) for a, b in eqs)
 
     rs = _row_set(len(c), ineqs, eqs)
     if rs.start is None:
@@ -534,8 +554,10 @@ def solve_min(
         )
     else:
         cost, cost_scale = _scale_to_int(c)
-        tab = rs.start.priced(cost)
+        tab = (rs.last if warm and rs.last is not None else rs.start).priced(cost)
         col = tab.run_simplex(tab.obj2)
+        if warm:
+            rs.last = tab
         x = tab.primal_x()
         if col is not None:
             res = LPResult(LPStatus.UNBOUNDED, NEG_INF, primal_point=x, ray=tab.ray_from(col))
@@ -549,7 +571,7 @@ def solve_min(
                 dual_certificate={"mu": mu, "nu": nu},
             )
     _certify_scaled(res, c, rs.scaled, rs.m1)
-    return res
+    return LPResult(res.status, res.optimum) if warm else res
 
 
 def solve_max(

@@ -8,7 +8,7 @@ from fractions import Fraction as Q
 from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import supcalc.functions as functions_module
@@ -116,6 +116,35 @@ def test_eval_is_the_largest_piece_inside_the_domain(data):
     inside = lo is None or all(l <= t <= h for l, t, h in zip(lo, x, hi))
     want = FIN(max(dot(a, x) + b for a, b in f.pieces)) if inside else POS_INF
     assert f.eval(x) == want
+
+
+SIGN_POINTS = [tuple(Q(s) for s in signs) for signs in product((1, -1), repeat=4)]
+
+
+@st.composite
+def dim4_functions(draw):
+    """A max of 2-4 small integer pieces in dimension 4, on R^4 or a box."""
+    entry = st.integers(min_value=-2, max_value=2)
+    pieces = draw(st.lists(st.tuples(st.tuples(*[entry] * 4), entry), min_size=2, max_size=4))
+    if draw(st.booleans()):
+        return PF(4, pieces)
+    return PF(4, pieces, Polyhedron.box((-1, 0, -2, -1), (1, 2, 0, 1)))
+
+
+@settings(max_examples=10)
+@given(dim4_functions())
+def test_conjugate_values_do_not_depend_on_earlier_solves(f):
+    # conjugate_eval solves warm, from the tableau its last solve on the
+    # epigraph ended on, and the value audit of conjugate() solves on the
+    # same rows: the 16 sign-point values must not depend on either
+    lp_module._snapshots.clear()
+    forward = [f.conjugate_eval(y) for y in SIGN_POINTS]
+    backward = [f.conjugate_eval(y) for y in reversed(SIGN_POINTS)][::-1]
+    g = f.conjugate()
+    after = [f.conjugate_eval(y) for y in SIGN_POINTS]
+    after_backward = [f.conjugate_eval(y) for y in reversed(SIGN_POINTS)][::-1]
+    assert forward == backward == after == after_backward
+    assert forward == [g.eval(y) for y in SIGN_POINTS]
 
 
 class TestConjugate:

@@ -208,6 +208,54 @@ def test_warm_solves_match_cold_solves(data, warm):
     assert (top.status, top.optimum) == (want.status, want.optimum)
 
 
+def _counting_pivots(monkeypatch):
+    pivots = []
+    real = lp_module._Tableau._pivot
+    monkeypatch.setattr(lp_module._Tableau, "_pivot",
+                        lambda self, r, c: pivots.append((r, c)) or real(self, r, c))
+    return pivots
+
+
+def test_a_repeated_warm_objective_makes_no_pivot(monkeypatch):
+    # the warm start is the optimal tableau of the last warm solve; the
+    # cold path still starts from the phase-1 basis every time
+    rows = [((1, 0), 3), ((-1, 0), 0), ((0, 1), 4), ((0, -1), 0)]
+    c = qv(-1, -1)
+    lp_module._snapshots.clear()
+    first = solve_min(c, rows, warm=True)
+    pivots = _counting_pivots(monkeypatch)
+    again = solve_min(c, rows, warm=True)
+    assert pivots == []
+    assert again == first == replace(_cold_solve(c, rows, []), primal_point=None,
+                                     dual_certificate=None)
+    assert (again.primal_point, again.dual_certificate, again.ray) == (None, None, None)
+    lp_module._snapshots.clear()
+    solve_min(c, rows)
+    del pivots[:]
+    solve_min(c, rows)
+    assert len(pivots) == 4
+
+
+def test_int_and_fraction_right_hand_sides_share_one_row_set(monkeypatch):
+    # an int right-hand side is kept as an int; it hashes and compares
+    # equal to its Fraction, so both spellings find the same kept rows
+    ints = [((1, 0), 3), ((-1, 0), 0), ((0, 1), 4), ((0, -1), 0)]
+    fractions = [(a, Q(b)) for a, b in ints]
+    eqs = [((1, -1), -1)]
+    lp_module._snapshots.clear()
+    built = []
+    real = lp_module._RowSet.__init__
+    monkeypatch.setattr(lp_module._RowSet, "__init__",
+                        lambda self, *args: built.append(args) or real(self, *args))
+    c = qv(-1, "-1/2")
+    from_ints = solve_min(c, ints, eqs)
+    assert solve_min(c, fractions, [(a, Q(b)) for a, b in eqs]) == from_ints
+    assert len(built) == 1 and len(lp_module._snapshots) == 1
+    (_, kept_ineqs, kept_eqs), _ = next(iter(lp_module._snapshots.values()))
+    assert all(type(b) is int for _, b in (*kept_ineqs, *kept_eqs))
+    assert from_ints.optimum == FIN(Q(-5))  # at (3, 4)
+
+
 @settings(max_examples=200)
 @given(small_lps())
 @example((qv(1), [(qv(1), Q(-1)), (qv(-1), Q(-1))], []))  # infeasible
