@@ -108,9 +108,9 @@ class _System:
             [(self.dense(c), b) for c, b in self.eqs],
         )
 
-    def solve_min(self, objective: Mapping[int, Fraction], *, warm: bool = False):
+    def solve_min(self, objective: Mapping[int, Fraction]):
         ineqs, eqs = self.rows()
-        return solve_min(self.dense(objective), ineqs, eqs, warm=warm)
+        return solve_min(self.dense(objective), ineqs, eqs)
 
 
 def _sum_rows(blocks: Sequence[Sequence[int]], n: int) -> list[dict[int, Fraction]]:
@@ -920,4 +920,4 @@ def inf_convolution_value(
         sys.embed(g.epigraph, list(y) + [s])
     for j, row in enumerate(_sum_rows(y_blocks, n)):
         sys.add_eq(row, xstar[j])
-    return sys.solve_min({s: Fraction(1) for s in s_vars}, warm=True).optimum
+    return sys.solve_min({s: Fraction(1) for s in s_vars}).optimum

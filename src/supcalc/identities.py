@@ -858,10 +858,10 @@ def _inf_over(g: PolyhedralFunction, b_set: Polyhedron) -> ExtendedRational:
     n = g.dim
     ineqs = list(g.epigraph.ineqs)
     eqs = list(g.epigraph.eqs)
-    ineqs += [((*a, 0), c) for a, c in b_set.ineqs]
-    eqs += [((*a, 0), c) for a, c in b_set.eqs]
+    ineqs += [(tuple(a) + (Fraction(0),), c) for a, c in b_set.ineqs]
+    eqs += [(tuple(a) + (Fraction(0),), c) for a, c in b_set.eqs]
     obj = zeros(n) + (Fraction(1),)
-    return solve_min(obj, ineqs, eqs, warm=True).optimum
+    return solve_min(obj, ineqs, eqs).optimum
 
 
 def _robust_infimum(

@@ -579,5 +579,5 @@ def solve_max(
 ) -> LPResult:
     """Maximize c.x; certificates are those of the minimized negation."""
     neg = tuple(-Fraction(t) for t in c)
-    res = solve_min(neg, ineqs, eqs, warm=True) if warm else solve_min(neg, ineqs, eqs)
+    res = solve_min(neg, ineqs, eqs, warm=warm)
     return replace(res, optimum=-res.optimum)

@@ -502,10 +502,10 @@ def _emptiness_lps(monkeypatch) -> list[tuple]:
     rows = []
     real = polyhedron_module.solve_min
 
-    def recording(c, ineqs=(), eqs=()):
+    def recording(c, ineqs=(), eqs=(), **kw):
         if not any(c):
             rows.append((tuple(ineqs), tuple(eqs)))
-        return real(c, ineqs, eqs)
+        return real(c, ineqs, eqs, **kw)
 
     monkeypatch.setattr(polyhedron_module, "solve_min", recording)
     return rows

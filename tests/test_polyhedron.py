@@ -105,7 +105,7 @@ class TestRepresentations:
         real = lp_module.solve_min
         for module in (lp_module, polyhedron_module):
             monkeypatch.setattr(module, "solve_min",
-                                lambda *args: solves.append(args) or real(*args))
+                                lambda *args, **kw: solves.append(args) or real(*args, **kw))
         beam = Polyhedron.from_generators(2, [qv(0, 0), qv(1, 2)], [qv(1, 0)])
         assert not beam.is_empty and solves == []
         # rays alone generate no point, so that hull stays the empty set
@@ -235,7 +235,7 @@ def _counting_solves(monkeypatch):
     real = lp_module.solve_min
     for module in (lp_module, polyhedron_module):
         monkeypatch.setattr(module, "solve_min",
-                            lambda *args: solves.append(args) or real(*args))
+                            lambda *args, **kw: solves.append(args) or real(*args, **kw))
     return solves
 
 
@@ -484,7 +484,7 @@ def test_cone_is_trivial_matches_brute_generators(cone):
     real = polyhedron_module.solve_min
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polyhedron_module, "solve_min",
-                   lambda *args: solves.append(args) or real(*args))
+                   lambda *args, **kw: solves.append(args) or real(*args, **kw))
         assert cone_is_trivial(dim, ineqs, eqs) == (not rays)
     full_rank = not _nullspace_basis([a for a, _ in ineqs + eqs], dim)
     assert len(solves) == (1 if full_rank else 0)
@@ -523,7 +523,7 @@ class TestInteriorPoint:
             with pytest.MonkeyPatch.context() as mp:
                 for module in (lp_module, polyhedron_module):
                     mp.setattr(module, "solve_min",
-                               lambda *args: solves.append(args) or real(*args))
+                               lambda *args, **kw: solves.append(args) or real(*args, **kw))
                 answers = make(p)
             return answers, len(solves)
 
