@@ -314,13 +314,16 @@ class Polyhedron:
 
     @cached_property
     def is_empty(self) -> bool:
-        """Does P contain no point?
+        """Does P contain no point?  The one emptiness rule.
 
-        Read off the generators when they are already built: P is empty
-        exactly when its homogenization cone has no ray with t > 0, that
-        is, when the conversion yields no point.  Otherwise one phase-1 LP.
+        Within ``dd_dimension_cap()`` it is read off the generators,
+        built now if they are not yet: P is empty exactly when its
+        homogenization cone has no ray with t > 0, that is, when the
+        conversion yields no point.  Above the cap one phase-1 LP
+        decides, so an empty set is told apart before any conversion
+        could raise ``CapacityError``.
         """
-        if "generators" in vars(self):
+        if self.dim <= dd_dimension_cap():
             return not self.generators[0]
         res = solve_min(zeros(self.dim), self.ineqs, self.eqs)
         return res.status is LPStatus.INFEASIBLE
@@ -409,19 +412,6 @@ def _check_cap(dim: int) -> None:
 # Operations
 # ============================================================
 
-def _empty_by_conversion(p: Polyhedron) -> bool:
-    """``p.is_empty`` for a caller that converts p to generators next.
-
-    Within ``dd_dimension_cap()`` the conversion runs now and its points
-    answer (none means empty), so no LP is solved.  Above the cap the LP
-    decides, and an empty set is told apart before any conversion could
-    raise ``CapacityError``.
-    """
-    if "is_empty" not in vars(p) and p.dim <= dd_dimension_cap():
-        return not p.generators[0]
-    return p.is_empty
-
-
 def recession_cone(p: Polyhedron) -> Polyhedron:
     """{d : x + t d in P for all x in P, t >= 0}; undefined on empty sets."""
     if p.is_empty:
@@ -464,8 +454,8 @@ def cone_is_trivial(dim: int, ineqs: Sequence[Row], eqs: Sequence[Row]) -> bool:
 def cco_union(parts: Sequence[Polyhedron]) -> Polyhedron:
     """Closed convex hull of a finite union (generator union).
 
-    Empty parts are skipped; within the DD cap each part's emptiness is
-    read off the generators its union needs anyway, so no LP is solved.
+    Empty parts are skipped; ``is_empty`` reads that off the generators
+    the union needs anyway within the DD cap, so no LP is solved.
     Raises ``EmptySetError`` when every part is empty.
     """
     parts = list(parts)
@@ -477,7 +467,7 @@ def cco_union(parts: Sequence[Polyhedron]) -> Polyhedron:
     for p in parts:
         if p.dim != dim:
             raise DimensionMismatchError("cco_union arity mismatch")
-        if _empty_by_conversion(p):
+        if p.is_empty:
             continue
         vs, rs = p.generators
         verts.extend(vs)
@@ -491,11 +481,12 @@ def minkowski_sum(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     """P + Q from the pairwise sums of points and the union of rays.
 
     Raises ``EmptySetError`` when either set is empty; within the DD cap
-    that is read off the generators the sum is built from, with no LP.
+    ``is_empty`` reads that off the generators the sum is built from, so
+    no LP is solved.
     """
     if p.dim != q.dim:
         raise DimensionMismatchError("minkowski_sum arity mismatch")
-    if _empty_by_conversion(p) or _empty_by_conversion(q):
+    if p.is_empty or q.is_empty:
         raise EmptySetError("minkowski_sum of an empty polyhedron")
     pv, pr = p.generators
     qv, qr = q.generators
@@ -511,48 +502,35 @@ def intersect(p: Polyhedron, q: Polyhedron) -> Polyhedron:
     )
 
 
-def _same_rows_within_cap(p: Polyhedron, q: Polyhedron) -> bool:
-    """Do p and q store the same canonical rows, within the DD cap?
-
-    Equal rows are the same set, empty or not, so the set relations need
-    no conversion then.  Above the cap they keep their answers: an empty
-    set is told by an LP, and two nonempty sets raise ``CapacityError``.
-    """
-    return p == q and p.dim <= dd_dimension_cap()
-
-
 def polyhedron_equal(p: Polyhedron, q: Polyhedron) -> bool:
     """Set equality via mutual generator containment (exact).
 
-    Equal canonical rows are the same set, so within the DD cap ``p ==
-    q`` answers with no conversion.  Otherwise both sets are converted,
-    so within the cap their emptiness is read off those conversions with
-    no LP; above the cap an LP tells an empty set apart before any
-    conversion could raise ``CapacityError``.
+    Equal canonical rows are the same set, so ``p == q`` answers at once
+    at every dimension.  Otherwise an empty side is told by
+    ``is_empty`` (off the conversions the containment makes within the
+    DD cap, by an LP above it), and two nonempty sets are compared by
+    their generators.
     """
     if p.dim != q.dim:
         raise DimensionMismatchError("polyhedron_equal arity mismatch")
-    if _same_rows_within_cap(p, q):
+    if p == q:
         return True
-    p_empty, q_empty = _empty_by_conversion(p), _empty_by_conversion(q)
-    if p_empty or q_empty:
-        return p_empty and q_empty
+    if p.is_empty or q.is_empty:
+        return p.is_empty and q.is_empty
     return missing_generator(p, q) is None and missing_generator(q, p) is None
 
 
 def included(p: Polyhedron, q: Polyhedron) -> bool:
     """Is P a subset of Q?  Empty P is included in anything.
 
-    Within the DD cap, equal canonical rows answer at once, as in
-    ``polyhedron_equal``.  Q is only probed by membership, so its
-    emptiness is an LP unless already known; an empty Q holds only an
-    empty P and needs no witness, so P is then never converted.
-    Otherwise P's emptiness is read off the conversion
-    ``missing_generator`` makes anyway.
+    Equal canonical rows answer at once at every dimension, as in
+    ``polyhedron_equal``.  An empty Q holds only an empty P and needs no
+    witness; otherwise ``missing_generator`` decides.  Both emptiness
+    answers come from ``is_empty``.
     """
     if p.dim != q.dim:
         raise DimensionMismatchError("included arity mismatch")
-    if _same_rows_within_cap(p, q):
+    if p == q:
         return True
     if q.is_empty:
         return p.is_empty
@@ -564,12 +542,12 @@ def missing_generator(p: Polyhedron, q: Polyhedron) -> dict[str, Vec] | None:
 
     The witness is ``{"point": v}`` for a point of P outside Q, else
     ``{"ray": r}`` for a ray of P outside the recession cone of Q.  An
-    empty Q contains no point, so then it is P's first point.  Within the
-    DD cap an empty P is told by its generators, which yield no point,
-    so no LP is solved; above the cap an LP tells it, and then the answer
-    is None rather than ``CapacityError``.
+    empty Q contains no point, so then it is P's first point.  An empty
+    P answers None; ``is_empty`` reads that off P's generators within
+    the DD cap, and above it an LP tells it before any conversion could
+    raise ``CapacityError``.
     """
-    if _empty_by_conversion(p):
+    if p.is_empty:
         return None
     for v in p.vertices:
         if not q.contains(v):

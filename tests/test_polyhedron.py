@@ -245,8 +245,34 @@ def _hidden_empty(dim):
     return Polyhedron.from_hrep(dim, [(e, Q(0)), (tuple(-t for t in e), Q(-1))])
 
 
+def _counting_conversions(monkeypatch):
+    conversions = []
+    real = polyhedron_module.dd_cone
+    monkeypatch.setattr(polyhedron_module, "dd_cone",
+                        lambda *args: conversions.append(args) or real(*args))
+    return conversions
+
+
 class TestEmptinessFromGenerators:
-    """The set operations that convert a set anyway read its emptiness there."""
+    """is_empty reads the conversion within the DD cap and an LP above it."""
+
+    @pytest.mark.parametrize("p, empty", [
+        (Polyhedron.box(qv(0, 0), qv(1, 1)), False), (_hidden_empty(2), True),
+    ])
+    def test_is_empty_converts_within_the_cap_and_solves_one_lp_above(
+        self, monkeypatch, p, empty
+    ):
+        solves = _counting_solves(monkeypatch)
+        conversions = _counting_conversions(monkeypatch)
+        within = Polyhedron(p.dim, p.ineqs, p.eqs)
+        assert within.is_empty == empty
+        assert solves == [] and len(conversions) == 1
+        assert "generators" in vars(within)
+        monkeypatch.setenv("SUPCALC_DD_CAP", "1")
+        above = Polyhedron(p.dim, p.ineqs, p.eqs)
+        assert above.is_empty == empty
+        assert len(solves) == 1 and len(conversions) == 1
+        assert "generators" not in vars(above)
 
     def test_cco_union_solves_no_lp(self, monkeypatch):
         solves = _counting_solves(monkeypatch)
@@ -283,8 +309,8 @@ class TestEmptinessFromGenerators:
         assert solves == []
 
     def test_set_relations_read_converted_emptiness(self, monkeypatch):
-        # included asks only its right-hand set, which it never converts;
-        # polyhedron_equal converts both sides, so it asks neither
+        # within the DD cap is_empty reads every side's emptiness off its
+        # conversion, the right-hand set of included too, so no LP is solved
         solves = _counting_solves(monkeypatch)
         box = Polyhedron.box(qv(0, 0), qv(1, 1))
         hole = _hidden_empty(2)
@@ -295,16 +321,13 @@ class TestEmptinessFromGenerators:
         unit = Polyhedron.box(qv(0, 0), qv(1, 1))
         assert included(_hidden_empty(2), unit) and included(box, unit)
         assert not included(Polyhedron.box(qv(0, 0), qv(2, 2)), unit)
-        assert len(solves) == 1  # unit.is_empty, kept on unit after
+        assert len(solves) == 0
 
     def test_equal_rows_need_no_conversion(self, monkeypatch):
         # equal canonical rows are one set, empty or not, so within the
         # DD cap neither relation converts a set or solves an LP
         solves = _counting_solves(monkeypatch)
-        conversions = []
-        real = polyhedron_module.dd_cone
-        monkeypatch.setattr(polyhedron_module, "dd_cone",
-                            lambda *args: conversions.append(args) or real(*args))
+        conversions = _counting_conversions(monkeypatch)
         for make in (lambda: Polyhedron.box(qv(0, 0), qv(1, 1)), lambda: _hidden_empty(2)):
             p, q = make(), make()
             assert p == q and p is not q
@@ -315,7 +338,7 @@ class TestEmptinessFromGenerators:
 
     def test_above_the_cap_empty_sets_keep_their_answers(self, monkeypatch):
         # no conversion may run, so an LP tells the empty sets apart and
-        # they never reach CapacityError
+        # they never reach CapacityError; equal rows need neither
         monkeypatch.setenv("SUPCALC_DD_CAP", "1")
         box = Polyhedron.box(qv(0, 0), qv(1, 1))
         assert missing_generator(_hidden_empty(2), box) is None
@@ -330,15 +353,24 @@ class TestEmptinessFromGenerators:
         for relation in (included, polyhedron_equal):
             assert not relation(Polyhedron.box(qv(0, 0), qv(1, 1)), Polyhedron.empty(2))
             assert relation(_hidden_empty(2), _hidden_empty(2))
+            assert relation(box, Polyhedron.box(qv(0, 0), qv(1, 1)))  # two unit boxes
         assert included(_hidden_empty(2), Polyhedron.box(qv(0, 0), qv(1, 1)))
+
+
+def _lp_empty(p):
+    """Emptiness by a phase-1 LP on p's rows, independent of ``is_empty``."""
+    res = lp_module.solve_min((Q(0),) * p.dim, p.ineqs, p.eqs)
+    return res.status is lp_module.LPStatus.INFEASIBLE
 
 
 def _reference_equal(p, q):
     """``polyhedron_equal``'s body when every emptiness was an LP."""
     if p.dim != q.dim:
         raise DimensionMismatchError("polyhedron_equal arity mismatch")
-    if p.is_empty or q.is_empty:
-        return p.is_empty and q.is_empty
+    if p == q:  # equal canonical rows are one set
+        return True
+    if _lp_empty(p) or _lp_empty(q):
+        return _lp_empty(p) and _lp_empty(q)
     return missing_generator(p, q) is None and missing_generator(q, p) is None
 
 
@@ -346,10 +378,12 @@ def _reference_included(p, q):
     """``included``'s body when P's emptiness was an LP."""
     if p.dim != q.dim:
         raise DimensionMismatchError("included arity mismatch")
-    if p.is_empty:
+    if p == q:  # equal canonical rows are one set
+        return True
+    if _lp_empty(p):
         return True
     # an empty Q needs no witness, so P's generators are never converted
-    return not q.is_empty and missing_generator(p, q) is None
+    return not _lp_empty(q) and missing_generator(p, q) is None
 
 
 @st.composite
@@ -406,8 +440,8 @@ def _outcome(relation, p, q):
 @example((1, _hidden_empty(2), Polyhedron.box(qv(0, 0), qv(1, 1))))
 @example((2, _hidden_empty(3), _hidden_empty(3)))
 def test_set_relations_match_their_reference_bodies(data):
-    # above the cap too, an empty side answers; only two nonempty sets
-    # that need a conversion raise CapacityError
+    # above the cap too, an empty side or equal rows answer; only two
+    # nonempty sets that need a conversion raise CapacityError
     cap, p, q = data
     env = {} if cap is None else {"SUPCALC_DD_CAP": str(cap)}
     with mock.patch.dict(os.environ, env):
@@ -533,7 +567,7 @@ class TestInteriorPoint:
         assert point_first[1] == empty
         empty_first, n_known = counted(lambda p: (p.is_empty, interior_point(p)))
         assert empty_first == (empty, point_first[0])
-        assert n_known == (1 if empty else 2)
+        assert n_known == (0 if empty else 1)
         # the answer is kept on the set, so asking again solves nothing
         twice, n_twice = counted(lambda p: (interior_point(p), interior_point(p)))
         assert twice == (point_first[0],) * 2
@@ -698,6 +732,12 @@ def test_no_generated_point_means_an_infeasible_lp(data, contradict):
     assert p.is_empty == lp_empty  # read off the generators just built
     if lp_empty:
         assert rays == ()
+    # a fresh copy answers by its own conversion within the cap, and by
+    # an LP on its stored rows with the cap below dim
+    caps = [{}] + [{"SUPCALC_DD_CAP": str(dim - 1)}] * (dim > 1)
+    for env in caps:
+        with mock.patch.dict(os.environ, env):
+            assert Polyhedron(dim, p.ineqs, p.eqs).is_empty == lp_empty
 
 
 @given(
