@@ -33,7 +33,6 @@ from .calculus import (
     inf_convolution_value,
     rhs_basic_covers,
     rhs_basic_graph,
-    rhs_basic_image,
     rhs_basic_strict_margin,
     rhs_basic_within,
     sum_functions,
@@ -415,31 +414,15 @@ def _budget_slice(graph: Polyhedron, budget: Fraction) -> Polyhedron:
     return affine_preimage(graph, lift, (0,) * n + (budget,))
 
 
-def _budget_levels(
-    dim: int, graph: Callable[[], Polyhedron], level: Callable[[Fraction], Polyhedron]
-) -> Callable[[Fraction], Polyhedron]:
-    """budget -> a projected set at that budget, for P34 and C46.
-
-    Within the double description cap in dimension dim + 1, every level
-    is a slice of one budget graph, projected once by ``graph()``.  When
-    dim + 1 exceeds the cap, the levels are projected one by one in
-    dimension dim by ``level(budget)`` instead.
-    """
-    if dim + 1 > dd_dimension_cap():
-        return level
-    return partial(_budget_slice, graph())
-
-
 def _subdiff_grid_representation(family: FunctionFamily, params: Mapping[str, Any]) -> Outcome:
     """Scaled-subgradient set equals the subdifferential budget by budget.
 
     The lifted representation is projected once, onto its graph over
     every budget >= eps in dimension dim + 1.  Each grid value's level
     at budget eps + gamma is that graph's slice (a slice of a projection
-    is the projection of the slice); when dim + 1 exceeds the DD cap,
-    each level is projected on its own instead (``_budget_levels``).
-    Each level is sandwiched against the (eps + gamma)-subdifferential
-    from both sides, which finds the failing level and its witness.  The budgets are certified nested,
+    is the projection of the slice), and it is sandwiched against the
+    (eps + gamma)-subdifferential from both sides, which finds the
+    failing level and its witness.  The budgets are certified nested,
     and the gamma = 0 instance pins the represented set to the target
     exactly.  A positive strict margin per level certifies that the
     open form of the budget and activity rows is nonempty, so relaxing
@@ -455,15 +438,11 @@ def _subdiff_grid_representation(family: FunctionFamily, params: Mapping[str, An
     eps = params.get("eps", Fraction(0))
     gammas = (Fraction(0),) + tuple(sorted(_grid(params)))
     targets = [f.eps_subdifferential(x, eps + gamma) for gamma in gammas]
-    levels = _budget_levels(
-        family.dim,
-        lambda: project(rhs_basic_graph(family, x, eps)),
-        lambda budget: project(rhs_basic_image(family, x, budget)),
-    )
+    image = project(rhs_basic_graph(family, x, eps))
     margins: dict[str, Fraction] = {}
     for gamma, target in zip(gammas, targets):
         budget = eps + gamma
-        level = levels(budget)
+        level = _budget_slice(image, budget)
         gap = rhs_basic_covers(level, target)
         if gap is not None:
             raise IdentityFalsified(
@@ -610,6 +589,20 @@ def _truncated_chain_subdiff(family: FunctionFamily, params: Mapping[str, Any]) 
     )
 
 
+def _split_budget_sums(
+    sets: Sequence[Polyhedron], x: Vec, eps: Fraction
+) -> Callable[[Fraction], Polyhedron]:
+    """budget -> the split-budget normal sum at that budget, for budgets >= eps.
+
+    Every level is a slice of one graph in dimension dim + 1, projected
+    once.  When dim + 1 exceeds the double description cap, each level
+    is projected on its own in dimension dim instead.
+    """
+    if sets[0].dim + 1 > dd_dimension_cap():
+        return lambda budget: eps_normal_intersection(sets, x, eps, budget - eps)
+    return partial(_budget_slice, eps_normal_intersection(sets, x, eps, graph=True))
+
+
 def _intersection_normal_split(
     sets: tuple[Polyhedron, ...], params: Mapping[str, Any]
 ) -> Outcome:
@@ -628,11 +621,7 @@ def _intersection_normal_split(
         raise HypothesesNotMet("x lies outside the intersection")
     eps = params.get("eps", Fraction(0))
     lhs = eps_normal_set(common, x, eps)
-    level = _budget_levels(
-        common.dim,
-        lambda: eps_normal_intersection(sets, x, eps, graph=True),
-        lambda budget: eps_normal_intersection(sets, x, eps, budget - eps),
-    )
+    level = _split_budget_sums(sets, x, eps)
     _require_equal(lhs, level(eps), "the normal set of the intersection",
                    "the split-budget sum")
     previous = lhs

@@ -321,7 +321,10 @@ class Polyhedron:
         homogenization cone has no ray with t > 0, that is, when the
         conversion yields no point.  Above the cap one phase-1 LP
         decides, so an empty set is told apart before any conversion
-        could raise ``CapacityError``.
+        could raise ``CapacityError``.  The one other writer of this
+        answer is ``interior_point``, whose max-slack LP, solved for its
+        point anyway, is negative exactly on an empty set; it keeps that
+        exact answer here rather than pay a conversion for it later.
         """
         if self.dim <= dd_dimension_cap():
             return not self.generators[0]
@@ -580,8 +583,11 @@ def interior_point(p: Polyhedron) -> Vec | None:
 
     The max-slack LP also decides emptiness: its optimum is below zero
     exactly when P is empty.  So unless ``p.is_empty`` is already known,
-    that one LP settles it too, and a later ``is_empty`` solves nothing.
-    The answer is kept on p next to it, so the LP runs once per set.
+    that one LP settles it too, and a later ``is_empty`` neither converts
+    nor solves.  This is the one route besides ``is_empty``'s own rule
+    that answers emptiness; it is kept because the LP runs for the point
+    anyway, and its answer is exact.  The point is kept on p next to it,
+    so the LP runs once per set.
     """
     if p.eqs:
         return None

@@ -252,40 +252,6 @@ def test_p34_failures_take_the_per_level_loop(fam_abs, monkeypatch, target):
     assert dims == [1]
 
 
-def _p34_at_the_cap(monkeypatch, fam, params) -> tuple[dict, dict, list[int]]:
-    """P34's report at the default cap, then with the cap at fam.dim and
-    the image dimension of each projection made under it.
-
-    The first check builds the family's conjugate, whose epigraph lives
-    in dimension dim + 1, and it stays on the family, so under the cap
-    only P34's own projections are limited."""
-    want = report_to_json(check_identity("P34", fam, params))
-    projected = []
-    real_project = identities.project
-    monkeypatch.setattr(identities, "project",
-                        lambda image: projected.append(image.dim) or real_project(image))
-    monkeypatch.setenv("SUPCALC_DD_CAP", str(fam.dim))
-    return want, report_to_json(check_identity("P34", fam, params)), projected
-
-
-@pytest.mark.parametrize("index", [1, 2, 3])  # dims 1, 2 and 3
-def test_p34_at_the_dd_cap_projects_each_level(monkeypatch, index):
-    # the budget graph lives in dimension dim + 1; with the cap at dim
-    # each level is projected on its own and the report is unchanged
-    fam = generate(_fuzz_params(7100, index, 3))
-    want, got, projected = _p34_at_the_cap(monkeypatch, fam, {"eps": Q(1, 4)})
-    assert got["status"] == "pass" and got == want
-    assert projected == [fam.dim] * got["details"]["levels"]
-
-
-@pytest.mark.parametrize("target", P34_WRONG_TARGETS)
-def test_p34_failures_at_the_dd_cap_keep_their_witness(fam_abs, monkeypatch, target):
-    _patch_target(monkeypatch, fam_abs, target)
-    want, got, projected = _p34_at_the_cap(monkeypatch, fam_abs, P34_AT_ZERO)
-    assert got["status"] == "fail" and got == want
-    assert projected == [1]
-
-
 def test_t41(fam_abs, chain6):
     assert check_identity("T41", fam_abs).status == "hypotheses-not-met"
     r = check_identity("T41", chain6)
