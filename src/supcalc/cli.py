@@ -1,7 +1,8 @@
 """Command-line interface: eval, verify, fuzz, and plot.
 
 Exit codes: 0 success (no falsification), 1 at least one identity
-falsified, 2 usage or schema error, 3 instance generation error.
+falsified, 2 usage or schema error, 3 instance generation error, 4 an
+engine error in at least one ``fuzz`` check (the run goes on).
 Report streams are JSONL, one object per line, and are byte-identical
 across reruns of the same invocation.
 """
@@ -16,9 +17,12 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Sequence
 
 from .errors import (
+    CapacityError,
     EmptySetError,
+    ExtendedArithmeticError,
     GenerationError,
     InvalidParameterError,
+    LPInternalError,
     SchemaError,
     SupcalcError,
 )
@@ -31,6 +35,8 @@ from .serialize import Instance, canonical_json, loads_instance, report_to_json
 from .plotting import plot_function, plot_subdiff
 
 MAX_FUZZ_COUNT = 1000
+ENGINE_ERRORS = (LPInternalError, CapacityError, ExtendedArithmeticError)
+ENGINE_ERROR = "engine-error"
 
 
 def _parse_point(text: str, dim: int) -> Vec:
@@ -180,6 +186,14 @@ def _fuzz_params(base_seed: int, index: int, dim_max: int) -> GeneratorParams:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
+    """Check seeded instances; an engine error is reported per check.
+
+    A check that raises one of ``ENGINE_ERRORS`` gets its own line with
+    the seed, the identity, status ``engine-error``, the error's class
+    and its message, and the run goes on.  Such a check is counted
+    apart, never as a pass or as hypotheses-not-met, and the exit code
+    is then 4, ahead of 1 for a falsification.
+    """
     if args.count > MAX_FUZZ_COUNT:
         raise InvalidParameterError(
             f"count {args.count} exceeds the cap {MAX_FUZZ_COUNT}"
@@ -190,29 +204,38 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     idents = _identity_list(args.identity)
     params = _check_params(args)
     tally: dict[str, dict[str, int]] = {
-        ident: {s.value: 0 for s in CheckStatus} for ident in idents
+        ident: dict.fromkeys((*(s.value for s in CheckStatus), ENGINE_ERROR), 0)
+        for ident in idents
     }
-    failed = False
     with _report_stream(args.out) as emit:
         for i in range(args.count):
             gen = _fuzz_params(args.seed, i, dim_max)
             family = generate(gen)
             instance = Instance(family)
             for ident in idents:
-                report = check_identity(ident, _payload(ident, instance), params)
+                try:
+                    report = check_identity(ident, _payload(ident, instance), params)
+                except ENGINE_ERRORS as exc:
+                    tally[ident][ENGINE_ERROR] += 1
+                    emit(canonical_json({
+                        "seed": gen.seed, "identity": ident, "status": ENGINE_ERROR,
+                        "error": type(exc).__name__, "message": str(exc),
+                    }))
+                    continue
                 tally[ident][report.status.value] += 1
-                failed = failed or report.status is CheckStatus.FAIL
                 emit(_report_line(report, {"seed": gen.seed}))
-    head = f"{'identity':<10}{'pass':>6}{'fail':>6}{'hnm':>6}{'trivial':>8}"
+    head = f"{'identity':<10}{'pass':>6}{'fail':>6}{'hnm':>6}{'trivial':>8}{'engine':>8}"
     print(head, file=sys.stderr)
     for ident in idents:
         t = tally[ident]
         print(
             f"{ident:<10}{t['pass']:>6}{t['fail']:>6}"
-            f"{t['hypotheses-not-met']:>6}{t['trivial-pass']:>8}",
+            f"{t['hypotheses-not-met']:>6}{t['trivial-pass']:>8}{t[ENGINE_ERROR]:>8}",
             file=sys.stderr,
         )
-    return 1 if failed else 0
+    if any(t[ENGINE_ERROR] for t in tally.values()):
+        return 4
+    return 1 if any(t[CheckStatus.FAIL.value] for t in tally.values()) else 0
 
 
 def cmd_plot(args: argparse.Namespace) -> int:

@@ -25,6 +25,14 @@ the same computation applied to the polar cone, whose extreme rays are
 the facet normals.  Generators are canonicalized too (fixed sort order,
 coprime integer rays), so equal inputs give byte-equal outputs.
 
+A hull built from generators keeps that one V->H conversion and reads
+its own generators off it, with no second conversion, when its cone is
+pointed (no line).  In a pointed cone the extreme rays are exactly the
+given generators whose set of tight facets lies in no other given
+generator's set (Motzkin, Raiffa, Thompson & Thrall 1953; Fukuda &
+Prodon 1996).  A hull with a line converts its rows as any set does.
+Either read is only as complete as the V->H conversion.
+
 Conversions refuse to run above a dimension cap (default 6) which can be
 overridden through the SUPCALC_DD_CAP environment variable.
 """
@@ -263,6 +271,13 @@ class Polyhedron:
 
     @staticmethod
     def from_generators(dim: int, vertices: Iterable[Vec] = (), rays: Iterable[Vec] = ()) -> "Polyhedron":
+        """conv(vertices) + cone(rays), by one V->H conversion.
+
+        The hull keeps that conversion: the homogenized generators and
+        the extreme rays and lineality basis of their polar cone.  The
+        first read of ``generators`` takes its V-form from them when the
+        hull has no line, and then drops them; see ``generators``.
+        """
         if dim < 1:
             raise InvalidParameterError("dimension must be at least 1")
         vs = [vec(v) for v in vertices]
@@ -280,7 +295,9 @@ class Polyhedron:
             dim, [(g[:-1], -g[-1]) for g in polar_rays], [(g[:-1], -g[-1]) for g in polar_lines]
         )
         if hull != Polyhedron.empty(dim):
-            vars(hull)["is_empty"] = False  # it holds the given vertices
+            kept = vars(hull)  # where the cached_property values sit
+            kept["is_empty"] = False  # it holds the given vertices
+            kept["_conversion"] = (norms, polar_rays, polar_lines)
         return hull
 
     @staticmethod
@@ -366,7 +383,20 @@ class Polyhedron:
 
     @cached_property
     def generators(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-        """(points, rays) with P = conv(points) + cone(rays), canonical."""
+        """(points, rays) with P = conv(points) + cone(rays), canonical.
+
+        A hull from ``from_generators`` whose cone is pointed reads them
+        off the conversion that built it (``_kept_generators``), so that
+        read runs no conversion and raises no ``CapacityError``, even
+        with ``SUPCALC_DD_CAP`` lowered after the hull was built.  Any
+        other set, a hull with a line included, runs the double
+        description on its rows.
+        """
+        kept = vars(self).pop("_conversion", None)
+        if kept is not None:
+            read = _kept_generators(self.dim, *kept)
+            if read is not None:
+                return read
         _check_cap(self.dim)
         norms = [(*a, -b) for a, b in self.ineqs]
         for a, b in self.eqs:
@@ -411,6 +441,38 @@ def _check_cap(dim: int) -> None:
         )
 
 
+def _kept_generators(
+    dim: int, norms: list[IVec], polar_rays: list[IVec], polar_lines: list[IVec]
+) -> tuple[tuple[Vec, ...], tuple[Vec, ...]] | None:
+    """The canonical V-form of cone(norms) read off its polar, or None if it has a line.
+
+    The cone {y : <g, y> <= 0 for g in polar_rays, <l, y> = 0 for l in
+    polar_lines} is pointed exactly when those rows have rank dim + 1.
+    Then a given generator is extreme exactly when its zero set over
+    polar_rays lies in no other generator's zero set: a generator that
+    is not extreme lies in a face of dimension at least 2, and that
+    face holds an extreme generator tight at every row it is tight at.
+    Repeats are dropped first, else a copy would rule its twin out.
+    """
+    if _rank([*polar_rays, *polar_lines]) <= dim:
+        return None
+    gens = list(dict.fromkeys(norms))
+    zsets = [
+        sum(1 << i for i, f in enumerate(polar_rays) if _idot(f, g) == 0) for g in gens
+    ]
+    verts: list[Vec] = []
+    rays: list[IVec] = []
+    for k, (g, z) in enumerate(zip(gens, zsets)):
+        if any(j != k and z & y == z for j, y in enumerate(zsets)):
+            continue
+        t = g[-1]
+        if t > 0:
+            verts.append(tuple(Fraction(c, t) for c in g[:-1]))
+        else:
+            rays.append(g[:-1])
+    return tuple(sorted(verts)), tuple(tuple(Fraction(c) for c in r) for r in sorted(rays))
+
+
 # ============================================================
 # Operations
 # ============================================================
@@ -424,14 +486,25 @@ def recession_cone(p: Polyhedron) -> Polyhedron:
     return Polyhedron.from_hrep(p.dim, rows, eqs)
 
 
-def _rank(rows: Sequence[Vec]) -> int:
-    """Rank of rational vectors by exact Gaussian elimination."""
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0
-    top = rows[0]
-    col = next(j for j, t in enumerate(top) if t != 0)
-    return 1 + _rank([[t - r[col] / top[col] * u for t, u in zip(r, top)] for r in rows[1:]])
+def _rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of integer vectors by fraction-free elimination, row by row.
+
+    Each kept row is zero at the pivot columns of the rows kept before
+    it, and an incoming row is cleared at every pivot column in turn, so
+    it adds to the rank exactly when something is left.  The scan stops
+    once the rank is full.
+    """
+    basis: list[tuple[int, IVec]] = []  # (pivot column, row)
+    for r in rows:
+        for c, b in basis:
+            if r[c]:
+                r = _icomb(b[c], r, -r[c], b)
+        c = next((j for j, t in enumerate(r) if t), None)
+        if c is not None:
+            basis.append((c, r))
+            if len(basis) == len(r):
+                break
+    return len(basis)
 
 
 def cone_is_trivial(dim: int, ineqs: Sequence[Row], eqs: Sequence[Row]) -> bool:
@@ -445,7 +518,7 @@ def cone_is_trivial(dim: int, ineqs: Sequence[Row], eqs: Sequence[Row]) -> bool:
     if any(b != 0 for _, b in rows):
         raise InvalidParameterError("a cone row must have right-hand side 0")
     normals = [vec(a) for a, _ in rows]
-    if _rank(normals) < dim:
+    if _rank([_scale_to_int(a)[0] for a in normals]) < dim:
         return False
     k = len(normals)
     ge_one = [(tuple(Fraction(-(j == i)) for j in range(k)), Fraction(-1))

@@ -195,6 +195,27 @@ class TestVerify:
         stdout = capsys.readouterr().out
         assert out.read_text(encoding="utf-8") == stdout
 
+    def test_engine_error_stops_verify_after_the_lines_before_it(
+        self, abs_file, tmp_path, capsys, monkeypatch
+    ):
+        # unlike fuzz, verify stops at an engine error: one JSON object
+        # on stderr, exit 2, and the lines before it kept in --out
+        real = cli.check_identity
+
+        def failing_second(ident, payload, params):
+            if ident == "L2B":
+                raise LPInternalError("injected")
+            return real(ident, payload, params)
+
+        monkeypatch.setattr(cli, "check_identity", failing_second)
+        out = tmp_path / "reports.jsonl"
+        assert main(["verify", "--instance", abs_file, "--identity", "L2A,L2B,L2C",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.err) == {"error": "injected", "kind": "engine"}
+        assert [json.loads(t)["identity"] for t in captured.out.splitlines()] == ["L2A"]
+        assert out.read_text(encoding="utf-8") == captured.out
+
     def test_unknown_identity(self, abs_file, capsys):
         assert main(["verify", "--instance", abs_file, "--identity", "NOPE"]) == 2
         err = json.loads(capsys.readouterr().err)
@@ -247,7 +268,8 @@ class TestFuzz:
 
     def test_engine_error_keeps_the_lines_before_it(self, tmp_path, capsys, monkeypatch):
         # an engine error in the second instance must not lose the first
-        # instance's lines or its seed, on stdout or in --out
+        # instance's lines or its seed, on stdout or in --out; each failing
+        # check gets its own line and the run goes on to exit 4
         real = cli.check_identity
         per_instance = len(identities.identity_ids())
         calls = []
@@ -260,13 +282,42 @@ class TestFuzz:
 
         monkeypatch.setattr(cli, "check_identity", failing_second_instance)
         out = tmp_path / "corpus.jsonl"
-        assert main(["fuzz", "--seed", "2026", "--count", "2", "--out", str(out)]) == 2
+        assert main(["fuzz", "--seed", "2026", "--count", "2", "--out", str(out)]) == 4
         captured = capsys.readouterr()
-        assert json.loads(captured.err) == {"error": "injected", "kind": "engine"}
         lines = [json.loads(t) for t in captured.out.splitlines()]
-        assert len(lines) == 18
-        assert {r["seed"] for r in lines} == {2026}
+        assert len(lines) == 2 * per_instance
+        first, second = lines[:per_instance], lines[per_instance:]
+        assert {r["seed"] for r in first} == {2026}
+        assert all(r["status"] != "engine-error" for r in first)
+        assert second == [
+            {"seed": 2027, "identity": ident, "status": "engine-error",
+             "error": "LPInternalError", "message": "injected"}
+            for ident in identities.identity_ids()
+        ]
         assert out.read_text(encoding="utf-8") == captured.out
+        tally = {row.split()[0]: row.split()[1:] for row in captured.err.splitlines()}
+        assert tally["identity"][-1] == "engine"
+        assert all(tally[ident][-1] == "1" for ident in identities.identity_ids())
+
+    def test_engine_errors_below_the_dd_cap_are_reported_per_check(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # with the cap at the dimension every check that converts in
+        # dim + 1 raises CapacityError; the others still answer
+        monkeypatch.setenv("SUPCALC_DD_CAP", "1")
+        out = tmp_path / "f.jsonl"
+        assert main(["fuzz", "--seed", "0", "--count", "1", "--identity", "ALL",
+                     "--dim-max", "1", "--out", str(out)]) == 4
+        capsys.readouterr()
+        lines = [json.loads(t) for t in out.read_text(encoding="utf-8").splitlines()]
+        assert len(lines) == 18 and {r["seed"] for r in lines} == {0}
+        errors = [r["identity"] for r in lines if r["status"] == "engine-error"]
+        assert len(errors) == 13
+        assert all(r["error"] == "CapacityError" and "exceeds cap 1" in r["message"]
+                   for r in lines if r["status"] == "engine-error")
+        others = {r["identity"]: r["status"] for r in lines if r["status"] != "engine-error"}
+        assert others == {"L2D": "hypotheses-not-met", "T44": "hypotheses-not-met",
+                          "L2E": "trivial-pass", "C46": "pass", "RINF": "pass"}
 
 
 @pytest.mark.parametrize("command", [

@@ -357,6 +357,138 @@ class TestEmptinessFromGenerators:
         assert included(_hidden_empty(2), Polyhedron.box(qv(0, 0), qv(1, 1)))
 
 
+class TestKeptConversion:
+    """A hull from generators reads its V-form off the conversion that built it."""
+
+    @staticmethod
+    def _parts():
+        # a triangle and a beam, their own generators already read
+        parts = [Polyhedron.from_generators(2, [qv(0, 0), qv(1, 0), qv(0, 1)]),
+                 Polyhedron.from_generators(2, [qv(3, 2)], [qv(1, 0)])]
+        for p in parts:
+            p.generators
+        return parts
+
+    def test_a_pointed_hull_converts_once(self, monkeypatch):
+        parts = self._parts()
+        conversions = _counting_conversions(monkeypatch)
+        u = cco_union(parts)
+        assert u.generators == ((qv(0, 0), qv(0, 1), qv(3, 2)), (qv(1, 0),))
+        assert len(conversions) == 1
+        assert "_conversion" not in vars(u)
+
+    def test_a_hull_with_a_line_converts_its_rows(self, monkeypatch):
+        parts = self._parts() + [Polyhedron.from_generators(2, [qv(0, 5)], [qv(-1, 0)])]
+        parts[-1].generators
+        conversions = _counting_conversions(monkeypatch)
+        u = cco_union(parts)
+        assert u.generators == ((qv(0, 0), qv(0, 5)), (qv(-1, 0), qv(1, 0)))  # 0 <= y <= 5
+        assert len(conversions) == 2
+        assert "_conversion" not in vars(u)
+
+    def test_a_repeated_vertex_is_kept_once(self, monkeypatch):
+        # without the repeats dropped, each copy's zero set would rule
+        # its twin out and the segment would lose both ends
+        conversions = _counting_conversions(monkeypatch)
+        seg = Polyhedron.from_generators(2, [qv(0, 0), qv(2, 1), qv(0, 0), qv(1, Q(1, 2)), qv(2, 1)])
+        assert seg.generators == ((qv(0, 0), qv(2, 1)), ())
+        ray = Polyhedron.from_generators(1, [qv(1), qv(1)], [qv(3), qv(1)])
+        assert ray.generators == ((qv(1),), (qv(1),))
+        assert len(conversions) == 2  # the two V->H conversions only
+
+    def test_the_kept_read_needs_no_cap(self, monkeypatch):
+        tri = Polyhedron.from_generators(2, [qv(0, 0), qv(1, 0), qv(0, 1)])
+        band = Polyhedron.from_generators(2, [qv(0, 0), qv(0, 1)], [qv(1, 0), qv(-1, 0)])
+        monkeypatch.setenv("SUPCALC_DD_CAP", "1")
+        assert tri.vertices == (qv(0, 0), qv(0, 1), qv(1, 0))
+        with pytest.raises(CapacityError):
+            band.generators
+
+
+@st.composite
+def generator_sets(draw):
+    """(dim, vertices, rays) with dim <= 4, often with redundant generators.
+
+    On coin flips a vertex repeats, a point inside the hull (a midpoint)
+    joins, a ray repeats at scale 2, a ray's opposite joins (a line),
+    or one coordinate is zeroed in every generator (a flat hull); a lone
+    vertex with no ray is a single point.
+    """
+    dim = draw(st.integers(1, 4))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    vector = st.tuples(*[entry] * dim)
+    verts = draw(st.lists(vector, min_size=1, max_size=dim + 3))
+    rays = draw(st.lists(vector, max_size=2))
+    if draw(st.booleans()):
+        verts.append(draw(st.sampled_from(verts)))
+    if len(verts) > 1 and draw(st.booleans()):
+        verts.append(tuple((a + b) / 2 for a, b in zip(verts[0], verts[1])))
+    if rays and draw(st.booleans()):
+        rays.append(tuple(2 * t for t in rays[0]))
+    if rays and draw(st.integers(0, 3)) == 0:
+        rays.append(tuple(-t for t in rays[-1]))
+    if dim > 1 and draw(st.integers(0, 3)) == 0:
+        verts, rays = ([(Q(0),) + g[1:] for g in gens] for gens in (verts, rays))
+    return dim, verts, rays
+
+
+def _has_line(rays):
+    return any(tuple(-t for t in r) in rays for r in rays)
+
+
+@settings(max_examples=300)
+@given(generator_sets())
+@example((1, [qv(2)], []))  # a single point
+@example((2, [qv(0, 0), qv(0, 0)], [qv(1, 1), qv(2, 2)]))  # repeats only
+@example((2, [qv(0, 0), qv(2, 0), qv(1, 0)], [qv(0, 1), qv(0, -1)]))  # a band
+@example((3, [qv(0, 0, 0), qv(1, 0, 0), qv(0, 1, 0), qv(Q(1, 3), Q(1, 3), 0)], []))
+def test_kept_generators_match_dd_on_the_rows(data):
+    """The hull's read equals DD on its own rows; only a line converts."""
+    dim, verts, rays = data
+    hull = Polyhedron.from_generators(dim, verts, rays)
+    conversions = []
+    real = polyhedron_module.dd_cone
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyhedron_module, "dd_cone",
+                   lambda *args: conversions.append(args) or real(*args))
+        read = hull.generators
+    assert read == Polyhedron(dim, hull.ineqs, hull.eqs).generators
+    assert len(conversions) == (1 if _has_line(read[1]) else 0)
+    assert "_conversion" not in vars(hull)
+    if dim <= 3 and not _has_line(read[1]):
+        # pointed: extreme points and extreme directions are unique
+        pts, dirs = brute_generators(dim, hull.ineqs, hull.eqs)
+        assert list(read[0]) == pts
+        direction = polyhedron_module._int_normalize
+        assert {direction(r) for r in read[1]} == {direction(r) for r in dirs}
+
+
+def _fraction_rank(rows):
+    """The former rank: Gaussian elimination in Fractions, kept as the reference."""
+    rows = [r for r in rows if any(r)]
+    if not rows:
+        return 0
+    top = rows[0]
+    col = next(j for j, t in enumerate(top) if t != 0)
+    return 1 + _fraction_rank([[t - r[col] / top[col] * u for t, u in zip(r, top)] for r in rows[1:]])
+
+
+@given(
+    st.integers(1, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=7)),
+    st.integers(-4, 4).filter(bool),
+)
+@example([[1, 2, 3], [2, 4, 6], [0, 0, 0], [1, 0, 1]], 2)
+@example([[0, 1], [0, 2], [0, -5]], -3)
+def test_integer_rank_matches_the_fraction_reference(rows, scale):
+    # the fraction-free rank equals the Fraction one, and scaling a row
+    # by a nonzero integer leaves it unchanged
+    rank = polyhedron_module._rank(rows)
+    assert rank == _fraction_rank([[Q(t) for t in r] for r in rows])
+    if rows:
+        assert polyhedron_module._rank([[scale * t for t in rows[0]], *rows[1:]]) == rank
+
+
 def _lp_empty(p):
     """Emptiness by a phase-1 LP on p's rows, independent of ``is_empty``."""
     res = lp_module.solve_min((Q(0),) * p.dim, p.ineqs, p.eqs)
