@@ -19,7 +19,7 @@ is folded into the normal part of any witness.
 Set-valued results (the basic-formula right-hand side, sums of
 approximate normal sets) are materialized through the support-oracle
 projection, so only the answer space is subject to the double
-description dimension cap.
+description dimension cap.  Their graphs over every budget need no LP.
 """
 from __future__ import annotations
 
@@ -41,6 +41,7 @@ from .functions import PolyhedralFunction, normal_cone
 from .lp import LPStatus, Row, solve_min
 from .polyhedron import (
     Polyhedron,
+    affine_preimage,
     cone_is_trivial,
     included,
     intersect,
@@ -433,7 +434,7 @@ def conjugate_on_interior(family: FunctionFamily, xstar: Sequence) -> ExtendedRa
 # ============================================================
 
 def _rhs_basic_system(
-    family: FunctionFamily, x: Vec, budget: Fraction, graph: bool = False,
+    family: FunctionFamily, x: Vec, budget: Fraction
 ) -> tuple[_System, list[Vec]]:
     """Lifted system for the scaled-subgradient set at the given budget.
 
@@ -441,9 +442,7 @@ def _rhs_basic_system(
     weight lambda_t.  x lies in every dom f_t, so by Fenchel-Young the
     scaled error g_t = u_t + lambda_t f_t(x) - <y_t, x> is nonnegative
     and enters the budget and activity rows with no variable of its own.
-    The projection matrix extracts sum_t y_t.  With ``graph`` the budget
-    is a variable beta >= budget instead of a right-hand side and the
-    matrix extracts (sum_t y_t, beta).
+    The projection matrix extracts sum_t y_t.
     """
     f = family.sup
     fx = f.eval(x)
@@ -458,19 +457,12 @@ def _rhs_basic_system(
         weight[lam] = f_t.eval_finite(x)
         act[u] = Fraction(1)
         act.update((y_of[t][j], -xj) for j, xj in enumerate(x) if xj)
-    beta = sys.new_var() if graph else None
     sys.add_eq(dict.fromkeys(weight, Fraction(1)), 1)
     # sum_t g_t <= budget; sum_t (u_t - <y_t, x>) <= budget - f(x), the
     # activity row, where the lambda_t f_t(x) terms of the g_t cancel
-    for row, rhs in (({**act, **weight}, budget), (act, budget - fx)):
-        if beta is not None:
-            row, rhs = {**row, beta: Fraction(-1)}, rhs - budget
-        sys.add_ineq(row, rhs)
-    sums = _sum_rows(list(y_of.values()), family.dim)
-    if beta is not None:
-        sys.add_ineq({beta: Fraction(-1)}, -budget)
-        sums.append({beta: Fraction(1)})
-    return sys, [sys.dense(row) for row in sums]
+    sys.add_ineq({**act, **weight}, budget)
+    sys.add_ineq(act, budget - fx)
+    return sys, [sys.dense(row) for row in _sum_rows(list(y_of.values()), family.dim)]
 
 
 def rhs_basic_image(family: FunctionFamily, x: Sequence, budget) -> Image:
@@ -479,14 +471,22 @@ def rhs_basic_image(family: FunctionFamily, x: Sequence, budget) -> Image:
     return Image(sys.nvars, *sys.rows(), matrix)
 
 
-def rhs_basic_graph(family: FunctionFamily, x: Sequence, eps) -> Image:
+def rhs_basic_graph(family: FunctionFamily, x: Sequence, eps) -> Polyhedron:
     """{(s, beta) : beta >= eps, s in the scaled-subgradient set at budget beta}.
 
-    One image in dimension dim + 1 for every budget from eps up; its
-    slice at beta = b is ``rhs_basic_image(family, x, b)``.
+    Its slice at beta = b is ``project(rhs_basic_image(family, x, b))``,
+    read here with no LP off the conjugate hull H, an epigraph: the
+    activity row implies the budget row, as sum_t lambda_t f_t(x) <= f(x),
+    and the perspective blocks project onto H (Balas 1979).  So it is
+    {(s, beta) : beta >= eps, (s, beta + <s, x> - f(x)) in H}, a preimage
+    whose rows may be redundant.
     """
-    sys, matrix = _rhs_basic_system(family, vec(x), rational(eps), graph=True)
-    return Image(sys.nvars, *sys.rows(), matrix)
+    x, eps = vec(x), rational(eps)
+    fx = family.sup.eval_finite(x)
+    n = family.dim
+    lift = [tuple(int(i == j) for j in range(n + 1)) for i in range(n)] + [x + (1,)]
+    graph = affine_preimage(family.conjugate_hull, lift, zeros(n) + (-fx,))
+    return intersect(graph, Polyhedron.from_hrep(n + 1, [(zeros(n) + (-1,), -eps)]))
 
 
 def eps_subdiff_rhs_basic(
@@ -553,11 +553,13 @@ def eps_normal_intersection(
     intersection is an attained inf-convolution, so no closure is
     needed.  Returns the empty set when x misses some C_t.
 
-    With ``graph`` the budget is a variable beta >= eps+gamma with
-    sum eta_t = beta, and one projection gives {(sum_t z_t, beta)} in
-    dimension dim + 1: every budget from eps+gamma up at once.  A slice
-    of a projection is the projection of the slice, so its slice at
-    beta = b is the set at budget b.
+    With ``graph`` it is {(sum_t z_t, beta) : beta >= eps+gamma,
+    sum eta_t = beta} in dimension dim + 1, every budget at once: the
+    epigraph of the inf-convolution of the sigma_{C_t - x}, cut at
+    eps+gamma, which is the sum of their epigraphs (Rockafellar 1970,
+    Thm 16.4).  By LP duality epi sigma_{C - x} is the cone generated by
+    (a, b - <a, x>) over the rows (a, b) of C, equalities both ways, and
+    (0, 1), so the graph is one ``from_generators``, with no LP.
     """
     eps, gamma = rational(eps), rational(gamma)
     if eps < 0 or gamma < 0:
@@ -572,6 +574,13 @@ def eps_normal_intersection(
             raise DimensionMismatchError("set dimension mismatch")
         if not c.contains(x):
             return Polyhedron.empty(n + graph)
+    if graph:
+        gens = [zeros(n) + (1,)]
+        for c in sets:
+            rows = [*c.ineqs, *c.eqs, *((tuple(-t for t in a), -b) for a, b in c.eqs)]
+            gens += [(*a, b - dot(a, x)) for a, b in rows]
+        cone = Polyhedron.from_generators(n + 1, [zeros(n + 1)], gens)
+        return intersect(cone, Polyhedron.from_hrep(n + 1, [(zeros(n) + (-1,), -eps - gamma)]))
     sys = _System()
     z_of, eta_of = [], []
     for c in sets:
@@ -580,16 +589,8 @@ def eps_normal_intersection(
         z_of.append(z)
         eta_of.append(eta)
         _normal_block(sys, c, x, z, eta)
-    total = {eta: Fraction(1) for eta in eta_of}
-    sums = _sum_rows(z_of, n)
-    if graph:
-        beta = sys.new_var()
-        sys.add_eq({**total, beta: Fraction(-1)}, 0)
-        sys.add_ineq({beta: Fraction(-1)}, -(eps + gamma))
-        sums.append({beta: Fraction(1)})
-    else:
-        sys.add_eq(total, eps + gamma)
-    matrix = [sys.dense(row) for row in sums]
+    sys.add_eq({eta: Fraction(1) for eta in eta_of}, eps + gamma)
+    matrix = [sys.dense(row) for row in _sum_rows(z_of, n)]
     ineqs, eqs = sys.rows()
     return project(Image(sys.nvars, ineqs, eqs, matrix))
 

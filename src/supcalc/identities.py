@@ -61,7 +61,6 @@ from .polyhedron import (
     polyhedron_equal,
     recession_cone,
 )
-from .projection import project
 from .rationals import (
     ExtendedRational,
     Vec,
@@ -417,10 +416,10 @@ def _budget_slice(graph: Polyhedron, budget: Fraction) -> Polyhedron:
 def _subdiff_grid_representation(family: FunctionFamily, params: Mapping[str, Any]) -> Outcome:
     """Scaled-subgradient set equals the subdifferential budget by budget.
 
-    The lifted representation is projected once, onto its graph over
-    every budget >= eps in dimension dim + 1.  Each grid value's level
-    at budget eps + gamma is that graph's slice (a slice of a projection
-    is the projection of the slice), and it is sandwiched against the
+    The lifted representation's graph over every budget >= eps, in
+    dimension dim + 1, is read off the family's conjugate hull with no
+    LP (``rhs_basic_graph``).  Each grid value's level at budget
+    eps + gamma is that graph's slice, and it is sandwiched against the
     (eps + gamma)-subdifferential from both sides, which finds the
     failing level and its witness.  The budgets are certified nested,
     and the gamma = 0 instance pins the represented set to the target
@@ -438,11 +437,11 @@ def _subdiff_grid_representation(family: FunctionFamily, params: Mapping[str, An
     eps = params.get("eps", Fraction(0))
     gammas = (Fraction(0),) + tuple(sorted(_grid(params)))
     targets = [f.eps_subdifferential(x, eps + gamma) for gamma in gammas]
-    image = project(rhs_basic_graph(family, x, eps))
+    graph = rhs_basic_graph(family, x, eps)
     margins: dict[str, Fraction] = {}
     for gamma, target in zip(gammas, targets):
         budget = eps + gamma
-        level = _budget_slice(image, budget)
+        level = _budget_slice(graph, budget)
         gap = rhs_basic_covers(level, target)
         if gap is not None:
             raise IdentityFalsified(
@@ -535,12 +534,13 @@ def _truncated_chain_subdiff(family: FunctionFamily, params: Mapping[str, Any]) 
     """Tail representation of the subdifferential along a finite chain.
 
     A finite increasing chain stands in for an increasing sequence cut
-    at a horizon.  The tail unions collapse onto the last member, which
-    the checker certifies by nesting the member subdifferentials at
-    every budget level; the subdifferential of the supremum must then
-    agree with the top member at the exact budget.  The recorded stage
-    gap lists supremum subgradients that no earlier member reaches,
-    the finite trace of why the limit needs a closure.
+    at a horizon.  The tail unions collapse onto the last member when
+    the member subdifferentials nest at every budget level; an
+    increasing chain does not imply that, so it is a stated hypothesis.
+    The subdifferential of the supremum must then agree with the top
+    member at the exact budget.  The recorded stage gap lists supremum
+    subgradients that no earlier member reaches, the finite trace of why
+    the limit needs a closure.
     """
     if not family.verify_increasing():
         raise HypothesesNotMet("the family is not verifiably increasing")
@@ -553,21 +553,21 @@ def _truncated_chain_subdiff(family: FunctionFamily, params: Mapping[str, Any]) 
     top = chain[-1]
     target = f.eps_subdifferential(x, eps)
     gammas = (Fraction(0),) + tuple(sorted(_grid(params)))
-    # levels[k][i]: the subdifferential of chain[i] at budget eps + gammas[k]
-    levels = [
-        [family.member(t).eps_subdifferential(x, eps + gamma) for t in chain]
-        for gamma in gammas
-    ]
+    # levels[k][i]: the subdifferential of chain[i] at budget eps + gammas[k],
+    # each level checked for nesting before the next is built
+    levels = []
+    for gamma in gammas:
+        budget = eps + gamma
+        sets = [family.member(t).eps_subdifferential(x, budget) for t in chain]
+        levels.append(sets)
+        for t, u, small, large in zip(chain, chain[1:], sets, sets[1:]):
+            if not included(small, large):
+                raise HypothesesNotMet(
+                    f"the {budget}-subdifferential of member {t!r} is not "
+                    f"contained in that of its successor {u!r}"
+                )
     _require_equal(target, levels[0][-1], "the supremum subdifferential",
                    f"that of the top member {top!r}")
-    for gamma, sets in zip(gammas, levels):
-        budget = eps + gamma
-        for t, small, large in zip(chain, sets, sets[1:]):
-            _require_included(
-                small, large,
-                f"the {budget}-subdifferential of member {t!r}",
-                "that of its successor",
-            )
     # budget monotonicity on the top member across the grid
     top_sets = [sets[-1] for sets in levels]
     for small, large in zip(top_sets, top_sets[1:]):
@@ -594,9 +594,9 @@ def _split_budget_sums(
 ) -> Callable[[Fraction], Polyhedron]:
     """budget -> the split-budget normal sum at that budget, for budgets >= eps.
 
-    Every level is a slice of one graph in dimension dim + 1, projected
-    once.  When dim + 1 exceeds the double description cap, each level
-    is projected on its own in dimension dim instead.
+    Every level is a slice of one graph in dimension dim + 1, generated
+    from the sets' rows with no LP.  When dim + 1 exceeds the double
+    description cap, each level is projected on its own in dimension dim.
     """
     if sets[0].dim + 1 > dd_dimension_cap():
         return lambda budget: eps_normal_intersection(sets, x, eps, budget - eps)

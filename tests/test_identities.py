@@ -1,4 +1,5 @@
 """The executable identity catalog, driven over worked instances."""
+import sys
 from fractions import Fraction as Q
 
 import pytest
@@ -12,6 +13,7 @@ import supcalc.family as family_module
 import supcalc.identities as identities
 import supcalc.lp as lp_module
 import supcalc.polyhedron as polyhedron_module
+import supcalc.projection as projection_module
 from supcalc.cli import _fuzz_params
 from supcalc.errors import HypothesesNotMet, IdentityFalsified, InvalidParameterError
 from supcalc.family import FunctionFamily
@@ -237,18 +239,32 @@ def test_a_passing_p34_covers_once_per_level(fam_abs, monkeypatch):
     assert solves == []
 
 
+def _count_projections(monkeypatch) -> list[int]:
+    """The image dimension of each projection.project call, through every
+    supcalc module that binds it."""
+    dims = []
+    real = projection_module.project
+
+    def counting(image):
+        dims.append(image.dim)
+        return real(image)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("supcalc") and getattr(module, "project", None) is real:
+            monkeypatch.setattr(module, "project", counting)
+    return dims
+
+
 @pytest.mark.parametrize("target", P34_WRONG_TARGETS)
 def test_p34_failures_take_the_per_level_loop(fam_abs, monkeypatch, target):
     # a wrong target is not the graph's slice, so the graph is never
-    # sandwiched; the failing level is read off the one projected graph
+    # sandwiched; the failing level is read off the one graph, which is
+    # the conjugate hull's preimage, so nothing is projected
     dims = _count_covers(monkeypatch)
-    projected = []
-    real_project = identities.project
-    monkeypatch.setattr(identities, "project",
-                        lambda image: projected.append(image.dim) or real_project(image))
+    projected = _count_projections(monkeypatch)
     _patch_target(monkeypatch, fam_abs, target)
     assert check_identity("P34", fam_abs, P34_AT_ZERO).status == "fail"
-    assert projected == [2]
+    assert projected == []
     assert dims == [1]
 
 
@@ -267,6 +283,23 @@ def test_t44_stage_gap(chain6):
     assert r.status == "pass"
     assert r.details["strict_stage_gap"] is True
     assert sorted(r.details["stage_gap_vertices"]) == [(Q(-5, 6),), (Q(5, 6),)]
+
+
+def test_t44_unnested_chain_misses_its_hypothesis():
+    # f1 <= f2 on [-3, 1], so sup = f2 and the identity holds, yet the
+    # subdifferentials at 0 are {-1} and {-2}: they do not nest, and the
+    # tail unions cannot be collapsed onto the top member
+    box = Polyhedron.box(qv(-3), qv(1))
+    f1 = PF(1, [(qv(-1), Q(0)), (qv(0), Q(-1)), (qv(1), Q(-2))], box)
+    f2 = PF(1, [(qv(-2), Q(3)), (qv(0), Q(1)), (qv(2), Q(-1))], box)
+    fam = FunctionFamily.make([("f1", f1), ("f2", f2)],
+                              order_edges=[("f1", "f2")], increasing=True)
+    r = check_identity("T44", fam, {"x": [0], "eps": 0})
+    assert r.status == "hypotheses-not-met"
+    assert r.details["reason"] == (
+        "the 0-subdifferential of member 'f1' is not contained in that of "
+        "its successor 'f2'"
+    )
 
 
 def test_c46_boxes():
@@ -357,6 +390,14 @@ def test_c46_above_the_dd_cap_projects_each_level(monkeypatch):
     got = check_identity("C46", list(C46_BOXES), params)
     assert got.status == "pass" and report_to_json(got) == want
     assert calls == [False] * 6
+
+
+def test_c46_within_the_dd_cap_projects_nothing(monkeypatch):
+    # the budget graph is generated from the sets' rows, and its slices
+    # are preimages, so no level is projected
+    projected = _count_projections(monkeypatch)
+    assert check_identity("C46", list(C46_BOXES), {"eps": Q(1, 4)}).status == "pass"
+    assert projected == []
 
 
 @pytest.mark.parametrize("ident", ["T52", "T53", "R54"])

@@ -175,23 +175,26 @@ def families_with_points(draw):
 
 @given(
     families_with_points(),
-    st.fractions(min_value=0, max_value=1, max_denominator=3),
+    st.just(Q(0)) | st.fractions(min_value=0, max_value=1, max_denominator=3),
     st.integers(min_value=1, max_value=20).filter(lambda k: k % 7),
 )
 def test_rhs_basic_graph_slices_match_per_level_projections(pair, eps, k):
-    # a slice of the projected graph is the projection of that level's
-    # lifted system, which is what P34's per-level sandwich relies on
+    # the graph is read off the conjugate hull; its slice at each budget,
+    # eps itself included, must be the projection of that level's lifted
+    # system, which is what P34's per-level sandwich relies on
     fam, x = pair
-    graph = project(rhs_basic_graph(fam, x, eps))
-    budget = eps + Q(k, 7)
-    level = _budget_slice(graph, budget)
-    assert polyhedron_equal(level, project(rhs_basic_image(fam, x, budget)))
+    graph = rhs_basic_graph(fam, x, eps)
+    assert graph.dim == len(x) + 1
+    for budget in (eps, eps + Q(k, 7)):
+        level = _budget_slice(graph, budget)
+        assert polyhedron_equal(level, project(rhs_basic_image(fam, x, budget)))
 
 
 @st.composite
 def set_families_with_points(draw):
     """2-3 polyhedra in dimension 1-3, each holding x: boxes around the
-    unit cube with some sides dropped, cut by a row through or near x."""
+    unit cube with some sides dropped, cut by a row through or near x or
+    by an equality through x."""
     dim = draw(st.integers(min_value=1, max_value=3))
     x = tuple(draw(st.fractions(min_value=0, max_value=1, max_denominator=4))
               for _ in range(dim))
@@ -204,10 +207,15 @@ def set_families_with_points(draw):
                 rows.append((e, Q(draw(st.integers(1, 2)))))
             if draw(st.booleans()):
                 rows.append((tuple(-t for t in e), Q(draw(st.integers(0, 2)))))
-        if draw(st.booleans()):
+        eqs = []
+        cut = draw(st.sampled_from((None, "row", "equality")))
+        if cut is not None:
             a = tuple(Q(draw(small)) for _ in range(dim))
-            rows.append((a, dot(a, x) + Q(draw(st.integers(0, 2)), 2)))
-        sets.append(Polyhedron.from_hrep(dim, rows))
+            if cut == "row":
+                rows.append((a, dot(a, x) + Q(draw(st.integers(0, 2)), 2)))
+            else:
+                eqs.append((a, dot(a, x)))
+        sets.append(Polyhedron.from_hrep(dim, rows, eqs))
     return sets, x
 
 
@@ -320,14 +328,17 @@ def _reference_projection(fam, x, budget, graph):
 )
 def test_rhs_basic_sets_and_margin_match_the_error_variable_reference(fam, data, budget):
     # budgets 0, off the grid and above 1; x in [0, 1]^dim lies in every
-    # member's domain.  The projections are compared by canonical rows,
-    # and the margin against the delta LP of the reference system
+    # member's domain.  The level projections are compared by canonical
+    # rows; the graph, a preimage of the conjugate hull that may carry
+    # redundant rows, as a set.  The margin is compared against the
+    # delta LP of the reference system
     x = tuple(data.draw(st.fractions(min_value=0, max_value=1, max_denominator=4))
               for _ in range(fam.dim))
-    for graph, mine in ((True, rhs_basic_graph), (False, rhs_basic_image)):
-        got = project(mine(fam, x, budget))
-        want = _reference_projection(fam, x, budget, graph)
-        assert (got.ineqs, got.eqs) == (want.ineqs, want.eqs)
+    got = project(rhs_basic_image(fam, x, budget))
+    want = _reference_projection(fam, x, budget, graph=False)
+    assert (got.ineqs, got.eqs) == (want.ineqs, want.eqs)
+    assert polyhedron_equal(rhs_basic_graph(fam, x, budget),
+                            _reference_projection(fam, x, budget, graph=True))
     sys, _, delta = _reference_rhs_basic_system(fam, x, budget, margin=True)
     res = sys.solve_min({delta: Q(-1)})
     assert res.status is LPStatus.OPTIMAL
