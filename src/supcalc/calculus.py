@@ -17,9 +17,11 @@ residual is therefore an approximate normal vector to dom f_t at x and
 is folded into the normal part of any witness.
 
 Set-valued results (the basic-formula right-hand side, sums of
-approximate normal sets) are materialized through the support-oracle
-projection, so only the answer space is subject to the double
-description dimension cap.  Their graphs over every budget need no LP.
+approximate normal sets) are built one budget at a time in the answer
+space, with no LP: the first as a preimage of the family's conjugate
+hull, the second from the sets' rows as one generator form.  The
+lifted systems stay as their LP-backed images, which the support-oracle
+projection materializes as an independent reference.
 """
 from __future__ import annotations
 
@@ -471,22 +473,20 @@ def rhs_basic_image(family: FunctionFamily, x: Sequence, budget) -> Image:
     return Image(sys.nvars, *sys.rows(), matrix)
 
 
-def rhs_basic_graph(family: FunctionFamily, x: Sequence, eps) -> Polyhedron:
-    """{(s, beta) : beta >= eps, s in the scaled-subgradient set at budget beta}.
+def rhs_basic_level(family: FunctionFamily, x: Sequence, budget) -> Polyhedron:
+    """The scaled-subgradient set at the given budget, read off the conjugate hull.
 
-    Its slice at beta = b is ``project(rhs_basic_image(family, x, b))``,
-    read here with no LP off the conjugate hull H, an epigraph: the
+    It is ``project(rhs_basic_image(family, x, budget))`` with no LP: the
     activity row implies the budget row, as sum_t lambda_t f_t(x) <= f(x),
-    and the perspective blocks project onto H (Balas 1979).  So it is
-    {(s, beta) : beta >= eps, (s, beta + <s, x> - f(x)) in H}, a preimage
-    whose rows may be redundant.
+    and the perspective blocks project onto the conjugate hull H, an
+    epigraph (Balas 1979).  So it is {s : (s, budget + <s, x> - f(x)) in H},
+    a preimage whose rows may be redundant.
     """
-    x, eps = vec(x), rational(eps)
+    x, budget = vec(x), rational(budget)
     fx = family.sup.eval_finite(x)
     n = family.dim
-    lift = [tuple(int(i == j) for j in range(n + 1)) for i in range(n)] + [x + (1,)]
-    graph = affine_preimage(family.conjugate_hull, lift, zeros(n) + (-fx,))
-    return intersect(graph, Polyhedron.from_hrep(n + 1, [(zeros(n) + (-1,), -eps)]))
+    lift = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [x]
+    return affine_preimage(family.conjugate_hull, lift, zeros(n) + (budget - fx,))
 
 
 def eps_subdiff_rhs_basic(
@@ -545,7 +545,7 @@ def rhs_basic_within(image: Polyhedron, target: Polyhedron) -> bool:
 # ============================================================
 
 def eps_normal_intersection(
-    sets: Sequence[Polyhedron], x: Sequence, eps, gamma=0, graph: bool = False
+    sets: Sequence[Polyhedron], x: Sequence, eps, gamma=0
 ) -> Polyhedron:
     """{ sum_t z_t : z_t eta_t-normal to C_t at x, sum eta_t = eps+gamma }.
 
@@ -553,13 +553,13 @@ def eps_normal_intersection(
     intersection is an attained inf-convolution, so no closure is
     needed.  Returns the empty set when x misses some C_t.
 
-    With ``graph`` it is {(sum_t z_t, beta) : beta >= eps+gamma,
-    sum eta_t = beta} in dimension dim + 1, every budget at once: the
-    epigraph of the inf-convolution of the sigma_{C_t - x}, cut at
-    eps+gamma, which is the sum of their epigraphs (Rockafellar 1970,
-    Thm 16.4).  By LP duality epi sigma_{C - x} is the cone generated by
-    (a, b - <a, x>) over the rows (a, b) of C, equalities both ways, and
-    (0, 1), so the graph is one ``from_generators``, with no LP.
+    The set is the (eps+gamma)-sublevel set of the inf-convolution of
+    the sigma_{C_t - x} (Rockafellar 1970, Thm 16.4).  By LP duality that
+    inf-convolution at z is min { sum mu_a c_a : mu >= 0, sum mu_a a = z }
+    over the rows (a, b_a) of every C_t, equalities both ways, with
+    slacks c_a = b_a - <a, x> >= 0.  So at budget b the set is
+    conv({0} and b a / c_a over c_a > 0) + cone{a : c_a = 0}, one
+    ``from_generators`` with no LP.
     """
     eps, gamma = rational(eps), rational(gamma)
     if eps < 0 or gamma < 0:
@@ -573,26 +573,17 @@ def eps_normal_intersection(
         if c.dim != n:
             raise DimensionMismatchError("set dimension mismatch")
         if not c.contains(x):
-            return Polyhedron.empty(n + graph)
-    if graph:
-        gens = [zeros(n) + (1,)]
-        for c in sets:
-            rows = [*c.ineqs, *c.eqs, *((tuple(-t for t in a), -b) for a, b in c.eqs)]
-            gens += [(*a, b - dot(a, x)) for a, b in rows]
-        cone = Polyhedron.from_generators(n + 1, [zeros(n + 1)], gens)
-        return intersect(cone, Polyhedron.from_hrep(n + 1, [(zeros(n) + (-1,), -eps - gamma)]))
-    sys = _System()
-    z_of, eta_of = [], []
+            return Polyhedron.empty(n)
+    budget = eps + gamma
+    points, rays = [zeros(n)], []
     for c in sets:
-        z = sys.new_vars(n)
-        eta = sys.new_var()
-        z_of.append(z)
-        eta_of.append(eta)
-        _normal_block(sys, c, x, z, eta)
-    sys.add_eq({eta: Fraction(1) for eta in eta_of}, eps + gamma)
-    matrix = [sys.dense(row) for row in _sum_rows(z_of, n)]
-    ineqs, eqs = sys.rows()
-    return project(Image(sys.nvars, ineqs, eqs, matrix))
+        for a, b in [*c.ineqs, *c.eqs, *((tuple(-t for t in a), -b) for a, b in c.eqs)]:
+            slack = b - dot(a, x)
+            if slack:
+                points.append(tuple(budget * t / slack for t in a))
+            else:
+                rays.append(a)
+    return Polyhedron.from_generators(n, points, rays)
 
 
 # ============================================================

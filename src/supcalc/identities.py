@@ -32,7 +32,7 @@ from .calculus import (
     eps_normal_intersection,
     inf_convolution_value,
     rhs_basic_covers,
-    rhs_basic_graph,
+    rhs_basic_level,
     rhs_basic_strict_margin,
     rhs_basic_within,
     sum_functions,
@@ -52,7 +52,6 @@ from .polyhedron import (
     affine_preimage,
     cco_union,
     cone_is_trivial,
-    dd_dimension_cap,
     included,
     interior_point,
     intersect,
@@ -406,20 +405,12 @@ def _conjugate_interior_cover(family: FunctionFamily, params: Mapping[str, Any])
     )
 
 
-def _budget_slice(graph: Polyhedron, budget: Fraction) -> Polyhedron:
-    """{s : (s, budget) in graph}, the slice of a budget graph in dim + 1."""
-    n = graph.dim - 1
-    lift = [tuple(int(i == j) for j in range(n)) for i in range(n)] + [(0,) * n]
-    return affine_preimage(graph, lift, (0,) * n + (budget,))
-
-
 def _subdiff_grid_representation(family: FunctionFamily, params: Mapping[str, Any]) -> Outcome:
     """Scaled-subgradient set equals the subdifferential budget by budget.
 
-    The lifted representation's graph over every budget >= eps, in
-    dimension dim + 1, is read off the family's conjugate hull with no
-    LP (``rhs_basic_graph``).  Each grid value's level at budget
-    eps + gamma is that graph's slice, and it is sandwiched against the
+    Each grid value's level of the lifted representation, at budget
+    eps + gamma, is read off the family's conjugate hull with no LP
+    (``rhs_basic_level``), and it is sandwiched against the
     (eps + gamma)-subdifferential from both sides, which finds the
     failing level and its witness.  The budgets are certified nested,
     and the gamma = 0 instance pins the represented set to the target
@@ -437,11 +428,10 @@ def _subdiff_grid_representation(family: FunctionFamily, params: Mapping[str, An
     eps = params.get("eps", Fraction(0))
     gammas = (Fraction(0),) + tuple(sorted(_grid(params)))
     targets = [f.eps_subdifferential(x, eps + gamma) for gamma in gammas]
-    graph = rhs_basic_graph(family, x, eps)
     margins: dict[str, Fraction] = {}
     for gamma, target in zip(gammas, targets):
         budget = eps + gamma
-        level = _budget_slice(graph, budget)
+        level = rhs_basic_level(family, x, budget)
         gap = rhs_basic_covers(level, target)
         if gap is not None:
             raise IdentityFalsified(
@@ -589,18 +579,10 @@ def _truncated_chain_subdiff(family: FunctionFamily, params: Mapping[str, Any]) 
     )
 
 
-def _split_budget_sums(
-    sets: Sequence[Polyhedron], x: Vec, eps: Fraction
-) -> Callable[[Fraction], Polyhedron]:
-    """budget -> the split-budget normal sum at that budget, for budgets >= eps.
-
-    Every level is a slice of one graph in dimension dim + 1, generated
-    from the sets' rows with no LP.  When dim + 1 exceeds the double
-    description cap, each level is projected on its own in dimension dim.
-    """
-    if sets[0].dim + 1 > dd_dimension_cap():
-        return lambda budget: eps_normal_intersection(sets, x, eps, budget - eps)
-    return partial(_budget_slice, eps_normal_intersection(sets, x, eps, graph=True))
+def _scaled_level(unit: Polyhedron, budget: Fraction) -> Polyhedron:
+    """budget times a unit level that holds 0, so its equalities are homogeneous;
+    at budget 0 that is its recession cone."""
+    return Polyhedron.from_hrep(unit.dim, [(a, budget * b) for a, b in unit.ineqs], unit.eqs)
 
 
 def _intersection_normal_split(
@@ -621,12 +603,13 @@ def _intersection_normal_split(
         raise HypothesesNotMet("x lies outside the intersection")
     eps = params.get("eps", Fraction(0))
     lhs = eps_normal_set(common, x, eps)
-    level = _split_budget_sums(sets, x, eps)
-    _require_equal(lhs, level(eps), "the normal set of the intersection",
+    # every level is the unit level scaled by its budget, so one conversion
+    unit = eps_normal_intersection(sets, x, 1)
+    _require_equal(lhs, _scaled_level(unit, eps), "the normal set of the intersection",
                    "the split-budget sum")
     previous = lhs
     for gamma in sorted(_grid(params)):
-        relaxed = level(eps + gamma)
+        relaxed = _scaled_level(unit, eps + gamma)
         _require_included(previous, relaxed, "a tighter-budget normal sum",
                           "the next budget level")
         previous = relaxed

@@ -228,9 +228,9 @@ def _count_covers(monkeypatch) -> list[int]:
 
 
 def test_a_passing_p34_covers_once_per_level(fam_abs, monkeypatch):
-    # each level is its slice of the one projected graph, in dimension
-    # dim; covers converts the target and within converts the slice, and
-    # both read emptiness off those conversions, so neither solves an LP
+    # each level is a preimage of the conjugate hull in dimension dim;
+    # covers converts the target and within converts the level, and both
+    # read emptiness off those conversions, so neither solves an LP
     dims = _count_covers(monkeypatch)
     solves = _count_lps_inside(monkeypatch, "rhs_basic_covers", "rhs_basic_within")
     r = check_identity("P34", fam_abs, {"x": [0], "eps": Q(1, 2)})
@@ -257,9 +257,8 @@ def _count_projections(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("target", P34_WRONG_TARGETS)
 def test_p34_failures_take_the_per_level_loop(fam_abs, monkeypatch, target):
-    # a wrong target is not the graph's slice, so the graph is never
-    # sandwiched; the failing level is read off the one graph, which is
-    # the conjugate hull's preimage, so nothing is projected
+    # a wrong target fails at its first level, which is the conjugate
+    # hull's preimage, so nothing is projected
     dims = _count_covers(monkeypatch)
     projected = _count_projections(monkeypatch)
     _patch_target(monkeypatch, fam_abs, target)
@@ -361,40 +360,46 @@ def test_c46_reports_match_the_pinned_digest(monkeypatch):
     assert json_digest(records) == PINNED_C46
 
 
-def _count_normal_sums(monkeypatch) -> list[bool]:
-    """The graph flag of each eps_normal_intersection call C46 makes."""
+def _count_normal_sums(monkeypatch) -> list[Q]:
+    """The budget of each eps_normal_intersection call C46 makes."""
     calls = []
     real = identities.eps_normal_intersection
 
-    def counting(sets, x, eps, gamma=0, graph=False):
-        calls.append(graph)
-        return real(sets, x, eps, gamma, graph=graph)
+    def counting(sets, x, eps, gamma=0):
+        calls.append(eps + gamma)
+        return real(sets, x, eps, gamma)
 
     monkeypatch.setattr(identities, "eps_normal_intersection", counting)
     return calls
 
 
 def test_c46_projects_once_on_the_budget_graph(monkeypatch):
+    # one conversion at budget 1 gives every level by scaling, and none
+    # is projected
     calls = _count_normal_sums(monkeypatch)
+    projected = _count_projections(monkeypatch)
     assert check_identity("C46", list(C46_BOXES), {"eps": Q(1, 4)}).status == "pass"
-    assert calls == [True]
+    assert calls == [1]
+    assert projected == []
 
 
 def test_c46_above_the_dd_cap_projects_each_level(monkeypatch):
-    # the boxes' budget graph lives in dimension 3; under a cap of 2 each
-    # of the six levels is projected on its own and the report is unchanged
+    # the boxes live in dimension 2 and C46 converts only there, so under
+    # a cap of 2 it takes the same one call and the report is unchanged
     params = {"eps": Q(1, 4)}
     want = report_to_json(check_identity("C46", list(C46_BOXES), params))
     calls = _count_normal_sums(monkeypatch)
+    projected = _count_projections(monkeypatch)
     monkeypatch.setenv("SUPCALC_DD_CAP", "2")
     got = check_identity("C46", list(C46_BOXES), params)
     assert got.status == "pass" and report_to_json(got) == want
-    assert calls == [False] * 6
+    assert calls == [1]
+    assert projected == []
 
 
 def test_c46_within_the_dd_cap_projects_nothing(monkeypatch):
-    # the budget graph is generated from the sets' rows, and its slices
-    # are preimages, so no level is projected
+    # the unit level is generated from the sets' rows, and every level
+    # is its scaling, so no level is projected
     projected = _count_projections(monkeypatch)
     assert check_identity("C46", list(C46_BOXES), {"eps": Q(1, 4)}).status == "pass"
     assert projected == []

@@ -53,3 +53,33 @@ def test_p34_goes_through_the_traced_rhs_basic_layer():
     assert int(calls) == 5
     assert int(lp_solves) == 0
     assert int(p34_lp_solves) > 0
+
+
+C46_TRACE = """
+import tracing, workloads
+from fractions import Fraction as Q
+S = workloads.import_supcalc()
+from supcalc.polyhedron import Polyhedron
+tracer = tracing.Tracer()
+tracer.install()
+tracer.phase = "ops"
+boxes = [Polyhedron.box([-1, -1], [1, 1]), Polyhedron.box([0, 0], [2, 2])]
+report = S.identities.check_identity("C46", boxes, {"eps": Q(1, 4)})
+layer = tracer.tables["ops"]["calculus.eps_normal_intersection"]
+print(report.status.value, layer.calls, layer.lp_solves)
+"""
+
+
+def test_c46_goes_through_the_traced_normal_sum_layer():
+    # a refactor that routes C46 around eps_normal_intersection would zero
+    # its layer without failing install(); C46 generates one unit level
+    # from the sets' rows and scales it to every budget, with no LP
+    proc = subprocess.run(
+        [sys.executable, "-c", C46_TRACE],
+        cwd=PERFBENCH, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    status, calls, lp_solves = proc.stdout.split()
+    assert status == "pass"
+    assert int(calls) == 1
+    assert int(lp_solves) == 0

@@ -13,20 +13,21 @@ from hypothesis import strategies as st
 
 from supcalc.calculus import (
     _co_hull_lp,
+    _normal_block,
     _perspective_vars,
     _subgradient_row,
     _sum_rows,
     _System,
     co_hull_conjugates,
     eps_normal_intersection,
-    rhs_basic_graph,
     rhs_basic_image,
+    rhs_basic_level,
     rhs_basic_strict_margin,
 )
 from supcalc.errors import IdentityFalsified
 from supcalc.family import FunctionFamily
 from supcalc.functions import PolyhedralFunction, eps_normal_set
-from supcalc.identities import _budget_slice, _dual_samples
+from supcalc.identities import _dual_samples, _scaled_level
 from supcalc.lp import LPStatus
 from supcalc.polyhedron import (
     Polyhedron,
@@ -179,14 +180,12 @@ def families_with_points(draw):
     st.integers(min_value=1, max_value=20).filter(lambda k: k % 7),
 )
 def test_rhs_basic_graph_slices_match_per_level_projections(pair, eps, k):
-    # the graph is read off the conjugate hull; its slice at each budget,
-    # eps itself included, must be the projection of that level's lifted
-    # system, which is what P34's per-level sandwich relies on
+    # each level is read off the conjugate hull; at every budget, eps
+    # itself and 0 included, it must be the projection of that level's
+    # lifted system, which is what P34's per-level sandwich relies on
     fam, x = pair
-    graph = rhs_basic_graph(fam, x, eps)
-    assert graph.dim == len(x) + 1
     for budget in (eps, eps + Q(k, 7)):
-        level = _budget_slice(graph, budget)
+        level = rhs_basic_level(fam, x, budget)
         assert polyhedron_equal(level, project(rhs_basic_image(fam, x, budget)))
 
 
@@ -219,20 +218,47 @@ def set_families_with_points(draw):
     return sets, x
 
 
+def _reference_normal_sum(sets, x, budget):
+    """The split-budget normal sum by LP projection: an eta_t-normal block
+    z_t per set, the eta_t summing to the budget, projected onto sum_t z_t."""
+    n = sets[0].dim
+    sys = _System()
+    z_of, eta_of = [], []
+    for c in sets:
+        z_of.append(sys.new_vars(n))
+        eta_of.append(sys.new_var())
+        _normal_block(sys, c, x, z_of[-1], eta_of[-1])
+    sys.add_eq({eta: Q(1) for eta in eta_of}, budget)
+    matrix = [sys.dense(row) for row in _sum_rows(z_of, n)]
+    return project(Image(sys.nvars, *sys.rows(), matrix))
+
+
 @given(
     set_families_with_points(),
     st.fractions(min_value=0, max_value=1, max_denominator=3),
     st.integers(min_value=1, max_value=20).filter(lambda k: k % 7),
 )
 def test_normal_sum_graph_slices_match_per_level_projections(pair, eps, k):
-    # one projection in dim + 1 gives every budget from eps up; its slice
-    # at a budget no grid names is the per-level projection there
+    # C46 reads every level off the unit level, scaled by its budget; at
+    # eps itself and at a budget no grid names, the scaled level and the
+    # level generated at that budget must both be the LP projection
     sets, x = pair
-    budget = eps + Q(k, 7)
-    graph = eps_normal_intersection(sets, x, eps, graph=True)
-    assert graph.dim == len(x) + 1
-    level = eps_normal_intersection(sets, x, eps, budget - eps)
-    assert _budget_slice(graph, budget).generators == level.generators
+    unit = eps_normal_intersection(sets, x, 1)
+    for budget in (eps, eps + Q(k, 7)):
+        want = _reference_normal_sum(sets, x, budget)
+        for level in (_scaled_level(unit, budget), eps_normal_intersection(sets, x, budget)):
+            assert polyhedron_equal(level, want)
+            assert level.generators == want.generators
+
+
+@given(set_families_with_points(), st.fractions(min_value=0, max_value=2, max_denominator=3))
+def test_normal_sum_of_one_set_is_its_normal_set(pair, budget):
+    # eps_normal_intersection builds the level from the set's rows and
+    # eps_normal_set from its generators; for one set they must agree
+    sets, x = pair
+    for c in sets:
+        assert polyhedron_equal(eps_normal_intersection([c], x, budget),
+                                eps_normal_set(c, x, budget))
 
 
 @st.composite
@@ -275,7 +301,7 @@ def test_capped_hull_value_is_the_least_subset_value(fam, data):
         assert len(capped.weights.support) <= cap
 
 
-def _reference_rhs_basic_system(fam, x, budget, margin=False, graph=False):
+def _reference_rhs_basic_system(fam, x, budget, margin=False):
     """The lifted system with a scaled error e_t >= 0 per member, bounded
     below by the member's subgradient row, and an optional margin delta
     in [0, 1] that tightens the budget and activity rows uniformly."""
@@ -289,16 +315,11 @@ def _reference_rhs_basic_system(fam, x, budget, margin=False, graph=False):
         f_at[t] = _subgradient_row(sys, f_t, x, y_of[t], u, lam_of[t], e_of[t])
         sys.add_ineq({e_of[t]: Q(-1)}, 0)
     delta = sys.new_var() if margin else None
-    beta = sys.new_var() if graph else None
 
     def add_budgeted(row, rhs):
         if delta is not None:
             row[delta] = Q(1)
-        if beta is None:
-            sys.add_ineq(row, budget + rhs)
-        else:
-            row[beta] = Q(-1)
-            sys.add_ineq(row, rhs)
+        sys.add_ineq(row, budget + rhs)
 
     sys.add_eq({lam_of[t]: Q(1) for t in fam.labels}, 1)
     add_budgeted({e_of[t]: Q(1) for t in fam.labels}, Q(0))
@@ -310,14 +331,11 @@ def _reference_rhs_basic_system(fam, x, budget, margin=False, graph=False):
         sys.add_ineq({delta: Q(-1)}, 0)
         sys.add_ineq({delta: Q(1)}, 1)
     sums = _sum_rows(list(y_of.values()), fam.dim)
-    if beta is not None:
-        sys.add_ineq({beta: Q(-1)}, -budget)
-        sums.append({beta: Q(1)})
     return sys, [sys.dense(row) for row in sums], delta
 
 
-def _reference_projection(fam, x, budget, graph):
-    sys, matrix, _ = _reference_rhs_basic_system(fam, x, budget, graph=graph)
+def _reference_projection(fam, x, budget):
+    sys, matrix, _ = _reference_rhs_basic_system(fam, x, budget)
     return project(Image(sys.nvars, *sys.rows(), matrix))
 
 
@@ -329,16 +347,15 @@ def _reference_projection(fam, x, budget, graph):
 def test_rhs_basic_sets_and_margin_match_the_error_variable_reference(fam, data, budget):
     # budgets 0, off the grid and above 1; x in [0, 1]^dim lies in every
     # member's domain.  The level projections are compared by canonical
-    # rows; the graph, a preimage of the conjugate hull that may carry
-    # redundant rows, as a set.  The margin is compared against the
+    # rows; the level read off the conjugate hull, a preimage that may
+    # carry redundant rows, as a set.  The margin is compared against the
     # delta LP of the reference system
     x = tuple(data.draw(st.fractions(min_value=0, max_value=1, max_denominator=4))
               for _ in range(fam.dim))
     got = project(rhs_basic_image(fam, x, budget))
-    want = _reference_projection(fam, x, budget, graph=False)
+    want = _reference_projection(fam, x, budget)
     assert (got.ineqs, got.eqs) == (want.ineqs, want.eqs)
-    assert polyhedron_equal(rhs_basic_graph(fam, x, budget),
-                            _reference_projection(fam, x, budget, graph=True))
+    assert polyhedron_equal(rhs_basic_level(fam, x, budget), want)
     sys, _, delta = _reference_rhs_basic_system(fam, x, budget, margin=True)
     res = sys.solve_min({delta: Q(-1)})
     assert res.status is LPStatus.OPTIMAL

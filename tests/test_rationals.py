@@ -151,6 +151,7 @@ SCALAR_PARAMETERS = {
     "SimplexWeights-mass": lambda fam, v: calculus.SimplexWeights.make([("a", Q(1, 3))], v),
     "DecompositionWitness.verify": _witness_check,
     "rhs_basic_image": lambda fam, v: calculus.rhs_basic_image(fam, qv(0), v).dim,
+    "rhs_basic_level": lambda fam, v: calculus.rhs_basic_level(fam, qv(0), v),
     "eps_subdiff_rhs_basic-eps": lambda fam, v: calculus.eps_subdiff_rhs_basic(fam, qv(0), v, 1),
     "eps_subdiff_rhs_basic-gamma": lambda fam, v: calculus.eps_subdiff_rhs_basic(fam, qv(0), 0, v),
     "rhs_basic_strict_margin": lambda fam, v: calculus.rhs_basic_strict_margin(fam, qv(0), v),
