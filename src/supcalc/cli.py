@@ -174,13 +174,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
-def _fuzz_params(base_seed: int, index: int, dim_max: int) -> GeneratorParams:
+def _fuzz_params(
+    base_seed: int, index: int, dim_max: int, force_hypotheses: bool = False
+) -> GeneratorParams:
+    """The generator parameters of one fuzz instance.
+
+    With ``force_hypotheses`` every family is drawn increasing and with
+    epi-pointed members, so L2D, L2F, T41 and T44 meet their hypotheses
+    and check their claims instead of answering hypotheses-not-met.
+    """
     s = base_seed + index
     return GeneratorParams(
         dim=1 + s % dim_max,
         member_count=2 + s % 3,
         pieces_per_member=1 + (s // 3) % 3,
         domain_kind=DOMAIN_KINDS[s % len(DOMAIN_KINDS)],
+        force_epi_pointed=force_hypotheses,
+        force_increasing=force_hypotheses,
         seed=s,
     )
 
@@ -209,7 +219,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     }
     with _report_stream(args.out) as emit:
         for i in range(args.count):
-            gen = _fuzz_params(args.seed, i, dim_max)
+            gen = _fuzz_params(args.seed, i, dim_max, args.force_hypotheses)
             family = generate(gen)
             instance = Instance(family)
             for ident in idents:
@@ -293,6 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--eps")
     p_fuzz.add_argument("--gamma-grid", dest="gamma_grid")
     p_fuzz.add_argument("--out")
+    p_fuzz.add_argument("--force-hypotheses", dest="force_hypotheses",
+                        action="store_true",
+                        help="draw increasing families with epi-pointed members")
     p_fuzz.set_defaults(func=cmd_fuzz)
 
     p_plot = sub.add_parser("plot", help="render an SVG of a 1-D or 2-D instance")

@@ -246,6 +246,21 @@ class TestFuzz:
             "1e5e24b996d8009fde789300f830613b24729b9e00fd00dca5ae2de40b6c3eab"
         )
 
+    def test_forced_corpus_matches_the_pinned_digest(self, tmp_path, capsys):
+        # increasing families with epi-pointed members: L2D, L2F, T41 and
+        # T44 meet their hypotheses here and read member ε-subdifferentials
+        out = tmp_path / "forced.jsonl"
+        assert main(["fuzz", "--seed", "2029", "--count", "20", "--identity", "ALL",
+                     "--dim-max", "2", "--force-hypotheses", "--out", str(out)]) == 0
+        tally = capsys.readouterr().err
+        for ident in ("L2D", "L2F", "T41"):
+            assert f"{ident:<10}{20:>6}{0:>6}{0:>6}" in tally
+        blob = out.read_bytes()
+        assert len(blob) == 85123
+        assert hashlib.sha256(blob).hexdigest() == (
+            "4afc1cba2b830c8459c6acc6c6bd55ada205dd6391e00f5f7f55e8828972156e"
+        )
+
     def test_reports_carry_seed(self, capsys):
         main(["fuzz", "--seed", "7", "--count", "2", "--identity", "L2A"])
         lines = [json.loads(t) for t in capsys.readouterr().out.splitlines()]
