@@ -12,6 +12,23 @@ epigraph.  Every vertex (v, rho) of epi f contributes the dual piece
 constraint <., d> <= rho_d.  Approximate subdifferentials and normal
 sets then come out as explicit polyhedra in dual coordinates.
 
+That one H->V conversion of epi f fixes both forms of epi f*, by
+polarity.  A homogenized generator h = (v, rho, t) of epi f is the row
+M h = (v, -t, -rho) of epi f*'s homogenization cone, and a homogenized
+row n = (a, n_s, n_t) of epi f (pieces, domain rows and t >= 0) gives
+the generator N n = (a, -n_t, -n_s) of that cone: (a_i, -b_i, 1) per
+piece, (g_j, h_j, 0) per domain row and (0, 1, 0) for t >= 0, which is
+LP duality.  Since <M h, N n> = <n, h>, the incidences are those of the
+first conversion.  The conjugate's epigraph keeps N n, so its V-form is
+read by the zero-set test with no second conversion, and its extreme
+generators with their zero sets are computed once per function.  An
+epsilon-subdifferential at x is epi f* cut by s - <y, x> <= eps - f(x)
+with s dropped: one split step on that pair, then the extreme images.
+When dom f has an equality epi f*'s cone has a line, and those sets
+convert their rows as before.  The trade-off: these V-forms rest on epi
+f's one conversion, which the value audit of ``_conjugate`` checks at
+its points, where a second conversion used to re-derive them.
+
 Functions with empty domain (identically +oo) are representable so that
 evaluation never lies, but the calculus operations reject them.
 """
@@ -19,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -30,7 +47,15 @@ from .errors import (
     LPInternalError,
 )
 from .lp import LPStatus, Row, _idot, _scale_to_int, solve_max
-from .polyhedron import Polyhedron, max_slack, polyhedron_equal
+from .polyhedron import (
+    Polyhedron,
+    _homogenized_rows,
+    _int_normalize,
+    keep_generators,
+    max_slack,
+    polyhedron_equal,
+    shadow_generators,
+)
 from .rationals import (
     POS_INF,
     ExtendedRational,
@@ -177,12 +202,21 @@ class PolyhedralFunction:
     def _conjugate(self) -> "PolyhedralFunction":
         if not self.is_proper:
             raise ImproperFunctionError("conjugate of an identically +oo function")
-        verts, rays = self.epigraph.generators
-        pieces = [(v[: self.dim], -v[self.dim]) for v in verts]
-        dom_rows = [(r[: self.dim], r[self.dim]) for r in rays]
-        g = PolyhedralFunction.make(
-            self.dim, pieces, Polyhedron.from_hrep(self.dim, dom_rows)
-        )
+        n = self.dim
+        epi = self.epigraph
+        verts, rays = epi.generators
+        pieces = [(v[:n], -v[n]) for v in verts]
+        dom_rows = [(r[:n], r[n]) for r in rays]
+        g = PolyhedralFunction.make(n, pieces, Polyhedron.from_hrep(n, dom_rows))
+        # polarity: each homogenized generator h = (v, rho, t) of epi f is the
+        # row <v, y> - t s <= rho of epi g, and each homogenized row
+        # (a, n_s, n_t) of epi f maps to the generator (a, -n_t, -n_s) of epi
+        # g's cone; row . generator = n . h, so the zero sets are the
+        # incidences of the conversion above
+        hom = [_int_normalize((*v, 1)) for v in verts] + [_int_normalize((*r, 0)) for r in rays]
+        facets = [((*h[:n], -h[n + 1]), h[n]) for h in hom]
+        gens = [(*r[:-2], -r[-1], -r[-2]) for r in _homogenized_rows(epi)]
+        vars(g)["epigraph"] = keep_generators(Polyhedron.from_hrep(n + 1, facets), lambda: gens)
         for y in self._audit_points():
             if self.conjugate_eval(y) != g.eval(y):
                 raise LPInternalError("conjugate construction failed value audit")
@@ -210,7 +244,13 @@ class PolyhedralFunction:
     # -- approximate subdifferentials ----------------------------------
 
     def eps_subdifferential(self, x: Sequence, eps) -> Polyhedron:
-        """{x* : f(x) + f*(x*) - <x*, x> <= eps}; empty when f(x) = +oo."""
+        """{x* : f(x) + f*(x*) - <x*, x> <= eps}; empty when f(x) = +oo.
+
+        It is the image, s dropped, of epi f* cut by s - <x*, x> <=
+        eps - f(x); its generators are read off that cut of epi f*'s kept
+        pair (``shadow_generators``) by the zero-set test against the
+        set's own rows, or converted when either cone has a line.
+        """
         eps = rational(eps)
         if eps < 0:
             raise InvalidParameterError("eps must be nonnegative")
@@ -219,10 +259,22 @@ class PolyhedralFunction:
             raise DimensionMismatchError("point arity mismatch")
         if not self.domain.contains(x):
             return Polyhedron.empty(self.dim)
-        fx = self.eval_finite(x)
-        dom = self.conjugate().domain
-        rows = [(vsub(v, x), eps - fx - c) for v, c in self.conjugate().pieces]
-        return Polyhedron.from_hrep(self.dim, rows + list(dom.ineqs), dom.eqs)
+        epi = self.conjugate().epigraph
+        # with x = X / d and eps - f(x) = e / d, the cut is d s - <X, y> <= e,
+        # and s leaves each row <a, y> - t s <= b of epi f* as
+        # <d a - t X, y> <= d b + t e
+        X, d = _scale_to_int((*x, eps - self.eval_finite(x)))
+        e = X.pop()
+
+        def eliminate(rows):
+            return [
+                (tuple(d * c + a[-1] * xi for c, xi in zip(a, X)), d * b - a[-1] * e)
+                for a, b in rows
+            ]
+
+        target = Polyhedron.from_hrep(self.dim, eliminate(epi.ineqs), eliminate(epi.eqs))
+        cut = (*(-t for t in X), d, -e)
+        return keep_generators(target, partial(shadow_generators, epi, cut, self.dim))
 
     def recession_function(self) -> "PolyhedralFunction":
         """f-at-infinity, realized as the support function of dom f*."""

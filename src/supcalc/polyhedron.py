@@ -25,13 +25,24 @@ the same computation applied to the polar cone, whose extreme rays are
 the facet normals.  Generators are canonicalized too (fixed sort order,
 coprime integer rays), so equal inputs give byte-equal outputs.
 
-A hull built from generators keeps that one V->H conversion and reads
-its own generators off it, with no second conversion, when its cone is
-pointed (no line).  In a pointed cone the extreme rays are exactly the
-given generators whose set of tight facets lies in no other given
-generator's set (Motzkin, Raiffa, Thompson & Thrall 1953; Fukuda &
-Prodon 1996).  A hull with a line converts its rows as any set does.
-Either read is only as complete as the V->H conversion.
+A set whose homogenization cone has generators known without a
+conversion keeps them (``keep_generators``) and reads its own V-form off
+them when the cone is pointed (no line).  In a pointed cone the extreme
+rays are exactly the given generators whose set of tight rows lies in no
+other given generator's set (Motzkin, Raiffa, Thompson & Thrall 1953;
+Fukuda & Prodon 1996).  The extreme generators and their zero sets form
+a double description pair, to which ``shadow_generators`` adds one row
+by the same split step as ``dd_cone``'s and then drops a coordinate.  A
+hull from ``from_generators`` keeps the generators of its one V->H
+conversion.  A conjugate's epigraph keeps the generators of its cone
+given by polarity from the one H->V conversion of the primal epigraph:
+each homogenized row (a, n_s, n_t) of epi f maps to (a, -n_t, -n_s),
+and each homogenized generator (v, rho, t) of epi f to the row
+(v, -t, -rho) of epi f*, so the incidences are those of the first
+conversion (see ``functions``).  An epsilon-subdifferential is that pair
+cut by one row, its s coordinate dropped.  A set with a line converts
+its rows as any set does.  Every such read is only as complete as the
+conversion it comes from.
 
 Conversions refuse to run above a dimension cap (default 6) which can be
 overridden through the SUPCALC_DD_CAP environment variable.
@@ -44,6 +55,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from math import gcd
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -114,6 +126,47 @@ def _icomb(ca: int, a: IVec, cb: int, b: IVec) -> IVec:
 # Double description on a cone {y : <m, y> <= 0}
 # ============================================================
 
+def _split(
+    rays: list[IVec], zsets: list[int], vals: list[int], bit: int, need: int
+) -> tuple[list[IVec], list[int]]:
+    """One double description step: cut cone(rays) by the inequality with values vals.
+
+    The rays are the extreme rays of a cone modulo its lineality, and
+    zsets their zero sets over the rows that define it.  A ray with
+    value <= 0 stays, one with value 0 gaining ``bit`` in its zero set,
+    and each adjacent (positive, negative) pair adds its combination on
+    the new hyperplane.  Adjacency is the combinatorial test: no third
+    ray is tight at every row both rays are tight at.  A pair sharing
+    fewer than ``need`` tight rows is skipped before that scan (see
+    ``dd_cone``).  The output order is the kept rays, then the new ones.
+    """
+    keep_rays, keep_z = [], []
+    pos, neg = [], []
+    for k, v in enumerate(vals):
+        if v > 0:
+            pos.append(k)
+        else:
+            if v < 0:
+                neg.append(k)
+                keep_z.append(zsets[k])
+            else:
+                keep_z.append(zsets[k] | bit)
+            keep_rays.append(rays[k])
+
+    for kp in pos:
+        zp = zsets[kp]
+        for kn in neg:
+            zc = zp & zsets[kn]
+            if zc.bit_count() < need:
+                continue
+            # the pair's own zero-sets contain zc; a third one rules adjacency out
+            if next(islice((z for z in zsets if z & zc == zc), 2, None), None) is not None:
+                continue
+            keep_rays.append(_icomb(vals[kp], rays[kn], -vals[kn], rays[kp]))
+            keep_z.append(zc | bit)
+    return keep_rays, keep_z
+
+
 def dd_cone(norms: Sequence[IVec], dim: int) -> tuple[list[IVec], list[IVec]]:
     """Extreme rays and a lineality basis of an H-form cone.
 
@@ -121,9 +174,10 @@ def dd_cone(norms: Sequence[IVec], dim: int) -> tuple[list[IVec], list[IVec]]:
     are maintained so that the cone cut out by the constraints processed
     so far equals span(L) + cone(R), with R irredundant modulo L.  A new
     constraint either consumes one lineality direction or splits R by
-    sign, combining adjacent (positive, negative) pairs.  Adjacency is
-    the standard combinatorial test on zero-sets of processed rows: no
-    third ray is tight at every row both rays are tight at.
+    sign, combining adjacent (positive, negative) pairs (``_split``).
+    Adjacency is the standard combinatorial test on zero-sets of
+    processed rows: no third ray is tight at every row both rays are
+    tight at.
 
     A rank prefilter skips a pair before that O(|R|) scan when the two
     rays share fewer than dim - |L| - 2 tight rows (Motzkin, Raiffa,
@@ -179,40 +233,8 @@ def dd_cone(norms: Sequence[IVec], dim: int) -> tuple[list[IVec], list[IVec]]:
             lines, rays, zsets = new_lines, new_rays, new_z
             continue
 
-        vals_r = [_idot(m, r) for r in rays]
-        if all(v <= 0 for v in vals_r):
-            zsets = [
-                z | (1 << idx) if v == 0 else z for z, v in zip(zsets, vals_r)
-            ]
-            continue
-
-        keep_rays, keep_z = [], []
-        pos, neg = [], []
-        for k, v in enumerate(vals_r):
-            if v > 0:
-                pos.append(k)
-            else:
-                if v < 0:
-                    neg.append(k)
-                    keep_z.append(zsets[k])
-                else:
-                    keep_z.append(zsets[k] | (1 << idx))
-                keep_rays.append(rays[k])
-
-        need = dim - len(lines) - 2
-        for kp in pos:
-            zp = zsets[kp]
-            for kn in neg:
-                zc = zp & zsets[kn]
-                if zc.bit_count() < need:
-                    continue
-                # the pair's own zero-sets contain zc; a third one rules adjacency out
-                if next(islice((z for z in zsets if z & zc == zc), 2, None), None) is not None:
-                    continue
-                w = _icomb(vals_r[kp], rays[kn], -vals_r[kn], rays[kp])
-                keep_rays.append(w)
-                keep_z.append(zc | (1 << idx))
-        rays, zsets = keep_rays, keep_z
+        rays, zsets = _split(rays, zsets, [_idot(m, r) for r in rays], 1 << idx,
+                             dim - len(lines) - 2)
 
     return rays, lines
 
@@ -273,10 +295,10 @@ class Polyhedron:
     def from_generators(dim: int, vertices: Iterable[Vec] = (), rays: Iterable[Vec] = ()) -> "Polyhedron":
         """conv(vertices) + cone(rays), by one V->H conversion.
 
-        The hull keeps that conversion: the homogenized generators and
-        the extreme rays and lineality basis of their polar cone.  The
-        first read of ``generators`` takes its V-form from them when the
-        hull has no line, and then drops them; see ``generators``.
+        The hull keeps the homogenized generators it was built from, and
+        the first read of ``generators`` takes its V-form from them, by
+        the zero-set test against the hull's own rows, when the hull has
+        no line; see ``generators``.
         """
         if dim < 1:
             raise InvalidParameterError("dimension must be at least 1")
@@ -295,9 +317,8 @@ class Polyhedron:
             dim, [(g[:-1], -g[-1]) for g in polar_rays], [(g[:-1], -g[-1]) for g in polar_lines]
         )
         if hull != Polyhedron.empty(dim):
-            kept = vars(hull)  # where the cached_property values sit
-            kept["is_empty"] = False  # it holds the given vertices
-            kept["_conversion"] = (norms, polar_rays, polar_lines)
+            vars(hull)["is_empty"] = False  # it holds the given vertices
+            keep_generators(hull, lambda: norms)
         return hull
 
     @staticmethod
@@ -382,47 +403,41 @@ class Polyhedron:
     # -- generator form -----------------------------------------------
 
     @cached_property
+    def _kept_pair(self) -> tuple[list[IVec], list[int]] | None:
+        """The extreme generators of P's homogenization cone and their zero sets.
+
+        Read once off the generators kept by ``keep_generators``, through
+        the zero-set test of ``_kept_generators``; None when none are
+        kept or the cone has a line.  A set's first ``generators`` read
+        formats it, and ``shadow_generators`` adds one row to it.
+        """
+        kept = vars(self).pop("_conversion", None)
+        gens = None if kept is None else kept()
+        return None if gens is None else _kept_generators(self, gens)
+
+    @cached_property
     def generators(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
         """(points, rays) with P = conv(points) + cone(rays), canonical.
 
-        A hull from ``from_generators`` whose cone is pointed reads them
-        off the conversion that built it (``_kept_generators``), so that
-        read runs no conversion and raises no ``CapacityError``, even
-        with ``SUPCALC_DD_CAP`` lowered after the hull was built.  Any
-        other set, a hull with a line included, runs the double
-        description on its rows.
+        A set whose cone is pointed and that keeps generators of it
+        (``keep_generators``) reads them off its kept pair, so that read
+        runs no conversion and raises no ``CapacityError``, even with
+        ``SUPCALC_DD_CAP`` lowered after the set was built.  Three kinds
+        of set keep generators: a hull from ``from_generators`` (the
+        V->H conversion that built it), a conjugate's epigraph (epi f's
+        rows, mapped by polarity) and an epsilon-subdifferential (one
+        double description step on that epigraph's pair).  Any other
+        set, or one with a line, runs the double description on its
+        rows.
         """
-        kept = vars(self).pop("_conversion", None)
-        if kept is not None:
-            read = _kept_generators(self.dim, *kept)
-            if read is not None:
-                return read
+        pair = self._kept_pair
+        if pair is not None:
+            return _generator_form(pair[0])
         _check_cap(self.dim)
-        norms = [(*a, -b) for a, b in self.ineqs]
-        for a, b in self.eqs:
-            norms += [(*a, -b), (*(-t for t in a), b)]
-        norms.append(tuple([0] * self.dim + [-1]))  # homogenizing t >= 0
-        hom_rays, hom_lines = dd_cone(norms, self.dim + 1)
-
-        verts: set[Vec] = set()
-        rays: set[IVec] = set()
-        for r in hom_rays:
-            t = r[-1]
-            if t > 0:
-                verts.add(tuple(Fraction(c, t) for c in r[:-1]))
-            elif any(c != 0 for c in r[:-1]):
-                rays.add(_primitive(r[:-1]))
-        for l in hom_lines:
-            body = l[:-1]
-            if any(c != 0 for c in body):
-                rays.add(body)
-                rays.add(tuple(-c for c in body))
-        if not verts:
-            return ((), ())
-        ray_vecs = tuple(
-            tuple(Fraction(c) for c in r) for r in sorted(rays)
+        hom_rays, hom_lines = dd_cone(_homogenized_rows(self), self.dim + 1)
+        return _generator_form(
+            [*hom_rays, *hom_lines, *(tuple(-c for c in l) for l in hom_lines)]
         )
-        return (tuple(sorted(verts)), ray_vecs)
 
     @property
     def vertices(self) -> tuple[Vec, ...]:
@@ -441,36 +456,96 @@ def _check_cap(dim: int) -> None:
         )
 
 
-def _kept_generators(
-    dim: int, norms: list[IVec], polar_rays: list[IVec], polar_lines: list[IVec]
-) -> tuple[tuple[Vec, ...], tuple[Vec, ...]] | None:
-    """The canonical V-form of cone(norms) read off its polar, or None if it has a line.
+def _homogenized_rows(p: Polyhedron) -> list[IVec]:
+    """The rows of P's homogenization cone {(x, t) : a.x <= b t, e.x = d t, t >= 0}.
 
-    The cone {y : <g, y> <= 0 for g in polar_rays, <l, y> = 0 for l in
-    polar_lines} is pointed exactly when those rows have rank dim + 1.
-    Then a given generator is extreme exactly when its zero set over
-    polar_rays lies in no other generator's zero set: a generator that
-    is not extreme lies in a face of dimension at least 2, and that
-    face holds an extreme generator tight at every row it is tight at.
-    Repeats are dropped first, else a copy would rule its twin out.
+    As normals m of <m, (x, t)> <= 0: each inequality, each equality
+    both ways, then t >= 0.
     """
-    if _rank([*polar_rays, *polar_lines]) <= dim:
-        return None
-    gens = list(dict.fromkeys(norms))
-    zsets = [
-        sum(1 << i for i, f in enumerate(polar_rays) if _idot(f, g) == 0) for g in gens
-    ]
-    verts: list[Vec] = []
-    rays: list[IVec] = []
-    for k, (g, z) in enumerate(zip(gens, zsets)):
-        if any(j != k and z & y == z for j, y in enumerate(zsets)):
-            continue
+    rows = [(*a, -b) for a, b in p.ineqs]
+    for a, b in p.eqs:
+        rows += [(*a, -b), (*(-t for t in a), b)]
+    rows.append((0,) * p.dim + (-1,))
+    return rows
+
+
+def _generator_form(hom: Iterable[IVec]) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+    """The canonical (points, rays) of homogenized generators (x, t) of P's cone.
+
+    t > 0 gives the point x / t, t = 0 the primitive ray x; the output
+    is sorted without repeats, and a cone with no t > 0 is empty P.
+    """
+    verts: set[Vec] = set()
+    rays: set[IVec] = set()
+    for g in hom:
         t = g[-1]
         if t > 0:
-            verts.append(tuple(Fraction(c, t) for c in g[:-1]))
-        else:
-            rays.append(g[:-1])
+            verts.add(tuple(Fraction(c, t) for c in g[:-1]))
+        elif any(g[:-1]):
+            rays.add(_primitive(g[:-1]))
+    if not verts:
+        return ((), ())
     return tuple(sorted(verts)), tuple(tuple(Fraction(c) for c in r) for r in sorted(rays))
+
+
+def _kept_generators(p: Polyhedron, gens: Iterable[IVec]) -> tuple[list[IVec], list[int]] | None:
+    """The extreme ones among generators of P's homogenization cone, or None if it has a line.
+
+    gens must generate the cone.  It is pointed exactly when P's
+    homogenized rows have rank dim + 1.  Then a given generator is
+    extreme exactly when its zero set over those rows lies in no other
+    generator's zero set: a generator that is not extreme lies in a face
+    of dimension at least 2, and that face holds an extreme generator
+    tight at every row it is tight at.  A redundant row is tight on a
+    whole face too, so any H-form will do.  Repeats are dropped first,
+    else a copy would rule its twin out.  The zero sets of the extreme
+    generators come back with them, bit i for row i.
+    """
+    rows = _homogenized_rows(p)
+    if _rank(rows) <= p.dim:
+        return None
+    gens = list(dict.fromkeys(gens))
+    bits = [(f, 1 << i) for i, f in enumerate(rows)]
+    zsets = [sum(b for f, b in bits if not sum(map(mul, f, g))) for g in gens]
+    # its own zero set is one superset; a second one rules it out
+    keep = [
+        k for k, z in enumerate(zsets)
+        if next(islice((y for y in zsets if y & z == z), 1, None), None) is None
+    ]
+    return [gens[k] for k in keep], [zsets[k] for k in keep]
+
+
+def keep_generators(p: Polyhedron, gens: Callable[[], Iterable[IVec] | None]) -> Polyhedron:
+    """Let P's first ``generators`` read come from gens() instead of a conversion.
+
+    gens() gives integer generators (x, t) of P's homogenization cone,
+    or None when it cannot; it runs at the first read, and the set runs
+    the double description as usual when it gives None or the cone has a
+    line.  Returns P.
+    """
+    vars(p)["_conversion"] = gens  # where the cached_property values sit
+    return p
+
+
+def shadow_generators(p: Polyhedron, cut: IVec, axis: int) -> list[IVec] | None:
+    """Generators of the cone of {z minus coordinate axis : z in P, <cut, (z, 1)> <= 0}.
+
+    The cut is added to P's kept pair by one ``_split`` step, whose
+    extreme rays generate P's homogenization cone cut by <cut, .> <= 0;
+    their images with coordinate ``axis`` dropped generate the image's
+    cone, repeats and non-extreme images included.  None when P keeps
+    no pair.  The pair's zero sets are over every homogenized row of P,
+    so two adjacent rays of the pointed cone share at least dim - 1 of
+    them.
+    """
+    pair = p._kept_pair
+    if pair is None:
+        return None
+    gens, zsets = pair
+    bit = 1 << len(_homogenized_rows(p))
+    rays, _ = _split(gens, zsets, [_idot(cut, g) for g in gens], bit, p.dim - 1)
+    images = (_primitive((*r[:axis], *r[axis + 1:])) for r in rays)
+    return [g for g in images if any(g)]
 
 
 # ============================================================

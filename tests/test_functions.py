@@ -10,6 +10,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_polyhedron import _counting_conversions
 
 import supcalc.functions as functions_module
 import supcalc.lp as lp_module
@@ -178,6 +179,45 @@ class TestConjugate:
         f = PF(1, [(qv(1), Q(0))], empty_dom)
         with pytest.raises(ImproperFunctionError):
             f.conjugate()
+
+
+class TestKeptConjugatePair:
+    """epi f*'s generators and pointed ε-subdifferentials come from epi f's one conversion."""
+
+    EPS = (Q(0), Q(1, 3), Q(1))
+
+    def test_a_pointed_function_converts_once(self, monkeypatch):
+        # the l-infinity norm: f* is the indicator of the l1 ball
+        f = PF(2, [(qv(1, 0), Q(0)), (qv(-1, 0), Q(0)), (qv(0, 1), Q(0)), (qv(0, -1), Q(0))])
+        assert f.is_proper  # the domain's own conversion, not counted
+        conversions = _counting_conversions(monkeypatch)
+        g = f.conjugate()
+        assert g.epigraph.generators == (
+            (qv(-1, 0, 0), qv(0, -1, 0), qv(0, 1, 0), qv(1, 0, 0)), (qv(0, 0, 1),)
+        )
+        subs = [f.eps_subdifferential(qv(1, 0), eps).generators for eps in self.EPS]
+        assert len(conversions) == 1
+        assert subs[0] == ((qv(1, 0),), ())
+        assert subs[1] == ((qv(Q(2, 3), Q(-1, 3)), qv(Q(2, 3), Q(1, 3)), qv(1, 0)), ())
+        assert subs[2] == ((qv(0, -1), qv(0, 1), qv(1, 0)), ())
+
+    def test_a_domain_equality_keeps_the_conversions(self, monkeypatch):
+        # dom f lies in x2 = 0, so epi f* holds a line and every read runs
+        # its own double description, as a set with no kept pair does
+        seg = Polyhedron.from_hrep(2, [(qv(1, 0), Q(1)), (qv(-1, 0), Q(1))], [(qv(0, 1), Q(0))])
+        f = PF(2, [(qv(1, 1), Q(0)), (qv(-1, 0), Q(0))], seg)
+        assert f.is_proper
+        conversions = _counting_conversions(monkeypatch)
+        g = f.conjugate()
+        assert "_conversion" in vars(g.epigraph)
+        read = g.epigraph.generators
+        subs = [f.eps_subdifferential(qv(0, 0), eps) for eps in self.EPS]
+        assert all("_conversion" in vars(s) for s in subs)
+        reads = [s.generators for s in subs]
+        assert len(conversions) == 5
+        assert "_conversion" not in vars(g.epigraph)
+        fresh = [Polyhedron(p.dim, p.ineqs, p.eqs).generators for p in (g.epigraph, *subs)]
+        assert fresh == [read, *reads]
 
 
 class TestEpsSubdifferential:

@@ -8,7 +8,7 @@ from fractions import Fraction as Q
 from itertools import combinations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supcalc.calculus import (
@@ -29,8 +29,10 @@ from supcalc.family import FunctionFamily
 from supcalc.functions import PolyhedralFunction, eps_normal_set
 from supcalc.identities import _dual_samples, _scaled_level
 from supcalc.lp import LPStatus
+from supcalc.oracles import brute_generators
 from supcalc.polyhedron import (
     Polyhedron,
+    _int_normalize,
     included,
     intersect,
     polyhedron_equal,
@@ -160,6 +162,64 @@ def test_eps_normal_sets_grow_with_eps(pair, eps):
     tight = eps_normal_set(c, x, eps)
     loose = eps_normal_set(c, x, eps + Q(1, 2))
     assert included(tight, loose)
+
+
+@st.composite
+def functions_with_points(draw):
+    """(f, points): dims 1-3, a domain vertex (if any) and a relative interior point.
+
+    The domain is R^n, a box, the orthant shifted to -1 (unbounded) or a
+    box flattened to x_1 = 0, whose equality gives epi f* a line (the
+    path that converts).  On a coin flip every piece ignores x_n, so on
+    an unbounded domain epi f holds a line and epi f* is pointed but flat.
+    """
+    n = draw(st.integers(1, 3))
+    pieces = draw(st.lists(st.tuples(st.tuples(*[small] * n), offsets), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        pieces = [((*a[:-1], 0), b) for a, b in pieces]
+    kind = draw(st.sampled_from(["full", "box", "orthant", "flat"]))
+    ones = (Q(1),) * n
+    if kind == "full":
+        domain, inner = None, (Q(0),) * n
+    elif kind == "orthant":
+        domain = Polyhedron.from_hrep(
+            n, [(tuple(-Q(int(i == j)) for j in range(n)), Q(1)) for i in range(n)])
+        inner = (Q(0),) * n
+    else:
+        domain, inner = Polyhedron.box((-1,) * n, ones), (Q(1, 3),) * n
+        if kind == "flat":
+            e1 = (Q(1),) + (Q(0),) * (n - 1)
+            domain = Polyhedron.from_hrep(n, domain.ineqs, [(e1, Q(0))])
+            inner = (Q(0),) + inner[1:]
+    f = PF(n, [(tuple(Q(t) for t in a), Q(b)) for a, b in pieces], domain)
+    return f, f.domain.vertices[:1] + (inner,)
+
+
+def _generators_by_dd_and_brute(p):
+    """p's generators read again by DD on a fresh copy of its rows, and by enumeration."""
+    read = Polyhedron(p.dim, p.ineqs, p.eqs).generators
+    lines = any(tuple(-t for t in r) in read[1] for r in read[1])
+    return read, None if lines else brute_generators(p.dim, p.ineqs, p.eqs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(functions_with_points())
+def test_kept_conjugate_pair_reads_match_dd_and_enumeration(data):
+    # epi f*'s generators and each ε-subdifferential's come off epi f's
+    # one conversion when their cones are pointed; DD on the same rows
+    # and row-subset enumeration (pointed sets only, where the V-form is
+    # unique) are the oracles
+    f, points = data
+    sets = [f.conjugate().epigraph]
+    sets += [f.eps_subdifferential(x, eps) for x in points for eps in (Q(0), Q(1, 3), Q(1))]
+    for p in sets:
+        read = p.generators
+        by_dd, by_brute = _generators_by_dd_and_brute(p)
+        assert read == by_dd
+        if by_brute is not None:
+            pts, dirs = by_brute
+            assert list(read[0]) == pts
+            assert {_int_normalize(r) for r in read[1]} == {_int_normalize(r) for r in dirs}
 
 
 @st.composite
