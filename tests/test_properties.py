@@ -210,9 +210,17 @@ def test_kept_conjugate_pair_reads_match_dd_and_enumeration(data):
     # and row-subset enumeration (pointed sets only, where the V-form is
     # unique) are the oracles
     f, points = data
-    sets = [f.conjugate().epigraph]
-    sets += [f.eps_subdifferential(x, eps) for x in points for eps in (Q(0), Q(1, 3), Q(1))]
-    for p in sets:
+    g = f.conjugate()
+    cases = [(x, eps) for x in points for eps in (Q(0), Q(1, 3), Q(1))]
+    subs = [f.eps_subdifferential(x, eps) for x, eps in cases]
+    # the rows are those of f*'s own epigraph and of the former
+    # piece-by-piece subdifferential, exactly
+    assert g.epigraph == PF(g.dim, g.pieces, g.domain).epigraph
+    for (x, eps), p in zip(cases, subs):
+        rows = [(tuple(c - t for c, t in zip(v, x)), eps - f.eval_finite(x) - c)
+                for v, c in g.pieces]
+        assert p == Polyhedron.from_hrep(f.dim, rows + list(g.domain.ineqs), g.domain.eqs)
+    for p in (g.epigraph, *subs):
         read = p.generators
         by_dd, by_brute = _generators_by_dd_and_brute(p)
         assert read == by_dd
