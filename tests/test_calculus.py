@@ -1,4 +1,5 @@
 """Supremum calculus: co-hulls, sandwich bounds, decompositions, sums."""
+import hashlib
 from fractions import Fraction as Q
 
 import pytest
@@ -22,9 +23,12 @@ from supcalc.calculus import (
     rhs_basic_within,
     sum_functions,
 )
+from supcalc.cli import _fuzz_params
 from supcalc.errors import CapacityError, HypothesesNotMet, InvalidParameterError
 from supcalc.family import FunctionFamily
 from supcalc.functions import PolyhedralFunction, eps_normal_set
+from supcalc.generator import generate
+from supcalc.identities import check_identity
 from supcalc.polyhedron import Polyhedron, intersect, polyhedron_equal
 from supcalc.projection import project
 from supcalc.rationals import POS_INF, ExtendedRational, qv
@@ -317,3 +321,42 @@ class TestSums:
         f = PF(1, [(qv(1), Q(0))])
         with pytest.raises(CapacityError):
             sum_functions([f, f, f, f])
+
+
+PINNED_LIFTED_LPS = "94b0be0407bd1e52294e74e9caa8990758fbb4716d6cc84ea7e67adb716db0a3"
+
+# the checks that build lifted LPs: the hull of the conjugates (L2B, L2C),
+# the inf-convolution (C42) with its piece pruning, the decompositions
+# (T52, T53, R54) and the zero-sum cone test (T54B)
+LIFTED_LP_IDENTITIES = ("L2B", "L2C", "C42", "T52", "T53", "R54", "T54B")
+
+
+def _text(data) -> str:
+    """Nested rows written entry by entry with str, so that 1 and
+    Fraction(1) read alike."""
+    if isinstance(data, (tuple, list)):
+        return "(" + ",".join(_text(d) for d in data) + ")"
+    return str(data)
+
+
+def test_lifted_lps_match_the_pinned_digest(monkeypatch):
+    # every lifted LP reaches the solver with the same rows, values and
+    # order, and every cone test with the same system
+    digest = hashlib.sha256()
+    solve, trivial = calculus_module.solve_min, calculus_module.cone_is_trivial
+
+    def hashed_solve(c, ineqs=(), eqs=()):
+        digest.update(_text(("solve_min", c, ineqs, eqs)).encode())
+        return solve(c, ineqs, eqs)
+
+    def hashed_trivial(dim, ineqs, eqs):
+        digest.update(_text(("cone_is_trivial", dim, ineqs, eqs)).encode())
+        return trivial(dim, ineqs, eqs)
+
+    monkeypatch.setattr(calculus_module, "solve_min", hashed_solve)
+    monkeypatch.setattr(calculus_module, "cone_is_trivial", hashed_trivial)
+    for i in range(6):
+        fam = generate(_fuzz_params(7300, i, 3, force_hypotheses=i % 3 == 2))
+        for ident in LIFTED_LP_IDENTITIES:
+            check_identity(ident, fam, {"eps": Q(1, 3)})
+    assert digest.hexdigest() == PINNED_LIFTED_LPS
