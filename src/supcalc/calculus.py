@@ -19,9 +19,9 @@ is folded into the normal part of any witness.
 Set-valued results (the basic-formula right-hand side, sums of
 approximate normal sets) are built one budget at a time in the answer
 space, with no LP: the first as a preimage of the family's conjugate
-hull, the second from the sets' rows as one generator form.  The
-lifted systems stay as their LP-backed images, which the support-oracle
-projection materializes as an independent reference.
+hull, the second from the sets' rows as one generator form.  Their
+lifted systems live in the tests alone, where an LP projection of each
+is the independent reference.
 """
 from __future__ import annotations
 
@@ -51,7 +51,6 @@ from .polyhedron import (
     missing_generator,
     support_value,
 )
-from .projection import Image, project
 from .rationals import (
     ExtendedRational,
     Vec,
@@ -66,118 +65,79 @@ SUM_PIECE_CAP = 200
 
 
 # ============================================================
-# Sparse LP assembly
+# Lifted LP rows
 # ============================================================
+# Each lifted LP fixes its variable layout first, as blocks at known
+# offsets in a system of ``width`` variables, and writes dense rows once.
 
-class _System:
-    """Accumulates sparse rows over an append-only variable pool."""
-
-    def __init__(self) -> None:
-        self.nvars = 0
-        self.ineqs: list[tuple[dict[int, Fraction], Fraction]] = []
-        self.eqs: list[tuple[dict[int, Fraction], Fraction]] = []
-
-    def new_vars(self, count: int) -> range:
-        r = range(self.nvars, self.nvars + count)
-        self.nvars += count
-        return r
-
-    def new_var(self) -> int:
-        return self.new_vars(1)[0]
-
-    def add_ineq(self, coeffs: Mapping[int, Fraction], rhs) -> None:
-        self.ineqs.append((dict(coeffs), Fraction(rhs)))
-
-    def add_eq(self, coeffs: Mapping[int, Fraction], rhs) -> None:
-        self.eqs.append((dict(coeffs), Fraction(rhs)))
-
-    def embed(self, p: Polyhedron, coords: Sequence[int], lam: int | None = None) -> None:
-        """The rows of p on the given variables, homogenized by lam if given."""
-        for rows, add in ((p.ineqs, self.add_ineq), (p.eqs, self.add_eq)):
-            for coef, h in rows:
-                row = {coords[k]: c for k, c in enumerate(coef) if c}
-                if lam is None:
-                    add(row, h)
-                else:
-                    row[lam] = -h
-                    add(row, 0)
-
-    def dense(self, coeffs: Mapping[int, Fraction]) -> Vec:
-        return tuple(coeffs.get(j, 0) for j in range(self.nvars))
-
-    def rows(self) -> tuple[list[Row], list[Row]]:
-        return (
-            [(self.dense(c), b) for c, b in self.ineqs],
-            [(self.dense(c), b) for c, b in self.eqs],
-        )
-
-    def solve_min(self, objective: Mapping[int, Fraction]):
-        ineqs, eqs = self.rows()
-        return solve_min(self.dense(objective), ineqs, eqs)
+def _row(width: int, entries: Mapping[int, Fraction]) -> Vec:
+    """The row of the given width with the given entries and 0 elsewhere."""
+    row = [0] * width
+    for j, c in entries.items():
+        row[j] = c
+    return tuple(row)
 
 
-def _sum_rows(blocks: Sequence[Sequence[int]], n: int) -> list[dict[int, Fraction]]:
-    """Sparse rows of the map adding the n-vectors held in the blocks."""
-    return [{b[j]: Fraction(1) for b in blocks} for j in range(n)]
+def _placed(rows: Sequence[Row], at: int, width: int, lam: int | None = None) -> list[Row]:
+    """The rows on the variables from ``at`` on, homogenized by ``lam`` if given."""
+    placed = []
+    for coef, h in rows:
+        row = [0] * width
+        row[at:at + len(coef)] = coef
+        if lam is not None:
+            row[lam], h = -h, 0
+        placed.append((tuple(row), h))
+    return placed
 
 
-def _perspective_vars(sys: _System, f_t: PolyhedralFunction) -> tuple[range, int, int]:
-    """(y_t, u_t, lambda_t) in the homogenized epigraph of f*_t, lambda_t >= 0."""
-    y = sys.new_vars(f_t.dim)
-    u = sys.new_var()
-    lam = sys.new_var()
-    sys.embed(f_t.conjugate().epigraph, list(y) + [u], lam)
-    sys.add_ineq({lam: Fraction(-1)}, 0)
-    return y, u, lam
+def _sum_rows(blocks: Sequence[int], n: int, width: int) -> list[Vec]:
+    """Rows of the map adding the n-vectors that start at the given offsets."""
+    return [_row(width, {at + j: 1 for at in blocks}) for j in range(n)]
 
 
-def _subgradient_row(
-    sys: _System, f_t: PolyhedralFunction, x: Vec, y: range, u: int, lam: int,
-    e: int, gamma: Fraction = Fraction(0),
-) -> Fraction:
-    """u_t + lambda_t f_t(x) - <y_t, x> <= e_t + lambda_t gamma; returns f_t(x).
+def _perspective_block(
+    f_t: PolyhedralFunction, at: int, width: int
+) -> tuple[list[Row], list[Row]]:
+    """Rows putting (y_t, u_t, lambda_t), from ``at`` on, in the homogenized
+    epigraph of f*_t with lambda_t >= 0: (inequalities, equalities)."""
+    epi, lam = f_t.conjugate().epigraph, at + f_t.dim + 1
+    ineqs = _placed(epi.ineqs, at, width, lam) + [(_row(width, {lam: -1}), 0)]
+    return ineqs, _placed(epi.eqs, at, width, lam)
 
-    Outside dom f_t the member cannot carry weight: lambda_t is pinned
-    to 0 and f_t(x) is read as 0.
-    """
-    ft_x = f_t.eval(x)
-    if ft_x.is_finite:
-        ft_val = ft_x.finite_value()
-    else:
-        sys.add_eq({lam: Fraction(1)}, 0)
-        ft_val = Fraction(0)
-    row = {u: Fraction(1), lam: ft_val - gamma, e: Fraction(-1)}
-    for j, xj in enumerate(x):
-        if xj:
-            row[y[j]] = -xj
-    sys.add_ineq(row, 0)
-    return ft_val
+
+def _subgradient_row(x: Vec, ft_x: Fraction, at: int, e: int, width: int,
+                     gamma: Fraction = Fraction(0)) -> Row:
+    """u_t + lambda_t f_t(x) - <y_t, x> <= e_t + lambda_t gamma for the
+    perspective block at ``at``, given ft_x = f_t(x)."""
+    n = len(x)
+    entries = dict(enumerate((-xj for xj in x), at))
+    entries.update({at + n: 1, at + n + 1: ft_x - gamma, e: -1})
+    return _row(width, entries), 0
 
 
 def _scaled_split(
-    sol: Vec, lam: Mapping[str, Fraction], y_of: Mapping[str, range]
+    sol: Vec, blocks: Mapping[str, int], n: int
 ) -> tuple[list[tuple[str, Vec]], list[tuple[str, Vec]]]:
-    """Points y_t / lambda_t where lambda_t > 0, nonzero y_t where lambda_t = 0."""
+    """Points y_t / lambda_t where lambda_t > 0, nonzero y_t where lambda_t = 0,
+    for the perspective blocks (y_t, u_t, lambda_t) at the given offsets."""
     points, directions = [], []
-    for t, y in y_of.items():
-        y_t = tuple(sol[j] for j in y)
-        if lam[t] > 0:
-            points.append((t, tuple(c / lam[t] for c in y_t)))
+    for t, at in blocks.items():
+        y_t, lam = sol[at:at + n], sol[at + n + 1]
+        if lam > 0:
+            points.append((t, tuple(c / lam for c in y_t)))
         elif any(c != 0 for c in y_t):
             directions.append((t, y_t))
     return points, directions
 
 
-def _normal_block(sys: _System, dom: Polyhedron, x: Vec, z: range, eta: int) -> None:
-    """Rows putting z into the eta-approximate normal set of dom at x."""
+def _normal_block(dom: Polyhedron, x: Vec, at: int, width: int) -> list[Row]:
+    """Rows putting z, from ``at`` on, into the eta-approximate normal set
+    of dom at x, with eta the variable after z: <z, v - x> <= eta over the
+    vertices v of dom, <z, r> <= 0 over its rays, and eta >= 0."""
+    eta = at + len(x)
     verts, rays = dom.generators
-    for v in verts:
-        row = {z[j]: v[j] - x[j] for j in range(len(x)) if v[j] != x[j]}
-        row[eta] = Fraction(-1)
-        sys.add_ineq(row, 0)
-    for r in rays:
-        sys.add_ineq({z[j]: r[j] for j in range(len(x)) if r[j]}, 0)
-    sys.add_ineq({eta: Fraction(-1)}, 0)
+    rows = [(tuple(vj - xj for vj, xj in zip(v, x)), 1) for v in verts] + [(r, 0) for r in rays]
+    return _placed(rows, at, width, eta) + [(_row(width, {eta: -1}), 0)]
 
 
 # ============================================================
@@ -323,20 +283,23 @@ class DecompositionWitness:
 def _co_hull_lp(
     family: FunctionFamily, xstar: Vec, allowed: Sequence[str]
 ) -> CoHullValue:
-    sys = _System()
-    y_of, u_of, lam_of = {}, {}, {}
-    for t in allowed:
-        y_of[t], u_of[t], lam_of[t] = _perspective_vars(sys, family.member(t))
-    sys.add_eq({lam_of[t]: Fraction(1) for t in allowed}, 1)
-    for j, row in enumerate(_sum_rows(list(y_of.values()), family.dim)):
-        sys.add_eq(row, xstar[j])
-    res = sys.solve_min({u_of[t]: Fraction(1) for t in allowed})
+    # one block (y_t, u_t, lambda_t) per member
+    n = family.dim
+    blocks = {t: (n + 2) * i for i, t in enumerate(allowed)}
+    width = (n + 2) * len(blocks)
+    ineqs, eqs = [], []
+    for t, at in blocks.items():
+        block_ineqs, block_eqs = _perspective_block(family.member(t), at, width)
+        ineqs += block_ineqs
+        eqs += block_eqs
+    eqs.append((_row(width, {at + n + 1: 1 for at in blocks.values()}), 1))
+    eqs += zip(_sum_rows(blocks.values(), n, width), xstar)
+    res = solve_min(_row(width, {at + n: 1 for at in blocks.values()}), ineqs, eqs)
     if res.status is not LPStatus.OPTIMAL:
         return CoHullValue(res.optimum)
     sol = res.primal_point
-    lam = {t: sol[lam_of[t]] for t in allowed}
-    points, directions = _scaled_split(sol, lam, y_of)
-    weights = SimplexWeights.make(lam, 1)
+    points, directions = _scaled_split(sol, blocks, n)
+    weights = SimplexWeights.make({t: sol[at + n + 1] for t, at in blocks.items()}, 1)
     return CoHullValue(res.optimum, weights, tuple(points), tuple(directions))
 
 
@@ -435,52 +398,22 @@ def conjugate_on_interior(family: FunctionFamily, xstar: Sequence) -> ExtendedRa
 # The basic formula's right-hand side
 # ============================================================
 
-def _rhs_basic_system(
-    family: FunctionFamily, x: Vec, budget: Fraction
-) -> tuple[_System, list[Vec]]:
-    """Lifted system for the scaled-subgradient set at the given budget.
-
-    Variables per member: scaled point y_t, perspective value u_t and
-    weight lambda_t.  x lies in every dom f_t, so by Fenchel-Young the
-    scaled error g_t = u_t + lambda_t f_t(x) - <y_t, x> is nonnegative
-    and enters the budget and activity rows with no variable of its own.
-    The projection matrix extracts sum_t y_t.
-    """
-    f = family.sup
-    fx = f.eval(x)
-    if not fx.is_finite:
-        raise InvalidParameterError("the supremum must be finite at x")
-    fx = fx.finite_value()
-    sys = _System()
-    y_of, weight, act = {}, {}, {}
-    for t in family.labels:
-        f_t = family.member(t)
-        y_of[t], u, lam = _perspective_vars(sys, f_t)
-        weight[lam] = f_t.eval_finite(x)
-        act[u] = Fraction(1)
-        act.update((y_of[t][j], -xj) for j, xj in enumerate(x) if xj)
-    sys.add_eq(dict.fromkeys(weight, Fraction(1)), 1)
-    # sum_t g_t <= budget; sum_t (u_t - <y_t, x>) <= budget - f(x), the
-    # activity row, where the lambda_t f_t(x) terms of the g_t cancel
-    sys.add_ineq({**act, **weight}, budget)
-    sys.add_ineq(act, budget - fx)
-    return sys, [sys.dense(row) for row in _sum_rows(list(y_of.values()), family.dim)]
-
-
-def rhs_basic_image(family: FunctionFamily, x: Sequence, budget) -> Image:
-    """The scaled-subgradient set at the given budget, as an LP-backed image."""
-    sys, matrix = _rhs_basic_system(family, vec(x), rational(budget))
-    return Image(sys.nvars, *sys.rows(), matrix)
-
-
 def rhs_basic_level(family: FunctionFamily, x: Sequence, budget) -> Polyhedron:
     """The scaled-subgradient set at the given budget, read off the conjugate hull.
 
-    It is ``project(rhs_basic_image(family, x, budget))`` with no LP: the
-    activity row implies the budget row, as sum_t lambda_t f_t(x) <= f(x),
-    and the perspective blocks project onto the conjugate hull H, an
-    epigraph (Balas 1979).  So it is {s : (s, budget + <s, x> - f(x)) in H},
-    a preimage whose rows may be redundant.
+    The set is { sum_t y_t } over the lifted system: weights lambda_t in
+    the simplex and perspective points (y_t, u_t, lambda_t) whose scaled
+    errors g_t = u_t + lambda_t f_t(x) - <y_t, x>, nonnegative by
+    Fenchel-Young, satisfy the budget row sum_t g_t <= budget and the
+    activity row sum_t lambda_t f_t(x) >= f(x) + sum_t g_t - budget.
+    Strict inequalities of the source formula are relaxed to non-strict,
+    which matches the closure for this polyhedral class.
+
+    No LP builds it: the activity row implies the budget row, as
+    sum_t lambda_t f_t(x) <= f(x), and the perspective blocks project onto
+    the conjugate hull H, an epigraph (Balas 1979).  So the set is
+    {s : (s, budget + <s, x> - f(x)) in H}, a preimage whose rows may be
+    redundant.  The tests project the lifted system by LP as its oracle.
     """
     x, budget = vec(x), rational(budget)
     fx = family.sup.eval_finite(x)
@@ -489,31 +422,11 @@ def rhs_basic_level(family: FunctionFamily, x: Sequence, budget) -> Polyhedron:
     return affine_preimage(family.conjugate_hull, lift, zeros(n) + (budget - fx,))
 
 
-def eps_subdiff_rhs_basic(
-    family: FunctionFamily, x: Sequence, eps, gamma
-) -> Polyhedron:
-    """Materialize the scaled-subgradient representation at budget eps+gamma.
-
-    The set { sum_t y_t } over weights in the simplex and perspective
-    points (y_t, u_t, lambda_t) whose scaled errors
-    g_t = u_t + lambda_t f_t(x) - <y_t, x> (nonnegative by Fenchel-Young)
-    satisfy sum g_t <= eps+gamma and the activity constraint
-    sum lambda_t f_t(x) >= f(x) + sum g_t - (eps+gamma).  Strict
-    inequalities of the source formula are relaxed to non-strict, which
-    matches the closure for this polyhedral class.
-    """
-    eps, gamma = rational(eps), rational(gamma)
-    if eps < 0:
-        raise InvalidParameterError("eps must be nonnegative")
-    if gamma <= 0:
-        raise InvalidParameterError("gamma must be positive")
-    return project(rhs_basic_image(family, x, eps + gamma))
-
-
 def rhs_basic_strict_margin(family: FunctionFamily, x: Sequence, budget) -> Fraction:
     """Largest uniform tightening delta in [0, 1] of the budget and activity rows.
 
-    Tightening both rows by delta is the system at budget - delta, which
+    The rows are those of the lifted system in ``rhs_basic_level``.
+    Tightening both by delta is the system at budget - delta, which
     is feasible exactly from the least budget b_min up, so the margin is
     min(1, budget - b_min).  No budget below 0 is feasible, as each g_t
     is nonnegative, and 0 is: give an active member t (f_t(x) = f(x))
@@ -530,14 +443,14 @@ def rhs_basic_strict_margin(family: FunctionFamily, x: Sequence, budget) -> Frac
     return min(Fraction(1), budget)
 
 
-def rhs_basic_covers(image: Polyhedron, target: Polyhedron) -> dict[str, Vec] | None:
-    """The first target generator outside the projected image, or None."""
-    return missing_generator(target, image)
+def rhs_basic_covers(level: Polyhedron, target: Polyhedron) -> dict[str, Vec] | None:
+    """The first target generator outside the ``rhs_basic_level`` set, or None."""
+    return missing_generator(target, level)
 
 
-def rhs_basic_within(image: Polyhedron, target: Polyhedron) -> bool:
-    """Is the projected image contained in the target?"""
-    return included(image, target)
+def rhs_basic_within(level: Polyhedron, target: Polyhedron) -> bool:
+    """Is the ``rhs_basic_level`` set contained in the target?"""
+    return included(level, target)
 
 
 # ============================================================
@@ -625,16 +538,15 @@ def cones_sum_to_zero_trivially(cones: Sequence[Polyhedron]) -> bool:
     The cones go on separate blocks of variables, the zero-sum rows are
     appended, and the product cone is tested for triviality.
     """
-    sys = _System()
-    blocks = []
-    for cone in cones:
-        z = sys.new_vars(cone.dim)
-        sys.embed(cone, z)
-        blocks.append(z)
-    for row in _sum_rows(blocks, cones[0].dim):
-        sys.add_eq(row, 0)
-    ineqs, eqs = sys.rows()
-    return cone_is_trivial(sys.nvars, ineqs, eqs)
+    n = cones[0].dim
+    blocks = [n * i for i in range(len(cones))]
+    width = n * len(cones)
+    ineqs, eqs = [], []
+    for cone, at in zip(cones, blocks):
+        ineqs += _placed(cone.ineqs, at, width)
+        eqs += _placed(cone.eqs, at, width)
+    eqs += [(row, 0) for row in _sum_rows(blocks, n, width)]
+    return cone_is_trivial(width, ineqs, eqs)
 
 
 # ============================================================
@@ -663,54 +575,49 @@ def _solve_decomposition(
     n = family.dim
     f = family.sup
     fx = f.eval_finite(x)
-    sys = _System()
-    y_of, lam_of, e_of = {}, {}, {}
-    for t in s_labels:
+    # a block (y_t, u_t, lambda_t, e_t) per weighted member, then a block
+    # (z, eta) per normal vector: one pooled, or one per member
+    normals = [(None, f.domain)] if aggregate_normal else [
+        (t, family.member(t).domain) for t in n_labels
+    ]
+    s_blocks = {t: (n + 3) * i for i, t in enumerate(s_labels)}
+    z_blocks = [(n + 3) * len(s_blocks) + (n + 1) * i for i in range(len(normals))]
+    width = (n + 3) * len(s_blocks) + (n + 1) * len(normals)
+    ineqs, eqs = [], []
+    for t, at in s_blocks.items():
         f_t = family.member(t)
-        y_of[t], u, lam_of[t] = _perspective_vars(sys, f_t)
-        e_of[t] = sys.new_var()
-        ft_val = _subgradient_row(sys, f_t, x, y_of[t], u, lam_of[t], e_of[t], gamma)
+        ft_x = f_t.eval_finite(x)
+        lam, e = at + n + 1, at + n + 2
+        block_ineqs, block_eqs = _perspective_block(f_t, at, width)
+        ineqs += block_ineqs
+        eqs += block_eqs
+        ineqs.append(_subgradient_row(x, ft_x, at, e, width, gamma))
         # activity: lambda_t f(x) <= lambda_t f_t(x) + e_t + lambda_t gamma
-        sys.add_ineq(
-            {lam_of[t]: fx - ft_val - gamma, e_of[t]: Fraction(-1)}, 0
-        )
-        sys.add_ineq({e_of[t]: Fraction(-1)}, 0)
-    sys.add_eq({lam_of[t]: Fraction(1) for t in s_labels}, 1)
-
-    z_blocks: list[tuple[str | None, range, int]] = []
-    if aggregate_normal:
-        z = sys.new_vars(n)
-        eta = sys.new_var()
-        _normal_block(sys, f.domain, x, z, eta)
-        z_blocks.append((None, z, eta))
-    else:
-        for t in n_labels:
-            z = sys.new_vars(n)
-            eta = sys.new_var()
-            _normal_block(sys, family.member(t).domain, x, z, eta)
-            z_blocks.append((t, z, eta))
+        ineqs.append((_row(width, {lam: fx - ft_x - gamma, e: -1}), 0))
+        ineqs.append((_row(width, {e: -1}), 0))
+    eqs.append((_row(width, {at + n + 1: 1 for at in s_blocks.values()}), 1))
+    for (_, dom), at in zip(normals, z_blocks):
+        ineqs += _normal_block(dom, x, at, width)
 
     # total budget: sum e_t + sum eta <= eps
-    budget_row = {e_of[t]: Fraction(1) for t in s_labels}
-    for _, _, eta in z_blocks:
-        budget_row[eta] = Fraction(1)
-    sys.add_ineq(budget_row, eps)
+    budget_row = _row(width, {
+        **{at + n + 2: 1 for at in s_blocks.values()},
+        **{at + n: 1 for at in z_blocks},
+    })
+    ineqs.append((budget_row, eps))
+    eqs += zip(_sum_rows([*s_blocks.values(), *z_blocks], n, width), xstar)
 
-    blocks = list(y_of.values()) + [z for _, z, _ in z_blocks]
-    for j, row in enumerate(_sum_rows(blocks, n)):
-        sys.add_eq(row, xstar[j])
-
-    res = sys.solve_min(budget_row)
+    res = solve_min(budget_row, ineqs, eqs)
     if res.status is LPStatus.INFEASIBLE:
         return None
     if res.status is not LPStatus.OPTIMAL:
         raise LPInternalError("budget objective must be bounded below by 0")
     sol = res.primal_point
 
-    lam = {t: sol[lam_of[t]] for t in s_labels}
-    errs = {t: sol[e_of[t]] for t in s_labels}
-    points, directions = _scaled_split(sol, lam, y_of)
-    scaled = [(t, tuple(sol[j] for j in y_of[t])) for t, _ in points]
+    lam = {t: sol[at + n + 1] for t, at in s_blocks.items()}
+    errs = {t: sol[at + n + 2] for t, at in s_blocks.items()}
+    points, directions = _scaled_split(sol, s_blocks, n)
+    scaled = [(t, sol[s_blocks[t]:s_blocks[t] + n]) for t, _ in points]
     # at lambda_t = 0 the block pins (y_t, u_t) to the recession cone of
     # epi f*_t, so y_t is an errs[t]-approximate normal to dom f_t at x;
     # move the budget from eps1 to eps2
@@ -722,9 +629,9 @@ def _solve_decomposition(
     member_z: dict[str, list[Fraction]] = {}
     member_eta: dict[str, Fraction] = {}
     eta_total = Fraction(0)
-    for label, z, eta in z_blocks:
-        z_val = [sol[j] for j in z]
-        eta_val = sol[eta]
+    for (label, _), at in zip(normals, z_blocks):
+        z_val = list(sol[at:at + n])
+        eta_val = sol[at + n]
         eta_total += eta_val
         for j in range(n):
             normal[j] += z_val[j]
@@ -863,32 +770,25 @@ def sum_functions(funcs: Sequence[PolyhedralFunction]) -> PolyhedralFunction:
             for p, pb in g.pieces
         ]
     candidates = sorted(set(candidates))
-    if domain.is_empty:
+    if domain.is_empty or len(candidates) == 1:
         return PolyhedralFunction.make(n, candidates, domain)
-
-    if len(candidates) == 1:
-        return PolyhedralFunction.make(n, candidates, domain)
+    # variables (x, d)
+    dom_ineqs, dom_eqs = _placed(domain.ineqs, 0, n + 1), _placed(domain.eqs, 0, n + 1)
     kept: list[Row] = []
     for i, (a_i, b_i) in enumerate(candidates):
         # piece i survives iff it attains the max somewhere on the domain:
         # maximize the margin d with (a_k - a_i) x + d <= b_i - b_k for all k
-        sys = _System()
-        xs = sys.new_vars(n)
-        d = sys.new_var()
-        sys.embed(domain, xs)
-        for k, (a_k, b_k) in enumerate(candidates):
-            if k == i:
-                continue
-            row = {xs[j]: a_k[j] - a_i[j] for j in range(n) if a_k[j] != a_i[j]}
-            row[d] = Fraction(1)
-            sys.add_ineq(row, b_i - b_k)
-        res = sys.solve_min({d: Fraction(-1)})
+        rows = [
+            (tuple(s - t for s, t in zip(a_k, a_i)) + (1,), b_i - b_k)
+            for k, (a_k, b_k) in enumerate(candidates) if k != i
+        ]
+        res = solve_min(_row(n + 1, {n: -1}), dom_ineqs + rows, dom_eqs)
         if res.status is LPStatus.UNBOUNDED:
             kept.append((a_i, b_i))
             continue
         if res.status is not LPStatus.OPTIMAL:
             raise LPInternalError("piece pruning LP lost feasibility")
-        if res.primal_point[d] >= 0:
+        if res.primal_point[n] >= 0:
             kept.append((a_i, b_i))
     return PolyhedralFunction.make(n, kept, domain)
 
@@ -902,14 +802,12 @@ def inf_convolution_value(
         raise InvalidParameterError("at least one function is required")
     n = funcs[0].dim
     xstar = vec(xstar)
-    sys = _System()
-    y_blocks, s_vars = [], []
-    for g in funcs:
-        y = sys.new_vars(n)
-        s = sys.new_var()
-        y_blocks.append(y)
-        s_vars.append(s)
-        sys.embed(g.epigraph, list(y) + [s])
-    for j, row in enumerate(_sum_rows(y_blocks, n)):
-        sys.add_eq(row, xstar[j])
-    return sys.solve_min({s: Fraction(1) for s in s_vars}).optimum
+    # one block (y_k, s_k) in epi g_k per function
+    blocks = [(n + 1) * k for k in range(len(funcs))]
+    width = (n + 1) * len(funcs)
+    ineqs, eqs = [], []
+    for g, at in zip(funcs, blocks):
+        ineqs += _placed(g.epigraph.ineqs, at, width)
+        eqs += _placed(g.epigraph.eqs, at, width)
+    eqs += zip(_sum_rows(blocks, n, width), xstar)
+    return solve_min(_row(width, {at + n: 1 for at in blocks}), ineqs, eqs).optimum

@@ -12,6 +12,9 @@ enlarges Q.  Since the simplex solver only returns basic solutions, of
 which there are finitely many, the loop terminates with
 Q = closure(pi(S)).  Only the image dimension is subject to the double
 description cap; N may be large.
+
+No library path calls ``project``: it stays public as the tests' LP
+oracle for the levels P34 and C46 build with no LP.
 """
 from __future__ import annotations
 

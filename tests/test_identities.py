@@ -373,7 +373,7 @@ def _count_normal_sums(monkeypatch) -> list[Q]:
     return calls
 
 
-def test_c46_projects_once_on_the_budget_graph(monkeypatch):
+def test_c46_converts_once_and_projects_nothing(monkeypatch):
     # one conversion at budget 1 gives every level by scaling, and none
     # is projected
     calls = _count_normal_sums(monkeypatch)
@@ -383,7 +383,7 @@ def test_c46_projects_once_on_the_budget_graph(monkeypatch):
     assert projected == []
 
 
-def test_c46_above_the_dd_cap_projects_each_level(monkeypatch):
+def test_c46_above_the_dd_cap_projects_nothing(monkeypatch):
     # the boxes live in dimension 2 and C46 converts only there, so under
     # a cap of 2 it takes the same one call and the report is unchanged
     params = {"eps": Q(1, 4)}
@@ -394,14 +394,6 @@ def test_c46_above_the_dd_cap_projects_each_level(monkeypatch):
     got = check_identity("C46", list(C46_BOXES), params)
     assert got.status == "pass" and report_to_json(got) == want
     assert calls == [1]
-    assert projected == []
-
-
-def test_c46_within_the_dd_cap_projects_nothing(monkeypatch):
-    # the unit level is generated from the sets' rows, and every level
-    # is its scaling, so no level is projected
-    projected = _count_projections(monkeypatch)
-    assert check_identity("C46", list(C46_BOXES), {"eps": Q(1, 4)}).status == "pass"
     assert projected == []
 
 

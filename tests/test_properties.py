@@ -14,13 +14,12 @@ from hypothesis import strategies as st
 from supcalc.calculus import (
     _co_hull_lp,
     _normal_block,
-    _perspective_vars,
+    _perspective_block,
+    _row,
     _subgradient_row,
     _sum_rows,
-    _System,
     co_hull_conjugates,
     eps_normal_intersection,
-    rhs_basic_image,
     rhs_basic_level,
     rhs_basic_strict_margin,
 )
@@ -28,7 +27,7 @@ from supcalc.errors import IdentityFalsified
 from supcalc.family import FunctionFamily
 from supcalc.functions import PolyhedralFunction, eps_normal_set
 from supcalc.identities import _dual_samples, _scaled_level
-from supcalc.lp import LPStatus
+from supcalc.lp import LPStatus, solve_min
 from supcalc.oracles import brute_generators
 from supcalc.polyhedron import (
     Polyhedron,
@@ -247,14 +246,14 @@ def families_with_points(draw):
     st.just(Q(0)) | st.fractions(min_value=0, max_value=1, max_denominator=3),
     st.integers(min_value=1, max_value=20).filter(lambda k: k % 7),
 )
-def test_rhs_basic_graph_slices_match_per_level_projections(pair, eps, k):
+def test_rhs_basic_levels_match_the_lifted_projection(pair, eps, k):
     # each level is read off the conjugate hull; at every budget, eps
     # itself and 0 included, it must be the projection of that level's
     # lifted system, which is what P34's per-level sandwich relies on
     fam, x = pair
     for budget in (eps, eps + Q(k, 7)):
         level = rhs_basic_level(fam, x, budget)
-        assert polyhedron_equal(level, project(rhs_basic_image(fam, x, budget)))
+        assert polyhedron_equal(level, _reference_projection(fam, x, budget))
 
 
 @st.composite
@@ -290,15 +289,11 @@ def _reference_normal_sum(sets, x, budget):
     """The split-budget normal sum by LP projection: an eta_t-normal block
     z_t per set, the eta_t summing to the budget, projected onto sum_t z_t."""
     n = sets[0].dim
-    sys = _System()
-    z_of, eta_of = [], []
-    for c in sets:
-        z_of.append(sys.new_vars(n))
-        eta_of.append(sys.new_var())
-        _normal_block(sys, c, x, z_of[-1], eta_of[-1])
-    sys.add_eq({eta: Q(1) for eta in eta_of}, budget)
-    matrix = [sys.dense(row) for row in _sum_rows(z_of, n)]
-    return project(Image(sys.nvars, *sys.rows(), matrix))
+    blocks = [(n + 1) * i for i in range(len(sets))]
+    width = (n + 1) * len(sets)
+    ineqs = [row for c, at in zip(sets, blocks) for row in _normal_block(c, x, at, width)]
+    eqs = [(_row(width, {at + n: 1 for at in blocks}), budget)]
+    return project(Image(width, ineqs, eqs, _sum_rows(blocks, n, width)))
 
 
 @given(
@@ -306,7 +301,7 @@ def _reference_normal_sum(sets, x, budget):
     st.fractions(min_value=0, max_value=1, max_denominator=3),
     st.integers(min_value=1, max_value=20).filter(lambda k: k % 7),
 )
-def test_normal_sum_graph_slices_match_per_level_projections(pair, eps, k):
+def test_normal_sum_levels_match_the_lifted_projection(pair, eps, k):
     # C46 reads every level off the unit level, scaled by its budget; at
     # eps itself and at a budget no grid names, the scaled level and the
     # level generated at that budget must both be the LP projection
@@ -373,38 +368,37 @@ def _reference_rhs_basic_system(fam, x, budget, margin=False):
     """The lifted system with a scaled error e_t >= 0 per member, bounded
     below by the member's subgradient row, and an optional margin delta
     in [0, 1] that tightens the budget and activity rows uniformly."""
-    fx = fam.sup.eval_finite(x)
-    sys = _System()
-    y_of, lam_of, e_of, f_at = {}, {}, {}, {}
-    for t in fam.labels:
+    # a block (y_t, u_t, lambda_t, e_t) per member, then delta
+    n, fx = fam.dim, fam.sup.eval_finite(x)
+    blocks = [(n + 3) * i for i in range(len(fam.labels))]
+    width = (n + 3) * len(blocks) + margin
+    delta = width - 1 if margin else None
+    ineqs, eqs = [], []
+    errors, activity = {}, {}
+    for t, at in zip(fam.labels, blocks):
         f_t = fam.member(t)
-        y_of[t], u, lam_of[t] = _perspective_vars(sys, f_t)
-        e_of[t] = sys.new_var()
-        f_at[t] = _subgradient_row(sys, f_t, x, y_of[t], u, lam_of[t], e_of[t])
-        sys.add_ineq({e_of[t]: Q(-1)}, 0)
-    delta = sys.new_var() if margin else None
+        f_at, e = f_t.eval_finite(x), at + n + 2
+        block_ineqs, block_eqs = _perspective_block(f_t, at, width)
+        ineqs += block_ineqs + [_subgradient_row(x, f_at, at, e, width), (_row(width, {e: -1}), 0)]
+        eqs += block_eqs
+        errors[e] = activity[e] = Q(1)
+        activity[at + n + 1] = -f_at
 
-    def add_budgeted(row, rhs):
+    def budgeted(row, rhs):
         if delta is not None:
             row[delta] = Q(1)
-        sys.add_ineq(row, budget + rhs)
+        return _row(width, row), budget + rhs
 
-    sys.add_eq({lam_of[t]: Q(1) for t in fam.labels}, 1)
-    add_budgeted({e_of[t]: Q(1) for t in fam.labels}, Q(0))
-    act = {e_of[t]: Q(1) for t in fam.labels}
-    for t in fam.labels:
-        act[lam_of[t]] = -f_at[t]
-    add_budgeted(act, -fx)
+    eqs.append((_row(width, {at + n + 1: 1 for at in blocks}), 1))
+    ineqs += [budgeted(errors, Q(0)), budgeted(activity, -fx)]
     if delta is not None:
-        sys.add_ineq({delta: Q(-1)}, 0)
-        sys.add_ineq({delta: Q(1)}, 1)
-    sums = _sum_rows(list(y_of.values()), fam.dim)
-    return sys, [sys.dense(row) for row in sums], delta
+        ineqs += [(_row(width, {delta: Q(-1)}), 0), (_row(width, {delta: Q(1)}), 1)]
+    return width, ineqs, eqs, _sum_rows(blocks, n, width), delta
 
 
 def _reference_projection(fam, x, budget):
-    sys, matrix, _ = _reference_rhs_basic_system(fam, x, budget)
-    return project(Image(sys.nvars, *sys.rows(), matrix))
+    width, ineqs, eqs, matrix, _ = _reference_rhs_basic_system(fam, x, budget)
+    return project(Image(width, ineqs, eqs, matrix))
 
 
 @given(
@@ -414,17 +408,15 @@ def _reference_projection(fam, x, budget):
 )
 def test_rhs_basic_sets_and_margin_match_the_error_variable_reference(fam, data, budget):
     # budgets 0, off the grid and above 1; x in [0, 1]^dim lies in every
-    # member's domain.  The level projections are compared by canonical
-    # rows; the level read off the conjugate hull, a preimage that may
-    # carry redundant rows, as a set.  The margin is compared against the
-    # delta LP of the reference system
+    # member's domain.  The level read off the conjugate hull, a preimage
+    # that may carry redundant rows, is compared with the reference
+    # projection as a set, and the margin with the delta LP of the
+    # reference system
     x = tuple(data.draw(st.fractions(min_value=0, max_value=1, max_denominator=4))
               for _ in range(fam.dim))
-    got = project(rhs_basic_image(fam, x, budget))
     want = _reference_projection(fam, x, budget)
-    assert (got.ineqs, got.eqs) == (want.ineqs, want.eqs)
     assert polyhedron_equal(rhs_basic_level(fam, x, budget), want)
-    sys, _, delta = _reference_rhs_basic_system(fam, x, budget, margin=True)
-    res = sys.solve_min({delta: Q(-1)})
+    width, ineqs, eqs, _, delta = _reference_rhs_basic_system(fam, x, budget, margin=True)
+    res = solve_min(_row(width, {delta: Q(-1)}), ineqs, eqs)
     assert res.status is LPStatus.OPTIMAL
     assert rhs_basic_strict_margin(fam, x, budget) == -res.optimum.finite_value()
