@@ -457,16 +457,14 @@ def rhs_basic_within(level: Polyhedron, target: Polyhedron) -> bool:
 # Sums of approximate normal sets
 # ============================================================
 
-def eps_normal_intersection(
-    sets: Sequence[Polyhedron], x: Sequence, eps, gamma=0
-) -> Polyhedron:
-    """{ sum_t z_t : z_t eta_t-normal to C_t at x, sum eta_t = eps+gamma }.
+def eps_normal_intersection(sets: Sequence[Polyhedron], x: Sequence, eps) -> Polyhedron:
+    """{ sum_t z_t : z_t eta_t-normal to C_t at x, sum eta_t = eps }.
 
-    Exact at gamma = 0 for polyhedral data: the support function of the
-    intersection is an attained inf-convolution, so no closure is
-    needed.  Returns the empty set when x misses some C_t.
+    Exact for polyhedral data: the support function of the intersection
+    is an attained inf-convolution, so no closure is needed.  Returns
+    the empty set when x misses some C_t.
 
-    The set is the (eps+gamma)-sublevel set of the inf-convolution of
+    The set is the eps-sublevel set of the inf-convolution of
     the sigma_{C_t - x} (Rockafellar 1970, Thm 16.4).  By LP duality that
     inf-convolution at z is min { sum mu_a c_a : mu >= 0, sum mu_a a = z }
     over the rows (a, b_a) of every C_t, equalities both ways, with
@@ -474,9 +472,9 @@ def eps_normal_intersection(
     conv({0} and b a / c_a over c_a > 0) + cone{a : c_a = 0}, one
     ``from_generators`` with no LP.
     """
-    eps, gamma = rational(eps), rational(gamma)
-    if eps < 0 or gamma < 0:
-        raise InvalidParameterError("budgets must be nonnegative")
+    eps = rational(eps)
+    if eps < 0:
+        raise InvalidParameterError("eps must be nonnegative")
     sets = list(sets)
     if not sets:
         raise InvalidParameterError("at least one set is required")
@@ -487,13 +485,12 @@ def eps_normal_intersection(
             raise DimensionMismatchError("set dimension mismatch")
         if not c.contains(x):
             return Polyhedron.empty(n)
-    budget = eps + gamma
     points, rays = [zeros(n)], []
     for c in sets:
         for a, b in [*c.ineqs, *c.eqs, *((tuple(-t for t in a), -b) for a, b in c.eqs)]:
             slack = b - dot(a, x)
             if slack:
-                points.append(tuple(budget * t / slack for t in a))
+                points.append(tuple(eps * t / slack for t in a))
             else:
                 rays.append(a)
     return Polyhedron.from_generators(n, points, rays)

@@ -124,13 +124,14 @@ class FunctionFamily:
         return frozenset((lo, hi) for lo, ups in reach.items() for hi in ups)
 
     def verify_increasing(self) -> bool:
-        """Audit the increasing claim exactly.
+        """Audit the increasing claim exactly, once per family."""
+        return self._increasing_verified
 
-        Checks that the order is directed (every pair of labels has an
-        upper bound) and that each edge t <= s gives f_t <= f_s, which
-        for closed functions is the epigraph inclusion epi f_s
-        subset-of epi f_t.
-        """
+    @cached_property
+    def _increasing_verified(self) -> bool:
+        """Is the order directed (every pair of labels has an upper bound)
+        and does each edge t <= s give f_t <= f_s?  For closed functions
+        that is the epigraph inclusion epi f_s subset-of epi f_t."""
         if not self.increasing:
             return False
         closure = self.order_closure

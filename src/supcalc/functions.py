@@ -46,11 +46,10 @@ from .errors import (
     InvalidParameterError,
     LPInternalError,
 )
-from .lp import LPStatus, Row, _idot, _scale_to_int, solve_max
+from .lp import LPStatus, Row, _idot, _scale_to_int, solve_min
 from .polyhedron import (
     Polyhedron,
     _homogenized_rows,
-    _int_normalize,
     keep_generators,
     max_slack,
     polyhedron_equal,
@@ -190,13 +189,14 @@ class PolyhedralFunction:
         if len(y) != self.dim:
             raise DimensionMismatchError("point arity mismatch")
         epi = self.epigraph
-        obj = tuple(y) + (Fraction(-1),)
-        res = solve_max(obj, list(epi.ineqs), list(epi.eqs), warm=True)
+        # the sup is minus the min of s - <y, x> over (x, s) in epi f
+        obj = tuple(-t for t in y) + (Fraction(1),)
+        res = solve_min(obj, list(epi.ineqs), list(epi.eqs), warm=True)
         if res.status is LPStatus.UNBOUNDED:
             return POS_INF
         if res.status is not LPStatus.OPTIMAL:
             raise LPInternalError("epigraph LP infeasible for a proper function")
-        return res.optimum
+        return -res.optimum
 
     @cached_property
     def _conjugate(self) -> "PolyhedralFunction":
@@ -209,14 +209,13 @@ class PolyhedralFunction:
         dom_rows = [(r[:n], r[n]) for r in rays]
         g = PolyhedralFunction.make(n, pieces, Polyhedron.from_hrep(n, dom_rows))
         # polarity: each homogenized generator h = (v, rho, t) of epi f is the
-        # row <v, y> - t s <= rho of epi g, and each homogenized row
-        # (a, n_s, n_t) of epi f maps to the generator (a, -n_t, -n_s) of epi
-        # g's cone; row . generator = n . h, so the zero sets are the
-        # incidences of the conversion above
-        hom = [_int_normalize((*v, 1)) for v in verts] + [_int_normalize((*r, 0)) for r in rays]
-        facets = [((*h[:n], -h[n + 1]), h[n]) for h in hom]
+        # row <v, y> - t s <= rho of epi g, which is the row g.epigraph
+        # builds from a piece (t = 1) or a domain row (t = 0), and each
+        # homogenized row (a, n_s, n_t) of epi f maps to the generator
+        # (a, -n_t, -n_s) of epi g's cone; row . generator = n . h, so the
+        # zero sets are the incidences of the conversion above
         gens = [(*r[:-2], -r[-1], -r[-2]) for r in _homogenized_rows(epi)]
-        vars(g)["epigraph"] = keep_generators(Polyhedron.from_hrep(n + 1, facets), lambda: gens)
+        keep_generators(g.epigraph, lambda: gens)
         for y in self._audit_points():
             if self.conjugate_eval(y) != g.eval(y):
                 raise LPInternalError("conjugate construction failed value audit")
@@ -304,7 +303,7 @@ class PolyhedralFunction:
         res = max_slack(fstar.domain, l1norm)
         if res.status is not LPStatus.OPTIMAL:
             raise LPInternalError("ball LP must be bounded by the cap row")
-        alpha = res.optimum.finite_value()
+        alpha = -res.optimum.finite_value()
         if alpha <= 0:
             return None
         center = res.primal_point[:n]

@@ -176,14 +176,14 @@ def _inward(v: Vec, c: Vec, theta: Fraction) -> Vec:
     return tuple((1 - theta) * a + theta * b for a, b in zip(v, c))
 
 
-def _dedup(points: Sequence[Vec], cap: int = SAMPLE_CAP) -> tuple[Vec, ...]:
+def _dedup(points: Sequence[Vec]) -> tuple[Vec, ...]:
     seen: set[Vec] = set()
     out: list[Vec] = []
     for p in points:
         if p not in seen:
             seen.add(p)
             out.append(p)
-        if len(out) == cap:
+        if len(out) == SAMPLE_CAP:
             break
     return tuple(out)
 

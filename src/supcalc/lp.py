@@ -6,10 +6,12 @@ Problems are stated in the free-variable form
     subject to  a_i . x <= b_i   (inequality rows)
                 e_j . x == d_j   (equality rows)
 
-and solved by a two-phase primal simplex.  Pivoting uses Bland's rule
-(first improving column, then the minimum-ratio row with the smallest
-basic index as deterministic tie-break), so the method terminates and the
-answer is a pure function of the input.
+and solved by ``solve_min``, the one entry point (a caller maximizes by
+minimizing the negated cost), with a two-phase primal simplex.
+Pivoting uses Bland's rule (first improving column, then the
+minimum-ratio row with the smallest basic index as deterministic
+tie-break), so the method terminates and the answer is a pure function
+of the input.
 
 The tableau is kept fraction-free: all entries are integers over a
 positive denominator, updated by the two-term determinant recurrence
@@ -27,10 +29,10 @@ Phase 1 runs once per row set.  Phase 1 and ``drive_out_artificials``
 choose every pivot from the phase-1 objective and the rows, never from
 c, so the tableau and basis at the start of phase 2 depend on
 (ineqs, eqs) alone.  ``solve_min`` keeps that start, with the rows
-scaled to integers, for the last ``_SNAPSHOT_CAP`` (16) row sets it
-solved, least recently used out first; for an infeasible row set it
-keeps the Farkas multipliers instead.  Each objective is priced into a
-copy of the start directly,
+scaled to integers, for the last 16 row sets it solved, in a
+``functools.lru_cache`` (least recently used out first); for an
+infeasible row set it keeps the Farkas multipliers instead.  Each
+objective is priced into a copy of the start directly,
 
     obj2 = den * c_int - sum_r w_r * rows[r] * den / scale[r],
 
@@ -76,10 +78,10 @@ verification raises LPInternalError; it cannot be silently wrong.
 from __future__ import annotations
 
 import enum
-from collections import OrderedDict
 from copy import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 from operator import mul
 from typing import Sequence
@@ -508,28 +510,11 @@ class _RowSet:
             self.start = tab
 
 
-# the last _SNAPSHOT_CAP row sets solve_min saw, least recently used
-# first, as hash -> (key, row set): a Fraction does not keep its hash,
-# so each call hashes its rows once and compares them once; an int
-# right-hand side stays an int, which hashes and compares in C and
-# equals the Fraction it would become, so both share one row set
-_SNAPSHOT_CAP = 16
-_snapshots: OrderedDict[int, tuple[tuple, _RowSet]] = OrderedDict()
-
-
-def _row_set(n: int, ineqs: tuple[Row, ...], eqs: tuple[Row, ...]) -> _RowSet:
-    key = (n, ineqs, eqs)
-    h = hash(key)
-    kept = _snapshots.get(h)
-    if kept is not None and kept[0] == key:
-        _snapshots.move_to_end(h)
-        return kept[1]
-    rs = _RowSet(n, ineqs, eqs)
-    _snapshots[h] = (key, rs)
-    _snapshots.move_to_end(h)  # a colliding key is replaced in place
-    if len(_snapshots) > _SNAPSHOT_CAP:
-        _snapshots.popitem(last=False)
-    return rs
+# the last 16 row sets solve_min saw, least recently used out first;
+# the key is hashed once per call.  An int right-hand side stays an
+# int, which hashes and compares in C and equals the Fraction it would
+# become, so both share one row set
+_row_set = lru_cache(maxsize=16)(_RowSet)
 
 
 def solve_min(
@@ -573,11 +558,3 @@ def solve_min(
     _certify_scaled(res, c, rs.scaled, rs.m1)
     return LPResult(res.status, res.optimum) if warm else res
 
-
-def solve_max(
-    c: Sequence[Fraction], ineqs: Sequence[Row] = (), eqs: Sequence[Row] = (), *, warm: bool = False
-) -> LPResult:
-    """Maximize c.x; certificates are those of the minimized negation."""
-    neg = tuple(-Fraction(t) for t in c)
-    res = solve_min(neg, ineqs, eqs, warm=warm)
-    return replace(res, optimum=-res.optimum)

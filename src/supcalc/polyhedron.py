@@ -64,7 +64,7 @@ from .errors import (
     EmptySetError,
     InvalidParameterError,
 )
-from .lp import LPResult, LPStatus, Row, _idot, _scale_to_int, solve_max, solve_min
+from .lp import LPResult, LPStatus, Row, _idot, _scale_to_int, solve_min
 from .rationals import (
     NEG_INF,
     POS_INF,
@@ -654,36 +654,28 @@ def intersect(p: Polyhedron, q: Polyhedron) -> Polyhedron:
 
 
 def polyhedron_equal(p: Polyhedron, q: Polyhedron) -> bool:
-    """Set equality via mutual generator containment (exact).
+    """Set equality as inclusion both ways (exact).
 
-    Equal canonical rows are the same set, so ``p == q`` answers at once
-    at every dimension.  Otherwise an empty side is told by
-    ``is_empty`` (off the conversions the containment makes within the
-    DD cap, by an LP above it), and two nonempty sets are compared by
-    their generators.
+    ``included`` raises ``DimensionMismatchError`` on sets of different
+    dimensions, answers equal rows at once and tells an empty side by
+    ``is_empty``, so above the DD cap only two nonempty sets that need a
+    conversion raise ``CapacityError``.
     """
-    if p.dim != q.dim:
-        raise DimensionMismatchError("polyhedron_equal arity mismatch")
-    if p == q:
-        return True
-    if p.is_empty or q.is_empty:
-        return p.is_empty and q.is_empty
-    return missing_generator(p, q) is None and missing_generator(q, p) is None
+    return included(p, q) and included(q, p)
 
 
 def included(p: Polyhedron, q: Polyhedron) -> bool:
     """Is P a subset of Q?  Empty P is included in anything.
 
-    Equal canonical rows answer at once at every dimension, as in
-    ``polyhedron_equal``.  An empty Q holds only an empty P and needs no
-    witness; otherwise ``missing_generator`` decides.  Both emptiness
-    answers come from ``is_empty``.
+    ``missing_generator`` decides, except that an empty Q holds only an
+    empty P: that answer comes from ``is_empty``, by an LP above the DD
+    cap, so P is not converted and cannot raise ``CapacityError``.  Equal
+    rows skip that read too, since ``missing_generator`` needs neither
+    set's emptiness for them.
     """
     if p.dim != q.dim:
         raise DimensionMismatchError("included arity mismatch")
-    if p == q:
-        return True
-    if q.is_empty:
+    if p != q and q.is_empty:
         return p.is_empty
     return missing_generator(p, q) is None
 
@@ -691,14 +683,18 @@ def included(p: Polyhedron, q: Polyhedron) -> bool:
 def missing_generator(p: Polyhedron, q: Polyhedron) -> dict[str, Vec] | None:
     """A generator of P outside Q, or None when P is a subset of Q.
 
-    The witness is ``{"point": v}`` for a point of P outside Q, else
+    The one containment test.  Equal canonical rows are the same set, so
+    ``p == q`` answers None at once at every dimension.  Otherwise the
+    witness is ``{"point": v}`` for a point of P outside Q, else
     ``{"ray": r}`` for a ray of P outside the recession cone of Q.  An
     empty Q contains no point, so then it is P's first point.  An empty
     P answers None; ``is_empty`` reads that off P's generators within
     the DD cap, and above it an LP tells it before any conversion could
     raise ``CapacityError``.
     """
-    if p.is_empty:
+    if p.dim != q.dim:
+        raise DimensionMismatchError("missing_generator arity mismatch")
+    if p == q or p.is_empty:
         return None
     for v in p.vertices:
         if not q.contains(v):
@@ -710,16 +706,17 @@ def missing_generator(p: Polyhedron, q: Polyhedron) -> dict[str, Vec] | None:
 
 
 def max_slack(p: Polyhedron, weight: Callable[[Vec], Fraction]) -> LPResult:
-    """Maximize s subject to a.y + s*weight(a) <= b per inequality row and s <= 1.
+    """The LP minimizing -s subject to a.y + s*weight(a) <= b per inequality row and s <= 1.
 
-    The variables are (y, s).  With positive weights the optimum s is
-    positive exactly when some y meets every inequality with room to
-    spare, and it is negative when P is empty.
+    The variables are (y, s), and the largest s is minus the optimum.
+    With positive weights that s is positive exactly when some y meets
+    every inequality with room to spare, and it is negative when P is
+    empty.
     """
     n = p.dim
     rows: list[Row] = [(tuple(a) + (weight(a),), b) for a, b in p.ineqs]
     rows.append((zeros(n) + (Fraction(1),), Fraction(1)))
-    return solve_max(zeros(n) + (Fraction(1),), rows)
+    return solve_min(zeros(n) + (Fraction(-1),), rows)
 
 
 def interior_point(p: Polyhedron) -> Vec | None:
@@ -746,7 +743,7 @@ def interior_point(p: Polyhedron) -> Vec | None:
         res = max_slack(p, lambda a: Fraction(1))
         point = None
         if res.status is LPStatus.OPTIMAL:
-            slack = res.optimum.finite_value()
+            slack = -res.optimum.finite_value()
             kept.setdefault("is_empty", slack < 0)
             if slack > 0:
                 point = res.primal_point[: p.dim]

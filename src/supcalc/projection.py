@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DimensionMismatchError, LPInternalError
-from .lp import LPResult, LPStatus, Row, solve_max
+from .lp import LPResult, LPStatus, Row, solve_min
 from .polyhedron import Polyhedron
 from .rationals import Vec, vec
 
@@ -61,9 +61,9 @@ class Image:
         return tuple(sum((c * y[j] for j, c in r), Fraction(0)) for r in self._by_row)
 
     def support(self, a: Vec) -> LPResult:
-        """The LP maximizing <a, C y> over the rows."""
-        c = [sum((a[i] * m for i, m in col), Fraction(0)) for col in self._by_col]
-        return solve_max(c, self.ineqs, self.eqs)
+        """The LP minimizing -<a, C y> over the rows; the support is minus its optimum."""
+        c = [-sum((a[i] * m for i, m in col), Fraction(0)) for col in self._by_col]
+        return solve_min(c, self.ineqs, self.eqs)
 
 
 def project(image: Image) -> Polyhedron:
@@ -87,7 +87,7 @@ def project(image: Image) -> Polyhedron:
         if res.status is LPStatus.INFEASIBLE:
             return None
         if res.status is LPStatus.OPTIMAL and b is not None:
-            if res.optimum.finite_value() <= b:
+            if -res.optimum.finite_value() <= b:
                 return False
         points.add(image.map(res.primal_point))
         if res.status is LPStatus.UNBOUNDED:

@@ -176,11 +176,7 @@ class ExtendedRational:
         return hash((self.sign, self.value if self.sign == 0 else None))
 
     def __repr__(self) -> str:
-        if self.sign > 0:
-            return "+oo"
-        if self.sign < 0:
-            return "-oo"
-        return str(self.value)
+        return format_extended(self)
 
 
 POS_INF = ExtendedRational(1, Fraction(0))

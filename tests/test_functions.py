@@ -138,7 +138,7 @@ def test_conjugate_values_do_not_depend_on_earlier_solves(f):
     # conjugate_eval solves warm, from the tableau its last solve on the
     # epigraph ended on, and the value audit of conjugate() solves on the
     # same rows: the 16 sign-point values must not depend on either
-    lp_module._snapshots.clear()
+    lp_module._row_set.cache_clear()
     forward = [f.conjugate_eval(y) for y in SIGN_POINTS]
     backward = [f.conjugate_eval(y) for y in reversed(SIGN_POINTS)][::-1]
     g = f.conjugate()

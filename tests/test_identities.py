@@ -365,9 +365,9 @@ def _count_normal_sums(monkeypatch) -> list[Q]:
     calls = []
     real = identities.eps_normal_intersection
 
-    def counting(sets, x, eps, gamma=0):
-        calls.append(eps + gamma)
-        return real(sets, x, eps, gamma)
+    def counting(sets, x, eps):
+        calls.append(eps)
+        return real(sets, x, eps)
 
     monkeypatch.setattr(identities, "eps_normal_intersection", counting)
     return calls

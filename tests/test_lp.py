@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from supcalc import lp as lp_module
 from supcalc.errors import LPInternalError
-from supcalc.lp import LPStatus, _certify, _combine, _scale_to_int, solve_max, solve_min
+from supcalc.lp import LPStatus, _certify, _combine, _scale_to_int, solve_min
 from supcalc.oracles import brute_generators
 from supcalc.polyhedron import Polyhedron
 from supcalc.rationals import ExtendedRational, dot, qv
@@ -33,9 +33,9 @@ def test_bounded_minimum():
 
 def test_bounded_maximum():
     rows = [(qv(-1, 0), Q(0)), (qv(0, -1), Q(0)), (qv(1, 1), Q(4))]
-    res = solve_max(qv(2, 3), rows)
+    res = solve_min(qv(-2, -3), rows)  # max 2x + 3y
     assert res.status is LPStatus.OPTIMAL
-    assert res.optimum == FIN(Q(12))
+    assert res.optimum == FIN(Q(-12))
     assert res.primal_point == qv(0, 4)
 
 
@@ -66,8 +66,8 @@ def test_redundant_equality_rows():
 
 def test_degenerate_vertex():
     rows = [(qv(1, 0), Q(1)), (qv(0, 1), Q(1)), (qv(1, 1), Q(2))]
-    res = solve_max(qv(1, 1), rows)
-    assert res.optimum == FIN(Q(2))
+    res = solve_min(qv(-1, -1), rows)
+    assert res.optimum == FIN(Q(-2))
 
 
 def test_infeasible_with_farkas_certificate():
@@ -126,8 +126,8 @@ def test_simplex_volume_corner(n):
     # max sum(x) over the standard simplex is 1 in every dimension
     rows = [(tuple(Q(1) for _ in range(n)), Q(1))]
     rows += [(tuple(-Q(i == j) for j in range(n)), Q(0)) for i in range(n)]
-    res = solve_max(tuple(Q(1) for _ in range(n)), rows)
-    assert res.optimum == FIN(Q(1))
+    res = solve_min(tuple(Q(-1) for _ in range(n)), rows)
+    assert res.optimum == FIN(Q(-1))
 
 
 small = st.integers(min_value=-2, max_value=2).map(Q)
@@ -154,7 +154,7 @@ def small_lps(draw):
 
 def _cold_solve(c, ineqs, eqs):
     """solve_min on a fresh tableau, sharing nothing with earlier solves."""
-    lp_module._snapshots.clear()
+    lp_module._row_set.cache_clear()
     return solve_min(c, ineqs, eqs)
 
 
@@ -196,15 +196,16 @@ def test_warm_solves_match_cold_solves(data, warm):
     # ones on the same row set must still agree field for field
     objectives, ineqs, eqs = data
     cold = [_cold_solve(c, ineqs, eqs) for c in objectives]
-    lp_module._snapshots.clear()
+    lp_module._row_set.cache_clear()
     for c, want, w in zip(objectives, cold, warm):
         res = solve_min(c, ineqs, eqs, warm=w)
         if w:
             assert (res.status, res.optimum) == (want.status, want.optimum)
         else:
             assert res == want
-    top = solve_max(objectives[0], ineqs, eqs, warm=True)
-    want = solve_max(objectives[0], ineqs, eqs)
+    neg = tuple(-t for t in objectives[0])
+    top = solve_min(neg, ineqs, eqs, warm=True)
+    want = solve_min(neg, ineqs, eqs)
     assert (top.status, top.optimum) == (want.status, want.optimum)
 
 
@@ -221,7 +222,7 @@ def test_a_repeated_warm_objective_makes_no_pivot(monkeypatch):
     # cold path still starts from the phase-1 basis every time
     rows = [((1, 0), 3), ((-1, 0), 0), ((0, 1), 4), ((0, -1), 0)]
     c = qv(-1, -1)
-    lp_module._snapshots.clear()
+    lp_module._row_set.cache_clear()
     first = solve_min(c, rows, warm=True)
     pivots = _counting_pivots(monkeypatch)
     again = solve_min(c, rows, warm=True)
@@ -229,7 +230,7 @@ def test_a_repeated_warm_objective_makes_no_pivot(monkeypatch):
     assert again == first == replace(_cold_solve(c, rows, []), primal_point=None,
                                      dual_certificate=None)
     assert (again.primal_point, again.dual_certificate, again.ray) == (None, None, None)
-    lp_module._snapshots.clear()
+    lp_module._row_set.cache_clear()
     solve_min(c, rows)
     del pivots[:]
     solve_min(c, rows)
@@ -242,7 +243,7 @@ def test_int_and_fraction_right_hand_sides_share_one_row_set(monkeypatch):
     ints = [((1, 0), 3), ((-1, 0), 0), ((0, 1), 4), ((0, -1), 0)]
     fractions = [(a, Q(b)) for a, b in ints]
     eqs = [((1, -1), -1)]
-    lp_module._snapshots.clear()
+    lp_module._row_set.cache_clear()
     built = []
     real = lp_module._RowSet.__init__
     monkeypatch.setattr(lp_module._RowSet, "__init__",
@@ -250,8 +251,8 @@ def test_int_and_fraction_right_hand_sides_share_one_row_set(monkeypatch):
     c = qv(-1, "-1/2")
     from_ints = solve_min(c, ints, eqs)
     assert solve_min(c, fractions, [(a, Q(b)) for a, b in eqs]) == from_ints
-    assert len(built) == 1 and len(lp_module._snapshots) == 1
-    (_, kept_ineqs, kept_eqs), _ = next(iter(lp_module._snapshots.values()))
+    assert len(built) == 1 and lp_module._row_set.cache_info().currsize == 1
+    [(_, kept_ineqs, kept_eqs)] = built
     assert all(type(b) is int for _, b in (*kept_ineqs, *kept_eqs))
     assert from_ints.optimum == FIN(Q(-5))  # at (3, 4)
 
@@ -400,23 +401,25 @@ def test_unbounded_objective_after_an_optimal_one():
     assert optimal.status is LPStatus.OPTIMAL and optimal.optimum == FIN(Q(0))
     assert unbounded.status is LPStatus.UNBOUNDED
     assert unbounded == _cold_solve(qv(1, 1), rows, [])
-    kept = dict(lp_module._snapshots)
+    kept = lp_module._row_set.cache_info()
     assert solve_min(qv(0, 1), rows) == optimal
-    assert lp_module._snapshots == kept  # the start was reused, not rebuilt
+    again = lp_module._row_set.cache_info()
+    # the start was reused, not rebuilt
+    assert (again.hits, again.misses) == (kept.hits + 1, kept.misses)
 
 
 def test_snapshot_is_bounded_and_evicted_sets_still_solve():
-    cap = lp_module._SNAPSHOT_CAP
+    cap = lp_module._row_set.cache_info().maxsize
     boxes = [[(qv(1, 0), Q(k)), (qv(-1, 0), Q(0)), (qv(0, 1), Q(1)), (qv(0, -1), Q(0))]
              for k in range(1, 2 * cap + 2)]
     c = qv(-1, -1)
     first = [solve_min(c, rows) for rows in boxes]
-    assert len(lp_module._snapshots) <= cap
+    assert lp_module._row_set.cache_info().currsize <= cap
     assert [r.optimum for r in first] == [FIN(Q(-k - 1)) for k in range(1, 2 * cap + 2)]
     again = [solve_min(c, rows) for rows in boxes]  # the first sets were evicted
     assert again == first
     assert again == [_cold_solve(c, rows, []) for rows in boxes]
-    assert len(lp_module._snapshots) <= cap
+    assert lp_module._row_set.cache_info().currsize <= cap
 
 
 @pytest.mark.parametrize("name", ["BOX", "EMPTY"])

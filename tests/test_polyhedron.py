@@ -325,13 +325,18 @@ class TestEmptinessFromGenerators:
 
     def test_equal_rows_need_no_conversion(self, monkeypatch):
         # equal canonical rows are one set, empty or not, so within the
-        # DD cap neither relation converts a set or solves an LP
+        # DD cap neither relation nor the containment test converts a set
+        # or solves an LP; sets of two dimensions are refused before that
         solves = _counting_solves(monkeypatch)
         conversions = _counting_conversions(monkeypatch)
         for make in (lambda: Polyhedron.box(qv(0, 0), qv(1, 1)), lambda: _hidden_empty(2)):
             p, q = make(), make()
             assert p == q and p is not q
             assert included(p, q) and polyhedron_equal(p, q)
+            assert missing_generator(p, q) is None
+        for relation in (missing_generator, included, polyhedron_equal):
+            with pytest.raises(DimensionMismatchError):
+                relation(Polyhedron.empty(1), Polyhedron.empty(2))
         assert solves == [] and conversions == []
         assert not included(Polyhedron.box(qv(0, 0), qv(2, 2)), Polyhedron.box(qv(0, 0), qv(1, 1)))
         assert conversions

@@ -96,6 +96,8 @@ class TestExtendedRational:
         assert format_extended(NEG_INF) == "-inf"
         assert format_extended(FIN(Q(-6, 8))) == "-3/4"
         assert format_extended(FIN(Q(0))) == "0"
+        assert repr(POS_INF) == "+inf"
+        assert repr(NEG_INF) == "-inf"
 
     def test_coercion_and_hash(self):
         assert FIN(Q(3)) == 3
@@ -153,7 +155,6 @@ SCALAR_PARAMETERS = {
     "rhs_basic_level": lambda fam, v: calculus.rhs_basic_level(fam, qv(0), v),
     "rhs_basic_strict_margin": lambda fam, v: calculus.rhs_basic_strict_margin(fam, qv(0), v),
     "eps_normal_intersection-eps": lambda fam, v: calculus.eps_normal_intersection([UNIT], qv(0), v),
-    "eps_normal_intersection-gamma": lambda fam, v: calculus.eps_normal_intersection([UNIT], qv(0), 0, v),
     "decompose-eps": lambda fam, v: calculus.decompose(fam, qv(0), v, qv(Q(1, 2)), "T52"),
     "decompose-gamma": lambda fam, v: calculus.decompose(fam, qv(0), 0, qv(Q(1, 2)), "T52", v),
     "check_identity-eps": lambda fam, v: check_identity("L2D", fam, {"eps": v}).status,
